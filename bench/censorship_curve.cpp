@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const wf::Dataset data =
       exp::to_dataset(exp::run_grid(grid, run)).sanitized_by_download_size(0.75);
   if (run.proc.workers > 0) {
-    exp::print_proc_summary("censorship_curve", run.proc, proc_report);
+    exp::print_proc_summary("censorship_curve", proc_report);
   }
   cache.finish("censorship_curve");
 

@@ -20,9 +20,10 @@
 // Flags: --jobs N (or STOB_JOBS), --check-determinism, --manifest PATH /
 // --trace-events PATH (either turns the span profiler on), --smoke (1 site
 // x 1 sample — the CI grid), and the out-of-process runner set:
-// --proc-workers N, --job-timeout S, --retries N, --journal PATH, --resume,
+// --proc-workers N, --job-timeout S, --retries N,
 // --inject-worker-fault crash|hang|exit[:rate]. Result cache: --cache DIR
-// (or STOB_CACHE), --no-cache, --cache-stats, --cache-gc BYTES.
+// (or STOB_CACHE), --no-cache, --cache-stats, --cache-gc BYTES; rerunning
+// a killed sweep against the same --cache DIR resumes it.
 // Environment knobs: STOB_SITES (default 2), STOB_SAMPLES (default 2),
 // STOB_SEED.
 #include <cstdio>
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
     obs::ProfSpan span("sweep");
     return exp::run_grid(grid, run);
   }();
-  if (run.proc.workers > 0) exp::print_proc_summary("chaos_sweep", run.proc, proc_report);
+  if (run.proc.workers > 0) exp::print_proc_summary("chaos_sweep", proc_report);
   cache.finish("chaos_sweep");
 
   // Reduce in job order. The undefended (defense 0) twin of every defended

@@ -86,8 +86,6 @@ int verify_warm_manifest(const exp::ExperimentGrid& grid, exp::RunOptions run,
                          exp::ResultCache* cache, std::size_t jobs, std::uint64_t seed) {
   run.check_determinism = false;
   run.proc_report = nullptr;
-  run.proc.journal_path.clear();
-  run.proc.resume = false;
   const auto manifest_of = [&](exp::ResultCache* c) {
     obs::Profiler p;
     {
@@ -175,7 +173,7 @@ int run_pareto(const exp::Cli& cli, std::size_t samples, std::size_t trees,
     return exp::run_grid(grid, run);
   }();
   if (run.proc.workers > 0) {
-    exp::print_proc_summary("table1_defenses", run.proc, proc_report);
+    exp::print_proc_summary("table1_defenses", proc_report);
   }
   if (cli.check_determinism && cache.cache() != nullptr) {
     const int rc = verify_warm_manifest(grid, run, cache.cache(), jobs, seed);
@@ -344,7 +342,7 @@ int main(int argc, char** argv) {
     return exp::to_dataset(exp::run_grid(grid, run)).sanitized_by_download_size(0.75);
   }();
   if (run.proc.workers > 0) {
-    exp::print_proc_summary("table1_defenses", run.proc, proc_report);
+    exp::print_proc_summary("table1_defenses", proc_report);
   }
   if (cli.check_determinism && cache.cache() != nullptr) {
     const int rc = verify_warm_manifest(grid, run, cache.cache(), jobs, seed);

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     return d;
   }();
   if (collected_live && run.proc.workers > 0) {
-    exp::print_proc_summary("table2_kfp", run.proc, proc_report);
+    exp::print_proc_summary("table2_kfp", proc_report);
   }
   cache.finish("table2_kfp");
   std::printf("collected %zu traces\n", raw.size());

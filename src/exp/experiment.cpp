@@ -416,7 +416,7 @@ std::vector<JobResult> run_grid(const ExperimentGrid& grid, const RunOptions& op
     // directly asserts out-of-process == in-process, byte for byte.
     obs::ProfSpan span("grid.verify");
     std::set<std::size_t> quarantined;
-    for (const obs::CrashRecord& f : report.failures) {
+    for (const CrashRecord& f : report.failures) {
       quarantined.insert(static_cast<std::size_t>(f.job));
     }
     const std::vector<JobResult> serial = run_with(1);
@@ -556,8 +556,6 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
                                  {"--proc-workers", true},
                                  {"--job-timeout", true},
                                  {"--retries", true},
-                                 {"--journal", true},
-                                 {"--resume", false},
                                  {"--inject-worker-fault", true},
                                  {"--worker-job", true},
                                  {"--worker-fd", true},
@@ -584,18 +582,13 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
       }
     }
     if (spec == nullptr) {
+      std::string listing;
+      for (const FlagSpec& f : known) {
+        if (f.name.rfind("--worker-", 0) == 0) continue;  // supervisor-internal
+        listing += listing.empty() ? f.name : ", " + f.name;
+      }
       throw std::invalid_argument("exp: unknown flag '" + arg +
-                                  "' (use --flag or --flag=value; known flags: --jobs, "
-                                  "--check-determinism, --manifest, --trace-events, "
-                                  "--cache, --no-cache, --cache-stats, --cache-gc, "
-                                  "--proc-workers, --job-timeout, --retries, --journal, "
-                                  "--resume, --inject-worker-fault" +
-                                  [&] {
-                                    std::string s;
-                                    for (const FlagSpec& f : extra_flags) s += ", " + f.name;
-                                    return s;
-                                  }() +
-                                  ")");
+                                  "' (use --flag or --flag=value; known flags: " + listing + ")");
     }
     if (spec->takes_value && !value.has_value()) {
       if (i + 1 >= argc) {
@@ -636,10 +629,6 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
       cli.job_timeout_s = parse_seconds(name, *value);
     } else if (name == "--retries") {
       cli.retries = static_cast<std::size_t>(parse_u64(name, *value));
-    } else if (name == "--journal") {
-      cli.journal_path = *value;
-    } else if (name == "--resume") {
-      cli.resume = true;
     } else if (name == "--inject-worker-fault") {
       WorkerFaultPlan::parse(*value);  // reject malformed specs at the CLI
       cli.inject_worker_fault = *value;
@@ -657,9 +646,6 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
       cli.extra[name] = spec->takes_value ? *value : "1";
     }
   }
-  if (cli.resume && cli.journal_path.empty()) {
-    throw std::invalid_argument("exp: --resume needs --journal PATH (the journal to replay)");
-  }
   if (no_cache) cli.cache_dir.clear();
   if (cli.cache_dir.empty() && (cli.cache_stats || cli.cache_gc)) {
     throw std::invalid_argument(
@@ -674,8 +660,6 @@ ProcOptions proc_options_from_cli(const Cli& cli) {
   proc.workers = cli.proc_workers;
   proc.job_timeout = Duration::seconds_f(cli.job_timeout_s);
   proc.retries = cli.retries;
-  proc.journal_path = cli.journal_path;
-  proc.resume = cli.resume;
   proc.fault_spec = cli.inject_worker_fault;
   if (cli.proc_workers > 0) proc.worker_argv = cli.argv;
   if (cli.worker_mode) proc.worker_job = cli.worker_job;

@@ -148,14 +148,14 @@ std::vector<JobResult> run_grid(const ExperimentGrid& grid, const RunOptions& op
 /// byte-equivalent: trace, counters, metrics snapshot and captured events.
 bool results_identical(const JobResult& a, const JobResult& b);
 
-/// Content-addressed journal key for cell `index` of `grid`: SHA-256 (via
+/// Content-addressed identity of cell `index` of `grid`: SHA-256 (via
 /// obs::RunManifest::cell_spec_digest) over the cell's full coordinates —
 /// seed, site name, sample, defense name, CCA, fault-profile name — plus
 /// every RunOptions field that shapes the result payload (metrics /
 /// flight-recorder / invariant sinks) and the worker-payload codec version.
 /// Stable across --jobs, worker mode and field-declaration order; changes
-/// whenever anything that could change the cell's bytes changes, so a
-/// resumed journal can never replay a stale or mismatched payload.
+/// whenever anything that could change the cell's bytes changes, so the
+/// result cache keyed on it can never serve a stale or mismatched payload.
 std::string cell_digest(const ExperimentGrid& grid, std::size_t index, const RunOptions& opts);
 
 /// Canonical dump of every RunOptions::page field that shapes a cell's
@@ -187,7 +187,8 @@ wf::Dataset to_dataset(const std::vector<JobResult>& results);
 ///
 /// Out-of-process runner flags (see exp/proc_runner.hpp): --proc-workers N
 /// (0 = in-process, the default), --job-timeout SECONDS, --retries N,
-/// --journal PATH, --resume, --inject-worker-fault crash|hang|exit[:rate].
+/// --inject-worker-fault crash|hang|exit[:rate]. A killed sweep resumes
+/// by rerunning it against the same --cache DIR.
 /// The supervisor re-execs the driver binary with --worker-job N
 /// --worker-fd FD [--worker-fault KIND] [--worker-prof-domain D] appended;
 /// those worker flags are parsed here too but are never user-facing.
@@ -207,8 +208,6 @@ struct Cli {
   std::size_t proc_workers = 0;        ///< 0 = run the grid in-process
   double job_timeout_s = 120.0;        ///< per-attempt watchdog, seconds
   std::size_t retries = 2;             ///< attempts = retries + 1
-  std::string journal_path;            ///< results journal (empty = none)
-  bool resume = false;                 ///< replay journaled cells
   std::string inject_worker_fault;     ///< self-fault spec (tests/CI)
   /// Verbatim copy of argv: the supervisor's worker re-exec base.
   std::vector<std::string> argv;

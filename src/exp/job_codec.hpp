@@ -1,6 +1,6 @@
 // Binary codec for shipping one job's full output across a process
-// boundary (the out-of-process runner's result frames and the journal's
-// payload field).
+// boundary (the out-of-process runner's result frames and the result
+// cache's entry payloads).
 //
 // The encoding is exact: doubles travel as raw bit patterns, so a decoded
 // JobResult is results_identical() to the original and out-of-process
@@ -10,9 +10,8 @@
 // profiler in job-index order — the same reduction the in-process worker
 // pool performs — so run-manifest span structure is worker-mode invariant.
 //
-// Fixed-width little-endian-on-x86 host encoding: frames and journals are
-// machine-local artifacts consumed by the run (or resume) that wrote them,
-// never interchange formats. A leading version byte rejects frames from a
+// Fixed-width little-endian-on-x86 host encoding: frames and cache entries
+// are machine-local artifacts, never interchange formats. A leading version byte rejects frames from a
 // different code rev instead of misreading them.
 #pragma once
 
@@ -27,8 +26,8 @@
 namespace stob::exp {
 
 /// Codec format version (the payload's leading byte). Folded into
-/// exp::cell_digest so journals written by a different codec rev never
-/// match on resume — they re-run instead of mis-decoding.
+/// exp::cell_digest so cache entries written by a different codec rev never
+/// match — their cells re-run instead of mis-decoding.
 inline constexpr std::uint8_t kWorkerPayloadVersion = 1;
 
 /// Everything a worker sends back for one cell.

@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <deque>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "util/log.hpp"
+#include "obs/json.hpp"
 #include "util/subprocess.hpp"
 
 namespace stob::exp {
@@ -192,9 +191,6 @@ std::vector<std::optional<std::string>> run_cells(
     const std::function<std::string(std::size_t)>& run_cell, ProcReport* report,
     const CellCache* cache) {
   if (opts.workers == 0) throw std::runtime_error("proc: run_cells needs workers > 0");
-  if (opts.resume && opts.journal_path.empty()) {
-    throw std::runtime_error("proc: --resume needs a --journal path");
-  }
   const WorkerFaultPlan fault = WorkerFaultPlan::parse(opts.fault_spec);
   const std::size_t max_attempts = opts.retries + 1;
   const bool exec_mode = !opts.worker_argv.empty();
@@ -204,53 +200,16 @@ std::vector<std::optional<std::string>> run_cells(
   rep = ProcReport{};
   rep.cells = count;
 
+  // Cells the cache already holds never reach a worker.
   std::vector<std::optional<std::string>> payloads(count);
-  std::vector<std::string> digests(count);
-  for (std::size_t i = 0; i < count; ++i) digests[i] = digest(i);
-
   std::deque<Attempt> pending;
-  if (opts.resume) {
-    const obs::Journal::Loaded loaded = obs::Journal::load(opts.journal_path);
-    std::unordered_map<std::string, const std::string*> by_digest;
-    for (const obs::JournalCell& cell : loaded.cells) {
-      by_digest[cell.digest] = &cell.payload;  // last record per digest wins
+  for (std::size_t i = 0; i < count; ++i) {
+    if (cache != nullptr && cache->probe) payloads[i] = cache->probe(i);
+    if (payloads[i].has_value()) {
+      rep.cache_hits += 1;
+    } else {
+      pending.push_back({i, 0});
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (const auto it = by_digest.find(digests[i]); it != by_digest.end()) {
-        payloads[i] = *it->second;
-        rep.journal_hits += 1;
-      } else {
-        pending.push_back({i, 0});
-      }
-    }
-    if (loaded.malformed_lines > 0) {
-      STOB_WARN("proc") << "journal " << opts.journal_path << ": skipped "
-                        << loaded.malformed_lines << " torn/malformed line(s)";
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) pending.push_back({i, 0});
-  }
-
-  // Resolution order: journal (this sweep's own finished cells) first, then
-  // the cross-run cache, then a worker. Cache hits are journaled like any
-  // finished cell so a later --resume works even against a gc'd cache.
-  obs::Journal journal;
-  if (!opts.journal_path.empty()) journal = obs::Journal(opts.journal_path);
-
-  if (cache != nullptr && cache->probe) {
-    std::deque<Attempt> still_pending;
-    for (const Attempt& item : pending) {
-      if (std::optional<std::string> hit = cache->probe(item.job)) {
-        if (journal.is_open()) {
-          journal.append(obs::JournalCell{digests[item.job], item.job, 1, *hit});
-        }
-        payloads[item.job] = std::move(*hit);
-        rep.cache_hits += 1;
-      } else {
-        still_pending.push_back(item);
-      }
-    }
-    pending.swap(still_pending);
   }
 
   // Resolve the worker binary once: argv[0] may be relative to a cwd that
@@ -310,10 +269,6 @@ std::vector<std::optional<std::string>> run_cells(
     const std::size_t job = a.item.job;
     const std::size_t attempts = a.item.attempt + 1;
     if (out.success) {
-      if (journal.is_open()) {
-        journal.append(obs::JournalCell{digests[job], job,
-                                        static_cast<std::uint32_t>(attempts), out.payload});
-      }
       if (cache != nullptr && cache->commit) {
         cache->commit(job, out.payload);
         rep.cache_stores += 1;
@@ -329,15 +284,14 @@ std::vector<std::optional<std::string>> run_cells(
       return;
     }
     trim_tail(&a.err_tail);
-    obs::CrashRecord crash;
+    CrashRecord crash;
     crash.job = job;
-    crash.digest = digests[job];
+    crash.digest = digest(job);
     crash.attempts = static_cast<std::uint32_t>(attempts);
     crash.outcome = out.kind;
     crash.signal_no = out.signal_no;
     crash.exit_code = out.exit_code;
     crash.stderr_tail = a.err_tail;
-    if (journal.is_open()) journal.append(crash);
     rep.failures.push_back(std::move(crash));
     rep.quarantined += 1;
   };
@@ -451,21 +405,19 @@ std::vector<std::optional<std::string>> run_cells(
   return payloads;
 }
 
-void print_proc_summary(const char* tool, const ProcOptions& opts, const ProcReport& report) {
+void print_proc_summary(const char* tool, const ProcReport& report) {
   std::fprintf(stderr,
-               "%s: proc supervisor: %zu cells, %zu ran, %zu journal hits, %zu cache hits, "
-               "%zu cache stores, %zu retries, %zu injected faults, %zu quarantined\n",
-               tool, report.cells, report.ran, report.journal_hits, report.cache_hits,
-               report.cache_stores, report.retries, report.injected_faults, report.quarantined);
-  for (const obs::CrashRecord& f : report.failures) {
+               "%s: proc supervisor: %zu cells, %zu ran, %zu cache hits, %zu cache stores, "
+               "%zu retries, %zu injected faults, %zu quarantined\n",
+               tool, report.cells, report.ran, report.cache_hits, report.cache_stores,
+               report.retries, report.injected_faults, report.quarantined);
+  for (const CrashRecord& f : report.failures) {
     std::fprintf(stderr,
                  "%s: quarantined cell %llu (digest %.12s…) after %u attempts: %s "
-                 "(signal=%d exit=%d)\n",
+                 "(signal=%d exit=%d) stderr=\"%s\"\n",
                  tool, static_cast<unsigned long long>(f.job), f.digest.c_str(), f.attempts,
-                 f.outcome.c_str(), f.signal_no, f.exit_code);
-  }
-  if (!opts.journal_path.empty()) {
-    std::fprintf(stderr, "%s: journal: %s\n", tool, opts.journal_path.c_str());
+                 f.outcome.c_str(), f.signal_no, f.exit_code,
+                 obs::json_escape(f.stderr_tail).c_str());
   }
 }
 

@@ -12,13 +12,7 @@
 //     same retry path applies;
 //   * a cell that fails every attempt is *quarantined*: the sweep keeps
 //     going, and the cell gets a structured CrashRecord (outcome, signal /
-//     exit code, attempt count, captured stderr tail) in the report and
-//     the journal.
-//
-// Every finished cell is appended to an obs::Journal keyed by its
-// content-addressed cell_spec_digest; `resume` reloads the journal and
-// replays matching cells instead of re-running them, so a sweep killed at
-// any point (SIGKILL of the supervisor included) completes incrementally.
+//     exit code, attempt count, captured stderr tail) in the report.
 //
 // Determinism: the supervisor only moves opaque result payloads around —
 // cells are pure functions of their spec, payloads are decoded in job-index
@@ -36,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/journal.hpp"
 #include "util/units.hpp"
 
 namespace stob::exp {
@@ -76,10 +69,6 @@ struct ProcOptions {
   /// Capped exponential backoff between a cell's attempts.
   Duration backoff_base = Duration::millis(50);
   Duration backoff_cap = Duration::seconds(2);
-  /// Append finished cells here (empty = no journal).
-  std::string journal_path;
-  /// Replay journaled cells whose digest matches instead of re-running.
-  bool resume = false;
   /// Self-fault hook, e.g. "crash:0.1" (see WorkerFaultPlan).
   std::string fault_spec;
   /// Non-empty: fork/exec these argv as the worker (the supervisor appends
@@ -95,47 +84,62 @@ struct ProcOptions {
   bool worker_profile = false;            ///< capture per-job span records
 };
 
+/// Structured crash report for a quarantined cell (failed all attempts).
+struct CrashRecord {
+  std::uint64_t job = 0;
+  std::string digest;
+  std::uint32_t attempts = 0;
+  /// "signal" (killed by a signal), "exit" (nonzero exit code), "timeout"
+  /// (watchdog SIGKILL), or "frame" (exited 0 but the result frame was
+  /// missing/torn).
+  std::string outcome;
+  int signal_no = 0;
+  int exit_code = 0;
+  std::string stderr_tail;  ///< last bytes of the worker's captured stderr
+};
+
 /// What the supervisor did, cell by cell aggregated. Failures only holds
 /// quarantined cells (every attempt failed); transient failures that a
 /// retry recovered show up in `retries` only.
 struct ProcReport {
   std::size_t cells = 0;          ///< total cells in the run
   std::size_t ran = 0;            ///< cells executed by workers this run
-  std::size_t journal_hits = 0;   ///< cells replayed from the journal
   std::size_t cache_hits = 0;     ///< cells served by the result cache
   std::size_t cache_stores = 0;   ///< worker results committed to the cache
   std::size_t retries = 0;        ///< extra attempts scheduled
   std::size_t injected_faults = 0;  ///< attempts the self-fault hook hit
   std::size_t quarantined = 0;    ///< cells that failed all attempts
-  std::vector<obs::CrashRecord> failures;
+  std::vector<CrashRecord> failures;
 };
 
 /// Supervisor-side hooks into the content-addressed result cache: `probe`
 /// is consulted before a cell is scheduled (a hit skips the worker), and
 /// `commit` is called with every worker-produced payload — workers publish
 /// frames, only the supervisor commits them, so a crashing worker can never
-/// tear a cache entry. Journal-replayed cells are neither probed nor
-/// committed (a journal payload's key context is unknown to the runner).
+/// tear a cache entry. Committing per cell, not per sweep, is what makes a
+/// killed sweep (SIGKILL of the supervisor included) resumable: a rerun
+/// against the same cache hits every cell that finished.
 struct CellCache {
   std::function<std::optional<std::string>(std::size_t)> probe;
   std::function<void(std::size_t, const std::string&)> commit;
 };
 
 /// Execute cells [0, count) out of process and return each cell's result
-/// payload in index order (nullopt = quarantined). `digest(i)` is the
-/// journal key for cell i; `run_cell(i)` produces cell i's payload and is
+/// payload in index order (nullopt = quarantined). `digest(i)` names cell i
+/// in its crash record; `run_cell(i)` produces cell i's payload and is
 /// invoked *in the forked child* when `opts.worker_argv` is empty (exec
 /// mode never calls it — the exec'd binary computes the payload itself).
-/// Throws std::runtime_error on supervisor-level failures (journal cannot
-/// be opened, workers cannot be spawned at all).
+/// Throws std::runtime_error on supervisor-level failures (no workers, or
+/// workers cannot be spawned at all).
 std::vector<std::optional<std::string>> run_cells(
     std::size_t count, const ProcOptions& opts,
     const std::function<std::string(std::size_t)>& digest,
     const std::function<std::string(std::size_t)>& run_cell, ProcReport* report,
     const CellCache* cache = nullptr);
 
-/// One-line supervisor summary (and one line per quarantined cell) on
-/// stderr — never stdout, which stays byte-identical across modes.
-void print_proc_summary(const char* tool, const ProcOptions& opts, const ProcReport& report);
+/// One-line supervisor summary, plus one line per quarantined cell carrying
+/// its JSON-escaped stderr tail, on stderr — never stdout, which stays
+/// byte-identical across modes.
+void print_proc_summary(const char* tool, const ProcReport& report);
 
 }  // namespace stob::exp

@@ -6,9 +6,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <system_error>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,7 +96,6 @@ ResultCache::ResultCache(std::filesystem::path dir, std::uint32_t codec)
                                "': " + ec.message());
     }
   }
-  index_ = obs::Journal(dir_ / "index.jsonl");
 }
 
 std::string ResultCache::entry_key(std::string_view cell_digest, bool profiled,
@@ -230,10 +229,6 @@ bool ResultCache::store(std::string_view key, std::string_view payload) {
     fs::remove(tmp, ec);
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    index_.append(obs::IndexEntry{std::string(key), entry.size()});
-  }
   stores_.fetch_add(1, std::memory_order_relaxed);
   bytes_written_.fetch_add(entry.size(), std::memory_order_relaxed);
   return true;
@@ -252,67 +247,44 @@ ResultCache::GcReport ResultCache::gc(std::uint64_t max_total_bytes) {
     }
   }
 
-  // Every entry on disk, keyed by its digest.
+  // Every entry on disk, ranked oldest commit first; equal mtimes (a coarse
+  // filesystem clock) fall back to key order so the ranking is total.
   struct OnDisk {
+    fs::file_time_type mtime;
+    std::string key;
     fs::path path;
     std::uint64_t bytes = 0;
   };
-  std::map<std::string, OnDisk> entries;
+  std::vector<OnDisk> entries;
+  std::uint64_t total = 0;
   for (const auto& shard : fs::directory_iterator(dir_ / "objects", ec)) {
     for (const auto& e : fs::directory_iterator(shard.path(), ec)) {
       if (e.path().extension() != ".entry") continue;
+      // A concurrent gc or quarantine may remove the file mid-scan.
       std::error_code sec;
       const std::uint64_t size = fs::file_size(e.path(), sec);
-      if (!sec) entries[e.path().stem().string()] = OnDisk{e.path(), size};
+      if (sec) continue;
+      const fs::file_time_type mtime = fs::last_write_time(e.path(), sec);
+      if (sec) continue;
+      entries.push_back({mtime, e.path().stem().string(), e.path(), size});
+      total += size;
     }
   }
+  std::sort(entries.begin(), entries.end(), [](const OnDisk& a, const OnDisk& b) {
+    return std::tie(a.mtime, a.key) < std::tie(b.mtime, b.key);
+  });
 
-  // Rank by commit order (last index mention wins); entries the index never
-  // saw — e.g. a crash between rename and index append — rank oldest.
-  const fs::path index_path = dir_ / "index.jsonl";
-  const obs::Journal::Loaded loaded = obs::Journal::load(index_path);
-  std::map<std::string, std::size_t> last_pos;
-  for (std::size_t i = 0; i < loaded.index.size(); ++i) last_pos[loaded.index[i].digest] = i;
-  std::vector<std::pair<std::size_t, std::string>> ranked;  // (order, key)
-  ranked.reserve(entries.size());
-  for (const auto& [key, info] : entries) {
-    const auto it = last_pos.find(key);
-    ranked.emplace_back(it == last_pos.end() ? 0 : it->second + 1, key);
-  }
-  std::sort(ranked.begin(), ranked.end());
-
-  std::uint64_t total = 0;
-  for (const auto& [key, info] : entries) total += info.bytes;
-  std::size_t evict_upto = 0;
-  while (evict_upto < ranked.size() && total > max_total_bytes) {
-    const OnDisk& victim = entries[ranked[evict_upto].second];
-    if (fs::remove(victim.path, ec)) {
-      report.entries_evicted += 1;
-      report.bytes_evicted += victim.bytes;
+  for (const OnDisk& e : entries) {
+    if (total > max_total_bytes) {
+      if (fs::remove(e.path, ec)) {
+        report.entries_evicted += 1;
+        report.bytes_evicted += e.bytes;
+      }
+      total -= e.bytes;
+    } else {
+      report.entries_kept += 1;
+      report.bytes_kept += e.bytes;
     }
-    total -= victim.bytes;
-    evict_upto += 1;
-  }
-
-  // Rewrite the index to exactly the surviving set (atomic, same protocol
-  // as an entry commit), then reopen our append handle — the old descriptor
-  // points at the unlinked inode after the rename.
-  std::string fresh;
-  for (std::size_t i = evict_upto; i < ranked.size(); ++i) {
-    const std::string& key = ranked[i].second;
-    fresh += obs::to_json_line(obs::IndexEntry{key, entries[key].bytes});
-    fresh += '\n';
-    report.entries_kept += 1;
-    report.bytes_kept += entries[key].bytes;
-  }
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    const fs::path tmp = dir_ / "tmp" / ("index." + std::to_string(::getpid()));
-    if (write_file_durable(tmp, fresh)) {
-      fs::rename(tmp, index_path, ec);
-      if (ec) fs::remove(tmp, ec);
-    }
-    index_ = obs::Journal(index_path);
   }
   return report;
 }

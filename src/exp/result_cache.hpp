@@ -14,16 +14,11 @@
 //   DIR/objects/<k0k1>/<key>.entry   one file per cell (see entry format)
 //   DIR/tmp/                         in-flight commits (unique names)
 //   DIR/quarantine/                  corrupt entries, kept for post-mortems
-//   DIR/index.jsonl                  append-only commit log (obs::Journal
-//                                    JSONL discipline, torn-line tolerant)
 //
 // Commit protocol: encode → write + fsync a unique file in tmp/ → rename(2)
 // into objects/ (atomic on POSIX: readers see the old entry or the complete
-// new one, never a torn write) → append an index record. A crash between
-// rename and index append leaves a valid *unindexed* entry: it still hits
-// (the read path goes straight to the object file, lock-free), and gc()
-// merely ranks it oldest. The index exists for eviction order and stats,
-// never for correctness.
+// new one, never a torn write). rename(2) keeps the tmp write's mtime, so
+// an entry's mtime is its commit time, and gc() evicts in that order.
 //
 // Read path: open, read, validate (magic, format version, key echo, codec
 // rev, length, payload SHA-256). Any validation failure quarantines the
@@ -37,12 +32,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-
-#include "obs/journal.hpp"
 
 namespace stob::exp {
 
@@ -100,9 +92,9 @@ class ResultCache {
   /// a broken cache must never kill the sweep. Safe from any thread.
   bool store(std::string_view key, std::string_view payload);
 
-  /// Evict oldest-first (index order; unindexed entries rank oldest) until
-  /// the objects/ tree holds at most `max_total_bytes`, remove tmp/ and
-  /// quarantine/ junk, and rewrite the index to the surviving set.
+  /// Evict oldest-first (entry mtime, ties broken by key) until the
+  /// objects/ tree holds at most `max_total_bytes`, and remove tmp/ and
+  /// quarantine/ junk.
   GcReport gc(std::uint64_t max_total_bytes);
 
   Stats stats() const;
@@ -131,8 +123,6 @@ class ResultCache {
 
   std::filesystem::path dir_;
   std::uint32_t codec_ = 0;
-  obs::Journal index_;
-  std::mutex index_mu_;
   std::atomic<std::uint64_t> tmp_seq_{0};
   std::atomic<std::uint64_t> quarantine_seq_{0};
 

@@ -39,63 +39,4 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-int hex_val(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c != '\\' || i + 1 >= s.size()) {
-      out += c;
-      continue;
-    }
-    const char e = s[++i];
-    switch (e) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        if (i + 4 < s.size()) {
-          int v = 0;
-          bool ok = true;
-          for (int k = 1; k <= 4; ++k) {
-            const int h = hex_val(s[i + static_cast<std::size_t>(k)]);
-            if (h < 0) {
-              ok = false;
-              break;
-            }
-            v = v * 16 + h;
-          }
-          if (ok) {
-            i += 4;
-            if (v < 0x100) out += static_cast<char>(v);
-            break;
-          }
-        }
-        out += "\\u";  // malformed escape: keep it visible
-        break;
-      }
-      default:
-        out += '\\';
-        out += e;
-    }
-  }
-  return out;
-}
-
 }  // namespace stob::obs

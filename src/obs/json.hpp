@@ -1,11 +1,10 @@
 // Minimal JSON string escaping shared by every obs text artifact (run
-// manifests, trace_event exports, the results journal).
+// manifests, trace_event exports, the proc supervisor's crash lines).
 //
 // The escaper emits `\uXXXX` for all control and non-ASCII bytes, so
-// output is provably 7-bit regardless of what bytes a config string or a
-// captured stderr tail carries (pinned by a hostile-string golden test in
-// test_obs). The unescaper inverts exactly that dialect — enough to read
-// back our own journal lines, not a general JSON parser.
+// output is provably 7-bit regardless of what bytes a config string, a span
+// name or a captured stderr tail carries (pinned by a hostile-string golden
+// test in test_obs).
 #pragma once
 
 #include <string>
@@ -17,10 +16,5 @@ namespace stob::obs {
 void json_escape(std::string& out, std::string_view s);
 
 std::string json_escape(std::string_view s);
-
-/// Invert json_escape: handles \" \\ \/ \n \r \t \b \f and \uXXXX (code
-/// points < 0x100 decode to the raw byte; higher ones are dropped — our
-/// own escaper never emits them).
-std::string json_unescape(std::string_view s);
 
 }  // namespace stob::obs

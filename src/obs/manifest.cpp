@@ -16,7 +16,7 @@ namespace {
 
 // The manifest's escaping dialect (all control + non-ASCII bytes as
 // \uXXXX, so output is provably 7-bit) now lives in obs/json.hpp, shared
-// with the results journal; the hostile-string golden test in test_obs
+// with the trace_event export; the hostile-string golden test in test_obs
 // pins that the shared escaper matches the historical manifest output.
 void append_escaped(std::string& out, std::string_view s) { json_escape(out, s); }
 

@@ -6,6 +6,7 @@
 #include <ctime>
 #include <fstream>
 
+#include "obs/json.hpp"
 #include "util/buffer_pool.hpp"
 
 namespace stob::obs {
@@ -133,35 +134,12 @@ std::string Profiler::structure() const {
 
 // ----------------------------------------------------- trace_event export
 
-namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string trace_event_json(const std::vector<ProfRecord>& records,
                              std::string_view process_name) {
   std::string out = "{\"traceEvents\":[\n";
   char buf[256];
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"";
-  append_json_escaped(out, process_name);
+  json_escape(out, process_name);
   out += "\"}}";
   // One thread_name metadata event per lane seen, in first-use order.
   std::vector<std::uint32_t> lanes;
@@ -180,7 +158,7 @@ std::string trace_event_json(const std::vector<ProfRecord>& records,
   for (const ProfRecord& rec : records) {
     if (rec.wall_ns < 0) continue;  // still open — not a complete event
     out += ",\n{\"name\":\"";
-    append_json_escaped(out, rec.name);
+    json_escape(out, rec.name);
     std::snprintf(buf, sizeof(buf),
                   "\",\"cat\":\"stob\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
                   "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":\"%016llx\",\"cpu_ms\":%.6f,"

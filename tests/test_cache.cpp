@@ -3,17 +3,20 @@
 // surface (cell digest, profiler capture, config salt, STOB_CACHE_SALT),
 // quarantine of corrupted/truncated/skewed entries, the headline
 // differential guarantee — cold, warm and cache-free runs are
-// byte-identical at any --jobs / --proc-workers — plus eviction (gc),
-// SIGKILL-mid-commit crash consistency, and a concurrent mixed hit/miss
-// stress kept honest by TSan.
+// byte-identical at any --jobs / --proc-workers — plus resuming failed or
+// killed proc-mode sweeps from the cache, eviction (gc), SIGKILL-mid-commit
+// crash consistency, and a concurrent mixed hit/miss stress kept honest by
+// TSan.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -26,7 +29,6 @@
 #include "exp/job_codec.hpp"
 #include "exp/proc_runner.hpp"
 #include "exp/result_cache.hpp"
-#include "obs/journal.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
 #include "util/subprocess.hpp"
@@ -270,11 +272,8 @@ TEST(StoreLoad, MissThenStoreThenHitWithStats) {
   EXPECT_NE(cache.stats_line().find("1/2 hits (50.0%)"), std::string::npos);
   EXPECT_NE(cache.stats_line().find("1 stores"), std::string::npos);
 
-  // Commits land in the index with the entry's on-disk size.
-  const obs::Journal::Loaded idx = obs::Journal::load(dir.path / "index.jsonl");
-  ASSERT_EQ(idx.index.size(), 1u);
-  EXPECT_EQ(idx.index[0].digest, key);
-  EXPECT_EQ(idx.index[0].bytes, fs::file_size(cache.entry_path(key)));
+  // The entry file is the whole record of a commit.
+  EXPECT_EQ(count_files(dir.path), 1u);
 }
 
 TEST(StoreLoad, MalformedKeyIsRejectedNotTraversed) {
@@ -522,102 +521,165 @@ TEST(RunGridProcCache, EntriesAreSharedAcrossInProcessAndProcModes) {
   EXPECT_EQ(report.ran, 0u);
 }
 
-TEST(RunGridProcCache, CacheHitsAreJournaledSoResumeSurvivesEviction) {
-  CacheGrid t;
-  TempDir dir("journal");
-  ResultCache cache(dir.path / "cache", kWorkerPayloadVersion);
+/// Split that runs `fault` first when set: a stand-in for a transient
+/// failure that a later rerun of the sweep no longer hits. It keeps the name
+/// "split", so its cells share cache keys with an unfaulted run's.
+class FaultableSplit final : public defenses::TraceDefense {
+ public:
+  std::function<void()> fault;
+
+  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override {
+    if (fault) fault();
+    return split_.apply(trace, rng);
+  }
+  std::string name() const override { return split_.name(); }
+  std::string target() const override { return split_.target(); }
+  std::string strategy() const override { return split_.strategy(); }
+  defenses::Manipulations manipulations() const override { return split_.manipulations(); }
+
+ private:
+  defenses::SplitDefense split_;
+};
+
+/// 1 site x 2 samples x {none, split} = 4 cells; the split cells are 1 and 3.
+struct ResumeGrid {
+  FaultableSplit split;
+  ExperimentGrid grid;
+  RunOptions opts;
+
+  ResumeGrid() {
+    grid.sites = tiny_sites(1);
+    grid.samples = 2;
+    grid.defenses = {{"none", nullptr}, {"split", &split}};
+    grid.ccas = {"cubic"};
+    grid.base_seed = 20261017;
+    opts.jobs = 2;
+    opts.collect_metrics = true;
+    opts.trace_capacity = 4096;
+  }
+};
+
+TEST(RunGridProcCache, RerunAgainstTheCacheRunsOnlyUnfinishedCells) {
+  ResumeGrid t;
+  ASSERT_EQ(t.grid.job_count(), 4u);
+  ASSERT_EQ(t.grid.job(1).defense, 1u);
+  ASSERT_EQ(t.grid.job(3).defense, 1u);
+  const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+
+  TempDir dir("rerun");
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
   RunOptions run = t.opts;
   run.cache = &cache;
-  run_grid(t.grid, run);  // in-process populate
-
-  // Warm proc run journals its cache hits as finished cells...
-  const fs::path journal = dir.path / "journal.jsonl";
   run.proc = fork_opts(2);
-  run.proc.journal_path = journal.string();
-  ProcReport warm;
-  run.proc_report = &warm;
-  const std::vector<JobResult> warm_results = run_grid(t.grid, run);
-  EXPECT_EQ(warm.cache_hits, t.grid.job_count());
+  run.proc.retries = 1;
 
-  // ...so after the cache is evicted to nothing, --resume still replays the
-  // whole grid from the journal without running a single worker.
-  const ResultCache::GcReport gone = cache.gc(0);
-  EXPECT_EQ(gone.entries_evicted, t.grid.job_count());
-  run.proc.resume = true;
-  ProcReport resumed;
-  run.proc_report = &resumed;
-  const std::vector<JobResult> replayed = run_grid(t.grid, run);
-  EXPECT_EQ(resumed.journal_hits, t.grid.job_count());
-  EXPECT_EQ(resumed.cache_hits, 0u);
-  EXPECT_EQ(resumed.ran, 0u);
-  for (std::size_t i = 0; i < warm_results.size(); ++i) {
-    EXPECT_TRUE(results_identical(warm_results[i], replayed[i])) << "job " << i;
+  // First sweep: cells 1 and 3 throw in their worker on every attempt, are
+  // quarantined, and so never reach the cache.
+  t.split.fault = [] { throw std::runtime_error("transient failure"); };
+  ProcReport first;
+  run.proc_report = &first;
+  run_grid(t.grid, run);
+  EXPECT_EQ(first.quarantined, 2u);
+  EXPECT_EQ(first.ran, 2u);
+  EXPECT_EQ(first.cache_stores, 2u);
+
+  // The rerun serves the finished cells from the cache and runs only the
+  // two that failed; the result is the clean in-process run's.
+  t.split.fault = nullptr;
+  ProcReport second;
+  run.proc_report = &second;
+  const std::vector<JobResult> resumed = run_grid(t.grid, run);
+  EXPECT_EQ(second.cache_hits, first.ran);
+  EXPECT_EQ(second.ran, 2u);
+  EXPECT_EQ(second.quarantined, 0u);
+  ASSERT_EQ(resumed.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_TRUE(results_identical(baseline[i], resumed[i])) << "job " << i;
+  }
+}
+
+TEST(RunGridProcCache, SigkilledSupervisorResumesFromTheCache) {
+  ResumeGrid t;
+  const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+  TempDir dir("killed");
+
+  // The supervisor runs in a child with one worker, so cells start in
+  // index order: cell 0 finishes and is committed, then cell 1's worker
+  // SIGKILLs the supervisor mid-sweep.
+  util::Subprocess::Options opts;
+  opts.result_fd = -1;
+  opts.child_fn = [&](int) {
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    RunOptions run = t.opts;
+    run.cache = &cache;
+    run.proc = fork_opts(1);
+    t.split.fault = [] {
+      ::kill(::getppid(), SIGKILL);
+      ::_exit(0);
+    };
+    run_grid(t.grid, run);
+    return 7;  // unreachable: the worker killed us
+  };
+  util::Subprocess supervisor = util::Subprocess::spawn(opts);
+  const util::ExitStatus status = supervisor.wait();
+  ASSERT_TRUE(status.signaled);
+  ASSERT_EQ(status.term_signal, SIGKILL);
+
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
+  RunOptions run = t.opts;
+  run.cache = &cache;
+  run.proc = fork_opts(2);
+  ProcReport report;
+  run.proc_report = &report;
+  const std::vector<JobResult> resumed = run_grid(t.grid, run);
+  EXPECT_EQ(report.cache_hits, 1u);
+  EXPECT_EQ(report.ran, 3u);
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_TRUE(results_identical(baseline[i], resumed[i])) << "job " << i;
   }
 }
 
 // ------------------------------------------------------------------- gc
 
-TEST(Gc, EvictsOldestFirstCleansJunkAndRewritesTheIndex) {
+TEST(Gc, EvictsOldestMtimeFirstTiesByKeyAndCleansJunk) {
   TempDir dir("gc");
   ResultCache cache(dir.path, 1);
-  const std::string k1 = key_of('1'), k2 = key_of('2'), k3 = key_of('3');
-  ASSERT_TRUE(cache.store(k1, std::string(100, 'x')));
-  ASSERT_TRUE(cache.store(k2, std::string(100, 'y')));
-  ASSERT_TRUE(cache.store(k3, std::string(100, 'z')));
+  const std::string k1 = key_of('1'), k2 = key_of('2'), k3 = key_of('3'), k4 = key_of('4');
+  // Stored in an order unrelated to the pinned commit times below.
+  for (const std::string& k : {k4, k2, k1, k3}) ASSERT_TRUE(cache.store(k, std::string(100, 'x')));
   const std::uint64_t each = fs::file_size(cache.entry_path(k1));
+
+  // k3 is the oldest commit, k1 and k2 tie, k4 is the newest.
+  const fs::file_time_type now = fs::file_time_type::clock::now();
+  fs::last_write_time(cache.entry_path(k3), now - std::chrono::hours(3));
+  fs::last_write_time(cache.entry_path(k1), now - std::chrono::hours(2));
+  fs::last_write_time(cache.entry_path(k2), now - std::chrono::hours(2));
+  fs::last_write_time(cache.entry_path(k4), now - std::chrono::hours(1));
 
   // Junk to sweep: a stale in-flight commit and a quarantine corpse.
   { std::ofstream(dir.path / "tmp" / "stale.123.0") << "half an entry"; }
   { std::ofstream(dir.path / "quarantine" / "corpse") << "bad bytes"; }
 
   const ResultCache::GcReport report = cache.gc(2 * each);
-  EXPECT_EQ(report.entries_evicted, 1u);
+  EXPECT_EQ(report.entries_evicted, 2u);
   EXPECT_EQ(report.entries_kept, 2u);
   EXPECT_EQ(report.junk_removed, 2u);
   EXPECT_EQ(report.bytes_kept, 2 * each);
-  EXPECT_EQ(report.bytes_evicted, each);
+  EXPECT_EQ(report.bytes_evicted, 2 * each);
 
-  // Oldest commit went; the two newest survive and still hit.
+  // The oldest mtime went first despite the largest key; of the tied pair
+  // the smaller key went. The survivors still hit.
+  EXPECT_FALSE(cache.load(k3).has_value());
   EXPECT_FALSE(cache.load(k1).has_value());
   EXPECT_TRUE(cache.load(k2).has_value());
-  EXPECT_TRUE(cache.load(k3).has_value());
+  EXPECT_TRUE(cache.load(k4).has_value());
   EXPECT_EQ(count_files(dir.path / "tmp"), 0u);
   EXPECT_EQ(count_files(dir.path / "quarantine"), 0u);
 
-  // The index was rewritten to exactly the surviving set...
-  const obs::Journal::Loaded idx = obs::Journal::load(dir.path / "index.jsonl");
-  std::set<std::string> indexed;
-  for (const obs::IndexEntry& e : idx.index) indexed.insert(e.digest);
-  EXPECT_EQ(indexed, (std::set<std::string>{k2, k3}));
-  // ...and the append handle survived the rewrite: new commits land in it.
-  ASSERT_TRUE(cache.store(key_of('4'), "fresh"));
-  const obs::Journal::Loaded after = obs::Journal::load(dir.path / "index.jsonl");
-  EXPECT_EQ(after.index.size(), 3u);
-  EXPECT_EQ(after.index.back().digest, key_of('4'));
-}
-
-TEST(Gc, UnindexedEntryStillHitsButRanksOldest) {
-  TempDir dir("unindexed");
-  ResultCache cache(dir.path, 1);
-  const std::string k1 = key_of('1'), k2 = key_of('2'), k3 = key_of('3');
-  ASSERT_TRUE(cache.store(k1, std::string(50, 'x')));
-  ASSERT_TRUE(cache.store(k2, std::string(50, 'y')));
-  // k3 lands on disk without an index record — what a crash between the
-  // rename and the index append leaves behind.
-  const fs::path p3 = cache.entry_path(k3);
-  fs::create_directories(p3.parent_path());
-  { std::ofstream(p3, std::ios::binary) << cache.encode_entry(k3, std::string(50, 'z')); }
-
-  // A valid unindexed entry is served: the index is never consulted to hit.
-  EXPECT_EQ(cache.load(k3), std::string(50, 'z'));
-
-  // Under pressure it is the first evicted (no commit record = oldest).
-  const std::uint64_t each = fs::file_size(cache.entry_path(k1));
-  const ResultCache::GcReport report = cache.gc(2 * each);
-  EXPECT_EQ(report.entries_evicted, 1u);
-  EXPECT_FALSE(cache.load(k3).has_value());
-  EXPECT_TRUE(cache.load(k1).has_value());
-  EXPECT_TRUE(cache.load(k2).has_value());
+  // A budget that fits everything evicts nothing.
+  const ResultCache::GcReport roomy = cache.gc(1u << 20);
+  EXPECT_EQ(roomy.entries_evicted, 0u);
+  EXPECT_EQ(roomy.entries_kept, 2u);
 }
 
 // ------------------------------------------------------ crash consistency

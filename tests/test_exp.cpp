@@ -473,6 +473,20 @@ TEST(ParseCli, UnknownFlagIsHardError) {
   EXPECT_THROW(parse({"--job", "4"}), std::invalid_argument);       // typo
   EXPECT_THROW(parse({"--frobnicate"}), std::invalid_argument);
   EXPECT_THROW(parse({"positional"}), std::invalid_argument);
+  // The retired results-journal flags: resuming is a rerun with --cache.
+  EXPECT_THROW(parse({"--journal", "j.jsonl"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--resume"}), std::invalid_argument);
+
+  // The error lists the flags actually accepted, harness extras included.
+  try {
+    parse({"--frobnicate"}, {{"--smoke", false}});
+    FAIL() << "unknown flag accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--cache-gc"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--smoke"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--journal"), std::string::npos) << msg;
+  }
 }
 
 TEST(ParseCli, MissingOrForbiddenValueIsHardError) {

@@ -508,6 +508,17 @@ TEST(Profiler, TraceEventGoldenFile) {
   EXPECT_EQ(json, ss.str());
 }
 
+TEST(Profiler, TraceEventEscapesNonAsciiSpanNames) {
+  // Span names are escaped by the shared obs::json_escape, so a byte that is
+  // not valid UTF-8 on its own still exports as valid JSON text.
+  ProfRecord rec;
+  rec.name = "caf\xe9";
+  rec.wall_ns = 1000;
+  const std::string json = trace_event_json({rec}, "proc");
+  EXPECT_NE(json.find("\"name\":\"caf\\u00e9\""), std::string::npos) << json;
+  for (char c : json) EXPECT_LT(static_cast<unsigned char>(c), 0x80);
+}
+
 // ------------------------------------------------------------ run manifest
 
 TEST(Manifest, RollupAggregatesByName) {

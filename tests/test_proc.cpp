@@ -1,19 +1,19 @@
 // Tests for the crash-isolated out-of-process experiment runner:
 // util::Subprocess plumbing, the length-prefixed result frame, the worker
-// payload codec, the append-only results journal (golden JSONL forms, torn
-// final lines), the cell_spec_digest journal key, the deterministic
-// self-fault hook, and the supervisor itself — retries, watchdog,
-// quarantine, journaled resume, and the headline guarantee that
-// out-of-process sweeps are byte-identical to in-process ones.
+// payload codec, the JSON escaper behind crash lines, the cell_spec_digest
+// cell key, the deterministic self-fault hook, and the supervisor itself —
+// retries, watchdog, quarantine, crash reporting, and the headline
+// guarantee that out-of-process sweeps are byte-identical to in-process
+// ones. Resuming a killed sweep through the result cache is covered in
+// test_cache.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/proc_runner.hpp"
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "util/subprocess.hpp"
 #include "workload/website.hpp"
@@ -44,22 +43,6 @@ std::vector<workload::SiteProfile> tiny_sites(std::size_t n) {
   }
   return sites;
 }
-
-/// Fresh per-test file path (the pid keeps parallel ctest runs apart).
-std::filesystem::path temp_path(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string name = std::string(info->test_suite_name()) + "_" + info->name() + "_" +
-                           stem + "_" + std::to_string(::getpid());
-  return std::filesystem::temp_directory_path() / name;
-}
-
-struct TempFile {
-  std::filesystem::path path;
-  explicit TempFile(const std::string& stem) : path(temp_path(stem)) {
-    std::filesystem::remove(path);
-  }
-  ~TempFile() { std::filesystem::remove(path); }
-};
 
 /// Read a (nonblocking) parent-side pipe to EOF after the child exited.
 std::string drain_to_eof(int fd) {
@@ -157,214 +140,20 @@ TEST(ResultFrame, RoundTripAndTornDetection) {
 
 // ------------------------------------------------------------ JSON dialect
 
-TEST(JsonEscape, RoundTripsHostileStrings) {
+TEST(JsonEscape, HostileStringsEscapeToOnePrintableLine) {
   std::string hostile = "quote\" slash\\ nl\n cr\r tab\t";
   hostile.push_back('\0');
   hostile += "high\xc3\xa9";
   std::string escaped;
   obs::json_escape(escaped, hostile);
-  // One printable 7-bit line: that is what keeps the journal's JSONL records
-  // self-delimiting whatever a worker wrote to stderr.
+  // One printable 7-bit line: that is what keeps a quarantined cell's crash
+  // line single whatever its worker wrote to stderr.
   for (char c : escaped) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20);
     EXPECT_LT(static_cast<unsigned char>(c), 0x7f);
   }
-  EXPECT_EQ(obs::json_unescape(escaped), hostile);
-}
-
-// ------------------------------------------------ journal: golden + replay
-
-TEST(JournalGolden, CellLineFormatIsPinned) {
-  obs::JournalCell cell;
-  cell.digest = "abc123";
-  cell.job = 7;
-  cell.attempts = 2;
-  cell.payload = "hi";
-  EXPECT_EQ(obs::to_json_line(cell),
-            "{\"kind\":\"cell\",\"digest\":\"abc123\",\"job\":7,\"attempts\":2,"
-            "\"payload\":\"6869\"}");
-}
-
-TEST(JournalGolden, CrashLineFormatIsPinned) {
-  obs::CrashRecord crash;
-  crash.job = 3;
-  crash.digest = "d00d";
-  crash.attempts = 3;
-  crash.outcome = "signal";
-  crash.signal_no = 9;
-  crash.exit_code = 0;
-  crash.stderr_tail = "last\nline";
-  EXPECT_EQ(obs::to_json_line(crash),
-            "{\"kind\":\"crash\",\"digest\":\"d00d\",\"job\":3,\"attempts\":3,"
-            "\"outcome\":\"signal\",\"signal\":9,\"exit\":0,\"stderr_tail\":\"last\\nline\"}");
-}
-
-TEST(Journal, HexCodecRoundTripsAllBytes) {
-  std::string all;
-  for (int i = 0; i < 256; ++i) all.push_back(static_cast<char>(i));
-  const std::string hex = obs::hex_encode(all);
-  EXPECT_EQ(hex.size(), 512u);
-  EXPECT_EQ(obs::hex_decode(hex), all);
-  EXPECT_EQ(obs::hex_encode("hi"), "6869");
-  EXPECT_EQ(obs::hex_decode("686"), "h");  // torn trailing nibble ignored
-}
-
-TEST(Journal, AppendLoadRoundTripIsLossless) {
-  TempFile tmp("journal");
-  obs::JournalCell cell;
-  cell.digest = "digest-a";
-  cell.job = 4;
-  cell.attempts = 1;
-  cell.payload = std::string("bin\0ary\xff", 8);
-  obs::CrashRecord crash;
-  crash.job = 9;
-  crash.digest = "digest-b";
-  crash.attempts = 3;
-  crash.outcome = "timeout";
-  crash.signal_no = 9;
-  crash.exit_code = 0;
-  crash.stderr_tail = "tail with \"quotes\" and\nnewlines";
-  {
-    obs::Journal j(tmp.path);
-    j.append(cell);
-    j.append(crash);
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_EQ(loaded.malformed_lines, 0u);
-  ASSERT_EQ(loaded.cells.size(), 1u);
-  ASSERT_EQ(loaded.crashes.size(), 1u);
-  EXPECT_EQ(loaded.cells[0], cell);
-  EXPECT_EQ(loaded.crashes[0], crash);
-}
-
-TEST(Journal, TornFinalLineIsSkippedNotFatal) {
-  TempFile tmp("torn");
-  {
-    obs::Journal j(tmp.path);
-    obs::JournalCell a;
-    a.digest = "da";
-    a.job = 0;
-    a.payload = "one";
-    obs::JournalCell b;
-    b.digest = "db";
-    b.job = 1;
-    b.payload = "two";
-    j.append(a);
-    j.append(b);
-  }
-  // Simulate SIGKILL mid-append: a third record cut off mid-payload, no
-  // trailing newline, odd number of hex digits.
-  {
-    std::ofstream out(tmp.path, std::ios::binary | std::ios::app);
-    out << "{\"kind\":\"cell\",\"digest\":\"dc\",\"job\":2,\"attempts\":1,\"payload\":\"746";
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  ASSERT_EQ(loaded.cells.size(), 2u);
-  EXPECT_EQ(loaded.malformed_lines, 1u);
-  EXPECT_EQ(loaded.cells[1].payload, "two");
-}
-
-TEST(Journal, MissingFileLoadsEmpty) {
-  const obs::Journal::Loaded loaded = obs::Journal::load("/no/such/dir/journal.jsonl");
-  EXPECT_TRUE(loaded.cells.empty());
-  EXPECT_TRUE(loaded.crashes.empty());
-}
-
-TEST(JournalGolden, IndexLineFormatIsPinned) {
-  obs::IndexEntry e;
-  e.digest = "feedface";
-  e.bytes = 1234;
-  EXPECT_EQ(obs::to_json_line(e), "{\"kind\":\"index\",\"digest\":\"feedface\",\"bytes\":1234}");
-}
-
-TEST(Journal, IndexEntriesRoundTrip) {
-  TempFile tmp("index");
-  obs::IndexEntry a;
-  a.digest = "aaaa";
-  a.bytes = 10;
-  obs::IndexEntry b;
-  b.digest = "bbbb";
-  b.bytes = 0;
-  {
-    obs::Journal j(tmp.path);
-    j.append(a);
-    j.append(b);
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_EQ(loaded.malformed_lines, 0u);
-  ASSERT_EQ(loaded.index.size(), 2u);
-  EXPECT_EQ(loaded.index[0], a);
-  EXPECT_EQ(loaded.index[1], b);
-}
-
-TEST(Journal, TornMidFileEntryFollowedByValidLinesIsSkippedWithWarning) {
-  // A crash can tear an entry in the *middle* of the file when a later append
-  // lands on the same physical line (the torn record had no trailing
-  // newline). The loader must skip the torn head, recover the glued-on valid
-  // record, and keep every later line.
-  obs::JournalCell a;
-  a.digest = "da";
-  a.job = 0;
-  a.attempts = 1;
-  a.payload = "one";
-  obs::JournalCell b;
-  b.digest = "db";
-  b.job = 1;
-  b.attempts = 1;
-  b.payload = "two";
-  obs::JournalCell c;
-  c.digest = "dc";
-  c.job = 2;
-  c.attempts = 1;
-  c.payload = "three";
-
-  TempFile tmp("torn_mid");
-  {
-    std::ofstream out(tmp.path, std::ios::binary);
-    out << obs::to_json_line(a) << "\n";
-    // Record torn mid-payload, with record b appended onto the same line.
-    const std::string torn = obs::to_json_line(c).substr(0, 30);
-    out << torn << obs::to_json_line(b) << "\n";
-    out << obs::to_json_line(c) << "\n";
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_EQ(loaded.malformed_lines, 1u);
-  ASSERT_EQ(loaded.cells.size(), 3u);
-  EXPECT_EQ(loaded.cells[0], a);
-  EXPECT_EQ(loaded.cells[1], b);  // recovered from the torn line
-  EXPECT_EQ(loaded.cells[2], c);
-}
-
-TEST(Journal, TornEntryWholeLineGarbageDoesNotPoisonLaterLines) {
-  obs::JournalCell a;
-  a.digest = "da";
-  a.job = 0;
-  a.attempts = 1;
-  a.payload = "one";
-  TempFile tmp("torn_garbage");
-  {
-    std::ofstream out(tmp.path, std::ios::binary);
-    out << "{\"kind\":\"cell\",\"digest\":\"dx\",\"job\":9,\"attempts\"garbage\n";
-    out << std::string(64, '\xff') << "\n";
-    out << obs::to_json_line(a) << "\n";
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_EQ(loaded.malformed_lines, 2u);
-  ASSERT_EQ(loaded.cells.size(), 1u);
-  EXPECT_EQ(loaded.cells[0], a);
-}
-
-TEST(Journal, NonCanonicalRecordBytesAreRejected) {
-  // Only byte-exact canonical lines count as finished work: a record with
-  // reordered keys or extra whitespace is treated as torn, never trusted.
-  TempFile tmp("noncanon");
-  {
-    std::ofstream out(tmp.path, std::ios::binary);
-    out << "{\"kind\":\"cell\",\"job\":7,\"digest\":\"abc\",\"attempts\":1,\"payload\":\"\"}\n";
-  }
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_TRUE(loaded.cells.empty());
-  EXPECT_EQ(loaded.malformed_lines, 1u);
+  EXPECT_EQ(escaped,
+            "quote\\\" slash\\\\ nl\\n cr\\r tab\\t\\u0000high\\u00c3\\u00a9");
 }
 
 // ------------------------------------------------------------------ codec
@@ -458,7 +247,7 @@ TEST(WorkerFaultPlan, CoinIsDeterministicAndSparesFinalAttempt) {
   EXPECT_TRUE(always.should_inject(0, 2, 3));  // rate >= 1 hits final attempts
 }
 
-// ------------------------------------------------- cell digest (journal key)
+// --------------------------------------------------- cell digest (cache key)
 
 ExperimentGrid digest_grid() {
   ExperimentGrid grid;
@@ -475,7 +264,7 @@ TEST(CellDigest, GoldenStableAndDistinct) {
   RunOptions opts;
 
   // Golden: the key is an on-disk format — a digest change silently
-  // invalidates every existing journal, so it must fail loudly here first.
+  // invalidates every existing cache entry, so it must fail loudly here first.
   EXPECT_EQ(cell_digest(grid, 0, opts),
             "610c1c1c238ed4909294e2ee487e1ae4f8e108b09f4d3c5cdf38e7ea64639ad3");
   EXPECT_EQ(cell_digest(grid, 5, opts),
@@ -486,8 +275,6 @@ TEST(CellDigest, GoldenStableAndDistinct) {
   other.jobs = 7;
   other.proc.workers = 3;
   other.proc.retries = 9;
-  other.proc.resume = true;
-  other.proc.journal_path = "/tmp/x";
   EXPECT_EQ(cell_digest(grid, 0, opts), cell_digest(grid, 0, other));
 
   // Every cell's key is distinct.
@@ -513,8 +300,8 @@ TEST(CellDigest, ChangesWithAnyCellShapingInput) {
   g2.sites[0].name = "renamed";
   EXPECT_NE(cell_digest(g2, 3, opts), base);
 
-  // Renaming a site the cell does not use leaves its key alone: resume
-  // replays exactly the cells whose own coordinates are unchanged.
+  // Renaming a site the cell does not use leaves its key alone: a rerun
+  // reuses exactly the cells whose own coordinates are unchanged.
   g2 = digest_grid();
   g2.sites[1].name = "renamed";
   EXPECT_EQ(cell_digest(g2, 3, opts), base);
@@ -568,12 +355,9 @@ TEST(ProcRunner, PayloadsArriveInIndexOrder) {
   EXPECT_EQ(report.quarantined, 0u);
 }
 
-TEST(ProcRunner, RejectsZeroWorkersAndResumeWithoutJournal) {
+TEST(ProcRunner, RejectsZeroWorkers) {
   EXPECT_THROW(run_cells(1, ProcOptions{}, digest_of, payload_of, nullptr),
                std::runtime_error);
-  ProcOptions proc = fork_opts(1);
-  proc.resume = true;
-  EXPECT_THROW(run_cells(1, proc, digest_of, payload_of, nullptr), std::runtime_error);
 }
 
 TEST(ProcRunner, InjectedCrashesAreRetriedToConvergence) {
@@ -592,37 +376,20 @@ TEST(ProcRunner, InjectedCrashesAreRetriedToConvergence) {
 }
 
 TEST(ProcRunner, CellFailingAllAttemptsIsQuarantined) {
-  TempFile tmp("quarantine");
   ProcOptions proc = fork_opts(2);
   proc.fault_spec = "exit:1";  // rate 1: final attempts fault too
   proc.retries = 1;
-  proc.journal_path = tmp.path.string();
   ProcReport report;
   const auto payloads = run_cells(3, proc, digest_of, payload_of, &report);
   for (const auto& p : payloads) EXPECT_FALSE(p.has_value());
   EXPECT_EQ(report.quarantined, 3u);
   EXPECT_EQ(report.ran, 0u);
   ASSERT_EQ(report.failures.size(), 3u);
-  for (const obs::CrashRecord& f : report.failures) {
+  for (const CrashRecord& f : report.failures) {
     EXPECT_EQ(f.outcome, "exit");
     EXPECT_EQ(f.exit_code, 3);  // execute_worker_fault's exit code
     EXPECT_EQ(f.attempts, 2u);
   }
-  // The structured crash report is journaled...
-  const obs::Journal::Loaded loaded = obs::Journal::load(tmp.path);
-  EXPECT_EQ(loaded.crashes.size(), 3u);
-  EXPECT_TRUE(loaded.cells.empty());
-
-  // ...and crash records are NOT finished cells: a fault-free resume re-runs
-  // every quarantined cell (the condition may have been transient).
-  ProcOptions retry = fork_opts(2);
-  retry.journal_path = tmp.path.string();
-  retry.resume = true;
-  ProcReport report2;
-  const auto again = run_cells(3, retry, digest_of, payload_of, &report2);
-  EXPECT_EQ(report2.journal_hits, 0u);
-  EXPECT_EQ(report2.ran, 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(*again[i], payload_of(i));
 }
 
 TEST(ProcRunner, SignalDeathIsReportedAsSignal) {
@@ -645,7 +412,7 @@ TEST(ProcRunner, WatchdogKillsHangs) {
   const auto payloads = run_cells(2, proc, digest_of, payload_of, &report);
   EXPECT_FALSE(payloads[0].has_value());
   ASSERT_EQ(report.failures.size(), 2u);
-  for (const obs::CrashRecord& f : report.failures) {
+  for (const CrashRecord& f : report.failures) {
     EXPECT_EQ(f.outcome, "timeout");
     EXPECT_EQ(f.signal_no, SIGKILL);
   }
@@ -667,45 +434,15 @@ TEST(ProcRunner, WorkerStderrTailLandsInCrashReport) {
   EXPECT_EQ(report.failures[0].outcome, "exit");
   EXPECT_EQ(report.failures[0].exit_code, 125);  // Subprocess's child_fn-threw code
   EXPECT_NE(report.failures[0].stderr_tail.find("reason=42"), std::string::npos);
-}
 
-TEST(ProcRunner, JournalResumeSkipsFinishedCells) {
-  TempFile tmp("resume");
-  ProcOptions proc = fork_opts(2);
-  proc.journal_path = tmp.path.string();
-  ProcReport first;
-  const auto payloads = run_cells(6, proc, digest_of, payload_of, &first);
-  EXPECT_EQ(first.ran, 6u);
-
-  ProcOptions again = proc;
-  again.resume = true;
-  ProcReport second;
-  // A resumed run that re-ran anything would produce the poisoned payload
-  // and fail the comparison below.
-  const auto replayed = run_cells(
-      6, again, digest_of, [](std::size_t) -> std::string { return "RE-RAN"; }, &second);
-  EXPECT_EQ(second.journal_hits, 6u);
-  EXPECT_EQ(second.ran, 0u);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(replayed[i], payloads[i]);
-}
-
-TEST(ProcRunner, ResumeToleratesTornTailAndRunsTheRest) {
-  TempFile tmp("torn_resume");
-  ProcOptions proc = fork_opts(2);
-  proc.journal_path = tmp.path.string();
-  run_cells(4, proc, digest_of, payload_of, nullptr);
-  {
-    // SIGKILL mid-append: half a record with no newline.
-    std::ofstream out(tmp.path, std::ios::binary | std::ios::app);
-    out << "{\"kind\":\"cell\",\"digest\":\"digest-9";
-  }
-  ProcOptions again = proc;
-  again.resume = true;
-  ProcReport report;
-  const auto payloads = run_cells(6, again, digest_of, payload_of, &report);
-  EXPECT_EQ(report.journal_hits, 4u);
-  EXPECT_EQ(report.ran, 2u);  // cells 4 and 5 were never journaled
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(*payloads[i], payload_of(i));
+  // The tail reaches the user on the cell's crash line, escaped so the
+  // worker's newline cannot split it: one summary line plus one crash line.
+  testing::internal::CaptureStderr();
+  print_proc_summary("tool", report);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("quarantined cell 0"), std::string::npos);
+  EXPECT_NE(err.find("reason=42\\n"), std::string::npos);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2);
 }
 
 // ----------------------------------------- run_grid: proc == in-process
@@ -801,16 +538,13 @@ TEST(RunGridProc, QuarantinedCellsYieldPlaceholders) {
 // --------------------------------------------------- CLI flag round trips
 
 TEST(ProcCli, FlagsMapOntoProcOptions) {
-  const char* argv[] = {"tool",      "--proc-workers", "4",          "--job-timeout", "2.5",
-                        "--retries", "5",              "--journal",  "/tmp/j.jsonl",  "--resume",
-                        "--inject-worker-fault",       "crash:0.25"};
+  const char* argv[] = {"tool",      "--proc-workers", "4", "--job-timeout",         "2.5",
+                        "--retries", "5",              "--inject-worker-fault", "crash:0.25"};
   const Cli cli = parse_cli(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
   const ProcOptions proc = proc_options_from_cli(cli);
   EXPECT_EQ(proc.workers, 4u);
   EXPECT_EQ(proc.job_timeout.ns(), Duration::millis(2500).ns());
   EXPECT_EQ(proc.retries, 5u);
-  EXPECT_EQ(proc.journal_path, "/tmp/j.jsonl");
-  EXPECT_TRUE(proc.resume);
   EXPECT_EQ(proc.fault_spec, "crash:0.25");
   ASSERT_FALSE(proc.worker_argv.empty());
   EXPECT_EQ(proc.worker_argv.size(), std::size(argv));  // verbatim re-exec base
@@ -830,11 +564,6 @@ TEST(ProcCli, WorkerFlagsSelectWorkerMode) {
   EXPECT_EQ(proc.worker_fault, "hang");
   EXPECT_TRUE(proc.worker_profile);
   EXPECT_EQ(proc.worker_prof_domain, 987654321u);
-}
-
-TEST(ProcCli, ResumeWithoutJournalIsHardError) {
-  const char* argv[] = {"tool", "--resume"};
-  EXPECT_THROW(parse_cli(2, const_cast<char**>(argv)), std::invalid_argument);
 }
 
 TEST(ProcCli, MalformedFaultSpecIsHardError) {
