@@ -1,10 +1,11 @@
 // Reproducible performance-trajectory harness.
 //
 // Times the simulation core (event-loop microbenchmarks) and end-to-end
-// workloads (page load, table1-style grid at --jobs {1,N}, chaos scenario)
-// and emits a BENCH_*.json snapshot so every PR extends a comparable perf
-// trajectory. Unlike micro_bench this tool has *no external dependencies*
-// (no google-benchmark): timing comes from CLOCK_PROCESS_CPUTIME_ID (plus a
+// workloads (page load, bare and with the invariant checker armed; a
+// table1-style grid at --jobs {1,N}; a chaos scenario) and emits a
+// BENCH_*.json snapshot so every PR extends a comparable perf trajectory.
+// Unlike micro_bench this tool has *no external dependencies* (no
+// google-benchmark): timing comes from CLOCK_PROCESS_CPUTIME_ID (plus a
 // steady_clock wall reading) and heap churn from counting operator new in
 // this translation unit.
 //
@@ -41,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -52,6 +54,7 @@
 #include "obs/prof.hpp"
 #include "exp/worker_pool.hpp"
 #include "fault/fault.hpp"
+#include "fault/invariants.hpp"
 #include "net/packet.hpp"
 #include "net/pipe.hpp"
 #include "sim/simulator.hpp"
@@ -272,14 +275,22 @@ workload::PageLoadOptions page_options() {
   return opt;
 }
 
-std::uint64_t e2e_page_load(int repeats) {
+/// `checked` arms a StackInvariantChecker on the listener tap, so the same
+/// loads also pay for checking every stack event.
+std::uint64_t e2e_page_load(int repeats, bool checked) {
   std::uint64_t events = 0;
   for (int i = 0; i < repeats; ++i) {
     net::PacketIdScope ids;
+    fault::StackInvariantChecker checker;
+    std::optional<obs::ScopedListener> armed;
+    if (checked) armed.emplace(checker);
     Rng rng(0xBE7C4ull + static_cast<std::uint64_t>(i));
     const workload::PageLoadResult r =
         workload::run_page_load(workload::nine_sites()[0], rng, page_options());
     if (!r.completed) std::fprintf(stderr, "WARNING: page load %d incomplete\n", i);
+    if (checker.violations() > 0) {
+      std::fprintf(stderr, "WARNING: page load %d: %s\n", i, checker.first_report().c_str());
+    }
     events += r.sim_events;
   }
   return events;
@@ -601,8 +612,12 @@ int main(int argc, char** argv) {
         run_bench("net.pipe_stream", micro_iters, [&] { return net_pipe_stream(pipe_n); }));
   }
   if (want("e2e.page_load")) {
-    results.push_back(
-        run_bench("e2e.page_load", smoke ? 1 : 3, [&] { return e2e_page_load(page_repeats); }));
+    results.push_back(run_bench("e2e.page_load", smoke ? 1 : 3,
+                                [&] { return e2e_page_load(page_repeats, /*checked=*/false); }));
+  }
+  if (want("e2e.page_load_checked")) {
+    results.push_back(run_bench("e2e.page_load_checked", smoke ? 1 : 3,
+                                [&] { return e2e_page_load(page_repeats, /*checked=*/true); }));
   }
   if (want("grid.table1_j1")) {
     results.push_back(run_bench("grid.table1_j1", 1, [&] {

@@ -6,10 +6,37 @@
 
 namespace stob::fault {
 
-void StackInvariantChecker::check(bool ok, const char* invariant, const std::string& detail) {
+namespace {
+
+/// Where a violation happened, as its report names it: "flow [F] t=T",
+/// plus " pkt#N" for a packet event.
+struct Where {
+  const net::FlowKey& flow;
+  TimePoint time;
+  const std::uint64_t* packet_id = nullptr;  // packet events only
+};
+
+std::ostream& operator<<(std::ostream& os, const Where& at) {
+  os << "flow [" << at.flow << "] t=" << at.time;
+  if (at.packet_id != nullptr) os << " pkt#" << *at.packet_id;
+  return os;
+}
+
+/// The detail text of a failed check: its operands streamed in order.
+/// Cold and out of line, so passing checks carry none of it.
+template <class... Detail>
+[[gnu::cold, gnu::noinline]] std::string text(const Detail&... detail) {
+  std::ostringstream os;
+  (os << ... << detail);
+  return os.str();
+}
+
+}  // namespace
+
+template <class... Detail>
+void StackInvariantChecker::check(bool ok, const char* invariant, const Detail&... detail) {
   ++checks_;
-  if (ok) return;
-  report(invariant, detail);
+  if (!ok) report(invariant, text(detail...));
 }
 
 void StackInvariantChecker::report(const char* invariant, const std::string& detail) {
@@ -36,37 +63,20 @@ void StackInvariantChecker::inject_violation_for_test() {
 }
 
 void StackInvariantChecker::on_departure(const obs::DepartureEvent& ev) {
-  std::ostringstream id;
-  id << "flow [" << ev.flow << "] t=" << ev.now;
-
-  check(ev.departure >= ev.cca_departure, "cca-departure-never-earlier",
-        [&] {
-          std::ostringstream os;
-          os << id.str() << " departure " << ev.departure << " < cca_departure "
-             << ev.cca_departure;
-          return os.str();
-        }());
-  check(ev.bytes <= ev.cca_segment, "cca-segment-never-larger",
-        [&] {
-          std::ostringstream os;
-          os << id.str() << " bytes " << ev.bytes << " > cca_segment " << ev.cca_segment;
-          return os.str();
-        }());
+  const Where at{ev.flow, ev.now};
+  check(ev.departure >= ev.cca_departure, "cca-departure-never-earlier", at, " departure ",
+        ev.departure, " < cca_departure ", ev.cca_departure);
+  check(ev.bytes <= ev.cca_segment, "cca-segment-never-larger", at, " bytes ", ev.bytes,
+        " > cca_segment ", ev.cca_segment);
   if (ev.window_limited) {
-    check(ev.inflight + ev.bytes <= ev.cwnd + ev.cwnd_slack, "cwnd-respected",
-          [&] {
-            std::ostringstream os;
-            os << id.str() << " inflight " << ev.inflight << " + bytes " << ev.bytes
-               << " > cwnd " << ev.cwnd << " + slack " << ev.cwnd_slack;
-            return os.str();
-          }());
+    check(ev.inflight + ev.bytes <= ev.cwnd + ev.cwnd_slack, "cwnd-respected", at, " inflight ",
+          ev.inflight, " + bytes ", ev.bytes, " > cwnd ", ev.cwnd, " + slack ", ev.cwnd_slack);
   }
 }
 
 void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
   FlowState& fs = flows_[ev.flow];
-  std::ostringstream id;
-  id << "flow [" << ev.flow << "] t=" << ev.time << " pkt#" << ev.packet_id;
+  const Where at{ev.flow, ev.time, &ev.packet_id};
 
   switch (ev.layer) {
     case obs::Layer::Tls:
@@ -79,9 +89,8 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
       if (ev.dir != obs::Direction::Tx) break;
       if (ev.kind == obs::EventKind::Send && ev.bytes > 0) {
         // New-data sequence numbers never regress.
-        check(!fs.have_tcp_seq || ev.seq >= fs.last_tcp_seq, "tcp-seq-monotonic",
-              id.str() + " seq " + std::to_string(ev.seq) + " < previous " +
-                  std::to_string(fs.last_tcp_seq));
+        check(!fs.have_tcp_seq || ev.seq >= fs.last_tcp_seq, "tcp-seq-monotonic", at, " seq ",
+              ev.seq, " < previous ", fs.last_tcp_seq);
         fs.have_tcp_seq = true;
         fs.last_tcp_seq = ev.seq;
         const std::uint64_t end = ev.seq + static_cast<std::uint64_t>(ev.bytes);
@@ -90,17 +99,15 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
         // the record layer did not seal (checkable only when TLS framing is
         // in use on this flow).
         if (fs.tls_tx > 0) {
-          check(fs.tcp_high <= static_cast<std::uint64_t>(fs.tls_tx), "tls-tcp-conservation",
-                id.str() + " tcp stream high " + std::to_string(fs.tcp_high) +
-                    " > sealed tls bytes " + std::to_string(fs.tls_tx));
+          check(fs.tcp_high <= static_cast<std::uint64_t>(fs.tls_tx), "tls-tcp-conservation", at,
+                " tcp stream high ", fs.tcp_high, " > sealed tls bytes ", fs.tls_tx);
         }
       } else if (ev.kind == obs::EventKind::Retransmit) {
         // No retransmission of data that is already cumulatively acked.
         if (fs.have_una && ev.bytes > 0) {
-          check(ev.seq + static_cast<std::uint64_t>(ev.bytes) > fs.una, "no-retx-of-acked",
-                id.str() + " retx [" + std::to_string(ev.seq) + ", " +
-                    std::to_string(ev.seq + static_cast<std::uint64_t>(ev.bytes)) +
-                    ") entirely below una " + std::to_string(fs.una));
+          const std::uint64_t end = ev.seq + static_cast<std::uint64_t>(ev.bytes);
+          check(end > fs.una, "no-retx-of-acked", at, " retx [", ev.seq, ", ", end,
+                ") entirely below una ", fs.una);
         }
       }
       break;
@@ -109,9 +116,8 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
       if (ev.dir != obs::Direction::Tx) break;
       if (ev.kind == obs::EventKind::Send || ev.kind == obs::EventKind::Retransmit) {
         // QUIC never reuses a packet number.
-        check(!fs.have_quic_pn || ev.seq > fs.last_quic_pn, "quic-pn-strictly-increasing",
-              id.str() + " pn " + std::to_string(ev.seq) + " <= previous " +
-                  std::to_string(fs.last_quic_pn));
+        check(!fs.have_quic_pn || ev.seq > fs.last_quic_pn, "quic-pn-strictly-increasing", at,
+              " pn ", ev.seq, " <= previous ", fs.last_quic_pn);
         fs.have_quic_pn = true;
         fs.last_quic_pn = ev.seq;
       }
@@ -122,9 +128,8 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
         fs.qdisc_in += ev.bytes;
       } else if (ev.kind == obs::EventKind::Dequeue) {
         fs.qdisc_out += ev.bytes;
-        check(fs.qdisc_out <= fs.qdisc_in, "qdisc-conservation",
-              id.str() + " qdisc released " + std::to_string(fs.qdisc_out) +
-                  " > admitted " + std::to_string(fs.qdisc_in));
+        check(fs.qdisc_out <= fs.qdisc_in, "qdisc-conservation", at, " qdisc released ",
+              fs.qdisc_out, " > admitted ", fs.qdisc_in);
       }
       break;
 
@@ -132,9 +137,8 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
       if (ev.dir == obs::Direction::Tx && ev.kind == obs::EventKind::Send) {
         fs.nic_tx += ev.bytes;
         if (fs.qdisc_in > 0) {
-          check(fs.nic_tx <= fs.qdisc_out, "qdisc-nic-conservation",
-                id.str() + " nic pushed " + std::to_string(fs.nic_tx) +
-                    " > qdisc released " + std::to_string(fs.qdisc_out));
+          check(fs.nic_tx <= fs.qdisc_out, "qdisc-nic-conservation", at, " nic pushed ",
+                fs.nic_tx, " > qdisc released ", fs.qdisc_out);
         }
       }
       break;
@@ -143,19 +147,16 @@ void StackInvariantChecker::on_packet(const obs::PacketEvent& ev) {
       if (ev.dir == obs::Direction::Tx && ev.kind == obs::EventKind::Send) {
         fs.wire_tx += ev.bytes;
         if (fs.nic_tx > 0) {
-          check(fs.wire_tx <= fs.nic_tx, "nic-wire-conservation",
-                id.str() + " wire tx " + std::to_string(fs.wire_tx) + " > nic pushed " +
-                    std::to_string(fs.nic_tx));
+          check(fs.wire_tx <= fs.nic_tx, "nic-wire-conservation", at, " wire tx ", fs.wire_tx,
+                " > nic pushed ", fs.nic_tx);
         }
       } else if (ev.dir == obs::Direction::Rx && ev.kind == obs::EventKind::Receive) {
         fs.wire_rx += ev.bytes;
         if (fs.wire_tx > 0) {
           // The fault layer's duplication budget is the only legitimate way
           // to receive more bytes than were transmitted.
-          check(fs.wire_rx <= fs.wire_tx + fs.dup_budget, "wire-conservation",
-                id.str() + " wire rx " + std::to_string(fs.wire_rx) + " > wire tx " +
-                    std::to_string(fs.wire_tx) + " + dup budget " +
-                    std::to_string(fs.dup_budget));
+          check(fs.wire_rx <= fs.wire_tx + fs.dup_budget, "wire-conservation", at, " wire rx ",
+                fs.wire_rx, " > wire tx ", fs.wire_tx, " + dup budget ", fs.dup_budget);
         }
       }
       break;
@@ -175,8 +176,7 @@ void StackInvariantChecker::on_queue_depth(obs::QueueKind kind, std::int64_t dep
                                            std::int64_t bound) {
   const char* name =
       kind == obs::QueueKind::QdiscBacklog ? "qdisc-backlog-bound" : "nic-ring-bound";
-  check(depth >= 0 && depth <= bound, name,
-        "depth " + std::to_string(depth) + " outside [0, " + std::to_string(bound) + "]");
+  check(depth >= 0 && depth <= bound, name, "depth ", depth, " outside [0, ", bound, "]");
 }
 
 void StackInvariantChecker::on_fault(obs::FaultKind kind, const net::Packet& p, TimePoint) {

@@ -26,6 +26,8 @@
 // On violation the checker fails loudly: it logs the invariant, the
 // offending event, and a flight-recorder tail (when a TraceRecorder is
 // installed), keeps the report for the harness, and optionally throws.
+// A passing check costs one compare and one counter increment; its report
+// text is formatted only if it fails.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +102,10 @@ class StackInvariantChecker final : public obs::StackListener {
     std::uint64_t una = 0;
   };
 
-  void check(bool ok, const char* invariant, const std::string& detail);
+  /// Count one check. The detail operands are streamed into the report
+  /// text only when `ok` is false, so a passing check never formats.
+  template <class... Detail>
+  void check(bool ok, const char* invariant, const Detail&... detail);
   void report(const char* invariant, const std::string& detail);
 
   Config cfg_;

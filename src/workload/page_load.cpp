@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -48,6 +50,12 @@ class Driver {
     if (server_cfg.initial_cwnd_segments == 0) {
       server_cfg.initial_cwnd_segments = profile.server_initial_cwnd;
     }
+    // Each response goes to the server connection in one send(), and a
+    // connection carries one response at a time (the client asks for the
+    // next only once the last has arrived). A send buffer that holds the
+    // largest response therefore never refuses a byte; a smaller one would
+    // cut the response short and leave the client waiting.
+    server_cfg.send_buffer = Bytes(std::max(server_cfg.send_buffer.count(), largest_response()));
     listener_ = std::make_unique<tcp::TcpListener>(hp_->server(), kHttpsPort, server_cfg);
     listener_->set_accept_callback([this](tcp::TcpConnection& c) {
       ServerScript& script = scripts_[c.key().reversed()];
@@ -108,6 +116,13 @@ class Driver {
     std::int64_t buffered = 0;
     bool busy = false;  // a think/response is in progress
   };
+
+  /// The largest response in the plan, as sent (TLS-sealed when framed).
+  std::int64_t largest_response() const {
+    std::int64_t largest = std::max(plan_.tls_response_bytes, plan_.html_bytes);
+    for (std::int64_t b : plan_.object_bytes) largest = std::max(largest, b);
+    return options_.tls_records ? stack::tls_sealed_size(largest, options_.tls) : largest;
+  }
 
   void open_client_slot(std::size_t i) {
     if (i >= slots_.size()) slots_.resize(i + 1);
@@ -236,7 +251,14 @@ class Driver {
           // Seal at actual send time; sizes match the pre-computed schedule.
           wire = script.tls->seal(fetch.raw_response, hp_->sim().now());
         }
-        script.conn->send(Bytes(wire));
+        const Bytes accepted = script.conn->send(Bytes(wire));
+        if (accepted.count() != wire) {
+          // The send buffer is sized to fit every response (constructor);
+          // a short accept would cut this one and stall the load.
+          throw std::logic_error("page_load: server send buffer took " +
+                                 std::to_string(accepted.count()) + " of a " +
+                                 std::to_string(wire) + "-byte response");
+        }
       }
       pump_server(script);
     });

@@ -384,7 +384,7 @@ TEST(InvariantChecker, CleanTcpPageLoadPassesAllChecks) {
   const workload::PageLoadResult r =
       workload::run_page_load(workload::nine_sites()[0], rng, po);
   EXPECT_TRUE(r.completed);
-  EXPECT_GT(checker.checks(), 1000u);
+  EXPECT_EQ(checker.checks(), 9878u);
   EXPECT_EQ(checker.violations(), 0u) << checker.first_report();
 }
 
@@ -407,7 +407,7 @@ TEST(InvariantChecker, AdversePathStaysViolationFree) {
   po.path_faults = PathProfile::symmetric(adverse_mix());
   Rng rng(22);
   (void)workload::run_page_load(workload::nine_sites()[1], rng, po);
-  EXPECT_GT(checker.checks(), 1000u);
+  EXPECT_EQ(checker.checks(), 9775u);
   EXPECT_EQ(checker.violations(), 0u) << checker.first_report();
 }
 
@@ -434,6 +434,216 @@ TEST(InvariantChecker, ThrowModeThrows) {
   cfg.throw_on_violation = true;
   StackInvariantChecker checker(cfg);
   EXPECT_THROW(checker.inject_violation_for_test(), StackInvariantError);
+}
+
+// Synthetic events that break exactly one invariant each. The flow, the
+// off-grid timestamp (rounded in the text) and the packet id all appear
+// in the report prefix.
+const net::FlowKey kFlow{1, 2, 1000, 443, net::Proto::Tcp};
+const TimePoint kAt(1'234'567);
+
+obs::PacketEvent packet(obs::Layer layer, obs::Direction dir, obs::EventKind kind,
+                        std::int64_t bytes, std::uint64_t seq = 0) {
+  obs::PacketEvent ev;
+  ev.time = kAt;
+  ev.flow = kFlow;
+  ev.layer = layer;
+  ev.dir = dir;
+  ev.kind = kind;
+  ev.bytes = bytes;
+  ev.seq = seq;
+  ev.packet_id = 42;
+  return ev;
+}
+
+obs::DepartureEvent departure() {
+  obs::DepartureEvent ev;
+  ev.flow = kFlow;
+  ev.now = kAt;
+  ev.departure = ev.cca_departure = TimePoint(2'000'000);
+  ev.bytes = ev.cca_segment = 1448;
+  ev.cwnd = 14480;
+  return ev;
+}
+
+struct ViolationCase {
+  const char* invariant;
+  void (*drive)(StackInvariantChecker&);
+  std::uint64_t checks;  ///< checks() after driving
+  const char* report;    ///< first_report(), byte for byte
+};
+
+std::vector<ViolationCase> violation_cases() {
+  using obs::Direction;
+  using obs::EventKind;
+  using obs::Layer;
+  return {
+      {"cca-departure-never-earlier",
+       [](StackInvariantChecker& c) {
+         obs::DepartureEvent ev = departure();
+         ev.departure = TimePoint(1'500'000);
+         c.on_departure(ev);
+       },
+       2,
+       "stack invariant violated: cca-departure-never-earlier — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s departure t=0.001500s < cca_departure t=0.002000s"},
+      {"cca-segment-never-larger",
+       [](StackInvariantChecker& c) {
+         obs::DepartureEvent ev = departure();
+         ev.bytes = 2896;
+         c.on_departure(ev);
+       },
+       2,
+       "stack invariant violated: cca-segment-never-larger — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s bytes 2896 > cca_segment 1448"},
+      {"cwnd-respected",
+       [](StackInvariantChecker& c) {
+         obs::DepartureEvent ev = departure();
+         ev.window_limited = true;
+         ev.inflight = 14000;
+         ev.cwnd_slack = 10;
+         c.on_departure(ev);
+       },
+       3,
+       "stack invariant violated: cwnd-respected — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s "
+       "inflight 14000 + bytes 1448 > cwnd 14480 + slack 10"},
+      {"tcp-seq-monotonic",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Tcp, Direction::Tx, EventKind::Send, 100, 5000));
+         c.on_packet(packet(Layer::Tcp, Direction::Tx, EventKind::Send, 100, 4000));
+       },
+       2,
+       "stack invariant violated: tcp-seq-monotonic — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 seq 4000 < previous 5000"},
+      {"tls-tcp-conservation",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Tls, Direction::Tx, EventKind::Send, 1000));
+         c.on_packet(packet(Layer::Tcp, Direction::Tx, EventKind::Send, 1448, 0));
+       },
+       2,
+       "stack invariant violated: tls-tcp-conservation — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 "
+       "tcp stream high 1448 > sealed tls bytes 1000"},
+      {"no-retx-of-acked",
+       [](StackInvariantChecker& c) {
+         c.on_ack_advance(kFlow, 5000);
+         c.on_packet(packet(Layer::Tcp, Direction::Tx, EventKind::Retransmit, 1000, 1000));
+       },
+       1,
+       "stack invariant violated: no-retx-of-acked — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 retx [1000, 2000) entirely below una 5000"},
+      {"quic-pn-strictly-increasing",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Quic, Direction::Tx, EventKind::Send, 1200, 7));
+         c.on_packet(packet(Layer::Quic, Direction::Tx, EventKind::Retransmit, 1200, 7));
+       },
+       2,
+       "stack invariant violated: quic-pn-strictly-increasing — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 pn 7 <= previous 7"},
+      {"qdisc-conservation",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Qdisc, Direction::Tx, EventKind::Enqueue, 1000));
+         c.on_packet(packet(Layer::Qdisc, Direction::Tx, EventKind::Dequeue, 1500));
+       },
+       1,
+       "stack invariant violated: qdisc-conservation — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 qdisc released 1500 > admitted 1000"},
+      {"qdisc-nic-conservation",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Qdisc, Direction::Tx, EventKind::Enqueue, 1000));
+         c.on_packet(packet(Layer::Nic, Direction::Tx, EventKind::Send, 1000));
+       },
+       1,
+       "stack invariant violated: qdisc-nic-conservation — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 nic pushed 1000 > qdisc released 0"},
+      {"nic-wire-conservation",
+       [](StackInvariantChecker& c) {
+         c.on_packet(packet(Layer::Nic, Direction::Tx, EventKind::Send, 1000));
+         c.on_packet(packet(Layer::Wire, Direction::Tx, EventKind::Send, 3000));
+       },
+       1,
+       "stack invariant violated: nic-wire-conservation — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 wire tx 3000 > nic pushed 1000"},
+      {"wire-conservation",
+       [](StackInvariantChecker& c) {
+         net::Packet dup;
+         dup.flow = kFlow;
+         dup.payload = Bytes(300);
+         c.on_fault(obs::FaultKind::Duplicate, dup, kAt);
+         c.on_packet(packet(Layer::Wire, Direction::Tx, EventKind::Send, 1000));
+         c.on_packet(packet(Layer::Wire, Direction::Rx, EventKind::Receive, 1400));
+       },
+       1,
+       "stack invariant violated: wire-conservation — "
+       "flow [tcp 1:1000->2:443] t=t=0.001235s pkt#42 "
+       "wire rx 1400 > wire tx 1000 + dup budget 300"},
+      {"qdisc-backlog-bound",
+       [](StackInvariantChecker& c) {
+         c.on_queue_depth(obs::QueueKind::QdiscBacklog, 70000, 65536);
+       },
+       1,
+       "stack invariant violated: qdisc-backlog-bound — "
+       "depth 70000 outside [0, 65536]"},
+      {"nic-ring-bound",
+       [](StackInvariantChecker& c) { c.on_queue_depth(obs::QueueKind::NicRing, -1, 4096); },
+       1,
+       "stack invariant violated: nic-ring-bound — "
+       "depth -1 outside [0, 4096]"},
+  };
+}
+
+TEST(InvariantChecker, EveryViolationReportIsPinnedByteForByte) {
+  const std::vector<ViolationCase> cases = violation_cases();
+  ASSERT_EQ(cases.size(), 13u);  // one per invariant the checker enforces
+  StackInvariantChecker::Config throwing;
+  throwing.throw_on_violation = true;
+  for (const ViolationCase& vc : cases) {
+    SCOPED_TRACE(vc.invariant);
+    StackInvariantChecker checker;
+    vc.drive(checker);
+    EXPECT_EQ(checker.violations(), 1u);
+    EXPECT_EQ(checker.checks(), vc.checks);
+    EXPECT_EQ(checker.first_report(), vc.report);
+
+    // Throw mode throws the same text.
+    StackInvariantChecker thrower(throwing);
+    try {
+      vc.drive(thrower);
+      ADD_FAILURE() << "no StackInvariantError thrown";
+    } catch (const StackInvariantError& e) {
+      EXPECT_EQ(std::string(e.what()), vc.report);
+    }
+  }
+}
+
+TEST(InvariantChecker, LedgersAreKeptPerFlow) {
+  // Interleaved flows share no state: each keeps its own sequence and
+  // conservation ledgers, however the events alternate between them.
+  StackInvariantChecker checker;
+  std::vector<obs::PacketEvent> sends;
+  for (std::uint16_t port = 1000; port < 1012; ++port) {
+    obs::PacketEvent ev = packet(obs::Layer::Tcp, obs::Direction::Tx, obs::EventKind::Send, 100);
+    ev.flow.src_port = port;
+    ev.seq = 1'000'000u * (port - 999u);  // each flow at its own stream offset
+    sends.push_back(ev);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (obs::PacketEvent& ev : sends) {
+      checker.on_packet(ev);
+      checker.on_packet(ev);  // a repeat of the same offset is allowed
+      ev.seq += 100;
+    }
+  }
+  EXPECT_EQ(checker.checks(), 72u);
+  EXPECT_EQ(checker.violations(), 0u) << checker.first_report();
+
+  // Regress only the first flow, after the other flows moved on.
+  obs::PacketEvent back = sends.front();
+  back.seq -= 400;
+  checker.on_packet(back);
+  EXPECT_EQ(checker.violations(), 1u);
+  EXPECT_NE(checker.first_report().find("tcp 1:1000->2:443"), std::string::npos);
 }
 
 /// A deliberately unguarded policy: ships every segment immediately,

@@ -2,9 +2,11 @@
 // through the simulated stack, dataset collection, and bulk transfers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/policies.hpp"
+#include "tcp/tcp_connection.hpp"
 #include "workload/bulk.hpp"
 #include "workload/page_load.hpp"
 #include "workload/website.hpp"
@@ -108,6 +110,28 @@ TEST(PageLoad, ServerPolicyShapesTrace) {
     if (p.direction < 0) max_in = std::max(max_in, p.size);
   }
   EXPECT_LE(max_in, 724 + net::kEthIpTcpHeader);
+}
+
+TEST(PageLoad, ResponsesLargerThanTheSendBufferArriveWhole) {
+  // This sample's plan draws a 7.26 MB object, more than a default server
+  // send buffer holds. The load must still deliver every response byte,
+  // or the client waits for the lost tail until the load times out.
+  PageLoadOptions opt;
+  opt.tls_records = true;
+  const SiteProfile& site = nine_sites()[3];
+  const std::uint64_t seed = 4034216643919592265ull;
+  Rng probe(seed);
+  const PagePlan plan = sample_page(site, probe);
+  const std::int64_t largest =
+      *std::max_element(plan.object_bytes.begin(), plan.object_bytes.end());
+  ASSERT_GT(largest, tcp::TcpConnection::Config{}.send_buffer.count());
+
+  Rng rng(seed);
+  const PageLoadResult res = run_page_load(site, rng, opt);
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.objects_fetched, plan.object_bytes.size());
+  EXPECT_EQ(res.objects_fetched, 23u);
+  EXPECT_EQ(res.sim_events, 42385u);
 }
 
 TEST(CollectDataset, LabelsAndCounts) {
