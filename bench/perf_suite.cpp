@@ -379,8 +379,10 @@ std::uint64_t wf_knn_leaf(const WfBenchData& data, std::size_t trees, int passes
 
 /// Pure blocked-descent kernel: leaf ids for the whole dataset, `passes`
 /// times, on a pre-trained forest. Unlike wf.predict_batch this skips vote
-/// aggregation, so the number isolates kernels::descend_block (the SIMD
-/// dispatch target). events = rows x trees tree-walk units.
+/// aggregation, so the number isolates kernels::descend_block (scalar on
+/// every level since its AVX2 variant lost to it; the row keeps its name so
+/// the BENCH_* trajectory stays comparable). events = rows x trees
+/// tree-walk units.
 std::uint64_t wf_descent_simd(const wf::RandomForest& forest, const WfBenchData& data,
                               int passes) {
   std::vector<std::uint32_t> leaves(data.x.rows() * forest.tree_count());

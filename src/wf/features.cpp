@@ -2,14 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string_view>
+#include <tuple>
 
+#include "exp/worker_pool.hpp"
 #include "util/stats.hpp"
 #include "wf/simd_kernels.hpp"
 
 namespace stob::wf {
 
 namespace {
+
+/// The lower of the two ranks stats::percentile_sorted() blends for
+/// percentile p of n > 0 sorted values (the same expression).
+std::size_t rank_below(std::size_t n, double p) {
+  return static_cast<std::size_t>(p / 100.0 * static_cast<double>(n - 1));
+}
+
+/// Move the values an ascending sort would put at ranks k and k + 1 (those
+/// below a.size()) into those positions. `done` is the prefix already
+/// settled by earlier calls, which must come in ascending k: no value before
+/// it exceeds any value from it on, so selection searches [done, n) only.
+void select_ranks(std::vector<double>& a, std::size_t& done, std::size_t k) {
+  const auto at = [&a](std::size_t i) { return a.begin() + static_cast<std::ptrdiff_t>(i); };
+  for (std::size_t r = k; r <= k + 1 && r < a.size(); ++r) {
+    if (r < done) continue;
+    if (r == done) {
+      std::iter_swap(at(r), std::min_element(at(r), a.end()));
+    } else {
+      std::nth_element(at(done), at(r), a.end());
+    }
+    done = r + 1;
+  }
+}
 
 /// Helper collecting (name, value) pairs so names and values never drift.
 /// Values land in caller-owned storage via a write cursor, so a dataset's
@@ -25,19 +51,40 @@ class FeatureBuilder {
   }
 
   /// Summary-statistic bundle over a value list. Mean and stddev accumulate
-  /// over the original order (their rounding depends on it); the order
-  /// statistics share one sort of the list instead of re-sorting per
-  /// quantile, which yields the same values.
+  /// over the original order (their rounding depends on it). The order
+  /// statistics come from selection, not a sort: min and max from one scan,
+  /// and each quantile from the two ranks percentile_sorted() blends, which
+  /// yields the same values. A list holding a NaN has no order, so its order
+  /// statistics are undefined and written as 0 like any non-finite feature.
   void add_stats(std::string_view prefix, std::span<const double> xs) {
     add2(prefix, "_mean", stats::mean(xs));
     add2(prefix, "_std", stats::stddev(xs));
-    thread_local std::vector<double> sorted;
-    sorted.assign(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    add2(prefix, "_min", sorted.empty() ? 0.0 : sorted.front());
-    add2(prefix, "_max", sorted.empty() ? 0.0 : sorted.back());
-    add2(prefix, "_median", stats::percentile_sorted(sorted, 50.0));
-    add2(prefix, "_p75", stats::percentile_sorted(sorted, 75.0));
+    double lo = 0.0, hi = 0.0, median = 0.0, p75 = 0.0;
+    if (!xs.empty()) {
+      lo = hi = xs[0];
+      bool nan = false;
+      for (double x : xs) {
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+        nan |= std::isnan(x);
+      }
+      if (nan) {
+        lo = hi = median = p75 = std::numeric_limits<double>::quiet_NaN();
+      } else {
+        thread_local std::vector<double> ranked;
+        ranked.assign(xs.begin(), xs.end());
+        std::size_t done = 0;
+        select_ranks(ranked, done, rank_below(xs.size(), 50.0));
+        select_ranks(ranked, done, rank_below(xs.size(), 75.0));
+        // percentile_sorted reads only the two ranks placed above.
+        median = stats::percentile_sorted(ranked, 50.0);
+        p75 = stats::percentile_sorted(ranked, 75.0);
+      }
+    }
+    add2(prefix, "_min", lo);
+    add2(prefix, "_max", hi);
+    add2(prefix, "_median", median);
+    add2(prefix, "_p75", p75);
   }
 
   void collect_names(std::vector<std::string>* names) { names_ = names; }
@@ -210,35 +257,42 @@ void build(const Trace& trace, FeatureBuilder& fb) {
                     s.gap_all.begin() + std::min<std::size_t>(20, s.gap_all.size()));
   fb.add_stats("iat_first20", s.gap_head);
 
-  // ---- 7. Transmission time quantiles. One sort per list feeds all three
-  // quantiles (same sorted order, hence same interpolated values, as the
-  // sort-per-call stats::percentile).
+  // ---- 7. Transmission time quantiles. A normalized trace lists its times
+  // in order, so they are read in place; only an unordered list is sorted,
+  // once for all three quantiles. A NaN time has no place in any order: its
+  // list's quantiles are undefined, written as 0 (the empty-list value).
   fb.add("time_total", trace.duration());
-  const auto sort_times = [&s](const std::vector<double>& ts) {
+  const auto in_order = [](const std::vector<double>& ts) -> std::span<const double> {
+    std::size_t i = 1;
+    while (i < ts.size() && ts[i - 1] <= ts[i]) ++i;
+    if (i >= ts.size()) return ts;
+    if (std::any_of(ts.begin(), ts.end(), [](double t) { return std::isnan(t); })) return {};
     s.sorted_times.assign(ts.begin(), ts.end());
     std::sort(s.sorted_times.begin(), s.sorted_times.end());
+    return s.sorted_times;
   };
-  sort_times(s.all_times);
-  fb.add("time_q25_all", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_all", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_all", stats::percentile_sorted(s.sorted_times, 75.0));
-  sort_times(s.in_times);
-  fb.add("time_q25_in", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_in", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_in", stats::percentile_sorted(s.sorted_times, 75.0));
-  sort_times(s.out_times);
-  fb.add("time_q25_out", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_out", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_out", stats::percentile_sorted(s.sorted_times, 75.0));
+  for (const auto& [ts, q25, q50, q75] :
+       {std::tuple{&s.all_times, "time_q25_all", "time_q50_all", "time_q75_all"},
+        std::tuple{&s.in_times, "time_q25_in", "time_q50_in", "time_q75_in"},
+        std::tuple{&s.out_times, "time_q25_out", "time_q50_out", "time_q75_out"}}) {
+    const std::span<const double> sorted = in_order(*ts);
+    fb.add(q25, stats::percentile_sorted(sorted, 25.0));
+    fb.add(q50, stats::percentile_sorted(sorted, 50.0));
+    fb.add(q75, stats::percentile_sorted(sorted, 75.0));
+  }
 
-  // ---- 8. Packets per second.
+  // ---- 8. Packets per second over whole-second buckets [0, 120). A time
+  // outside (-1, 120), NaN included, lands in no bucket: casting it to an
+  // index would be undefined.
   s.pps.clear();
   if (!s.all_times.empty()) {
-    const auto seconds = static_cast<std::size_t>(s.all_times.back()) + 1;
-    s.pps.assign(std::min<std::size_t>(seconds, 120), 0.0);  // cap at 2 minutes
+    const double last = s.all_times.back();
+    s.pps.assign(last >= 119.0 ? 120 : last > -1.0 ? static_cast<std::size_t>(last) + 1 : 0,
+                 0.0);
     for (double t : s.all_times) {
-      const auto sec = static_cast<std::size_t>(t);
-      if (sec < s.pps.size()) s.pps[sec] += 1.0;
+      if (t > -1.0 && t < static_cast<double>(s.pps.size())) {
+        s.pps[static_cast<std::size_t>(t)] += 1.0;
+      }
     }
   }
   fb.add_stats("pps", s.pps);
@@ -312,10 +366,26 @@ void kfp_features_into(const Trace& trace, std::span<double> out) {
   build(trace, fb);
 }
 
-FeatureMatrix kfp_features(const Dataset& dataset) {
-  FeatureMatrix m(dataset.size(), kfp_feature_count());
-  for (std::size_t i = 0; i < dataset.size(); ++i) kfp_features_into(dataset.trace(i), m.row(i));
+FeatureMatrix kfp_features(std::size_t rows,
+                           const std::function<const Trace&(std::size_t)>& trace_at,
+                           std::size_t jobs) {
+  FeatureMatrix m(rows, kfp_feature_count());
+  // Rows are independent and each starts on its own cache line, so blocks
+  // of them fill in parallel with no sharing; blocks (not one job per row)
+  // keep the pool's per-job cost, and a profile's job spans, few.
+  constexpr std::size_t kBlockRows = 32;
+  exp::run_ordered<char>((rows + kBlockRows - 1) / kBlockRows, jobs, [&](std::size_t b) {
+    const std::size_t end = std::min(rows, (b + 1) * kBlockRows);
+    for (std::size_t r = b * kBlockRows; r < end; ++r) kfp_features_into(trace_at(r), m.row(r));
+    return char{};
+  });
   return m;
+}
+
+FeatureMatrix kfp_features(const Dataset& dataset, std::size_t jobs) {
+  return kfp_features(
+      dataset.size(), [&dataset](std::size_t i) -> const Trace& { return dataset.trace(i); },
+      jobs);
 }
 
 }  // namespace stob::wf

@@ -1,15 +1,13 @@
 // Packed node layout of the flattened random forest, shared between
-// RandomForest (which builds the pool) and the descent kernels in
-// simd_kernels.cpp (which walk it, scalar or gather-based).
+// RandomForest (which builds the pool) and the descent kernel in
+// simd_kernels.cpp (which walks it).
 //
-// One node is 24 bytes, so a descent step reads a single cache line and the
-// AVX2 kernel can fetch any field of 8 nodes with one 32-bit-index gather
-// (byte offset node*24 + field). Internal nodes (feature >= 0) use kid as
-// absolute left/right child indices into the pool; leaves reuse the two
-// slots as {distribution offset, majority class}.
+// One node is 24 bytes, so a descent step reads a single cache line.
+// Internal nodes (feature >= 0) use kid as absolute left/right child
+// indices into the pool; leaves reuse the two slots as {distribution
+// offset, majority class}.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace stob::wf {
@@ -20,11 +18,6 @@ struct FlatNode {
   std::uint32_t kid[2] = {0, 0};
 };
 
-// The AVX2 descent gathers fields at byte offset node*24 + {0, 8, 12} with
-// 32-bit indices; both the size and the field offsets are load-bearing.
-static_assert(sizeof(FlatNode) == 24, "descent kernels assume 24-byte packed nodes");
-static_assert(offsetof(FlatNode, threshold) == 0);
-static_assert(offsetof(FlatNode, feature) == 8);
-static_assert(offsetof(FlatNode, kid) == 12);
+static_assert(sizeof(FlatNode) == 24, "descent assumes 24-byte packed nodes");
 
 }  // namespace stob::wf

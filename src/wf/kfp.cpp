@@ -119,7 +119,7 @@ EvalResult cross_validate(const Dataset& data, const KFingerprint::Config& cfg,
                           std::size_t folds, std::uint64_t seed, std::size_t jobs) {
   FeatureMatrix x = [&] {
     obs::ProfSpan span("wf.features");
-    return kfp_features(data);
+    return kfp_features(data, jobs);
   }();
   return cross_validate(x, data.labels(), cfg, folds, seed, jobs);
 }

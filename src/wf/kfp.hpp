@@ -98,8 +98,8 @@ struct EvalResult {
 };
 
 /// Stratified k-fold cross-validation of k-FP on `data` (closed world).
-/// Deterministic for a given seed; `jobs` parallelises folds without
-/// changing any result byte.
+/// Deterministic for a given seed; `jobs` parallelises feature extraction
+/// and the folds without changing any result byte.
 EvalResult cross_validate(const Dataset& data, const KFingerprint::Config& cfg,
                           std::size_t folds = 5, std::uint64_t seed = 0x5EEDull,
                           std::size_t jobs = 1);

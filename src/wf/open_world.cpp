@@ -98,12 +98,12 @@ OpenWorldResult open_world_evaluate(const Dataset& monitored, const Dataset& bac
   }
 
   // Batched feature extraction straight into contiguous matrices.
-  const std::size_t features = kfp_feature_count();
-  FeatureMatrix train_x(train_traces.size(), features);
-  for (std::size_t r = 0; r < train_traces.size(); ++r) {
-    const Dataset& src = r < mon_train ? monitored : background;
-    kfp_features_into(src.trace(train_traces[r]), train_x.row(r));
-  }
+  const FeatureMatrix train_x = kfp_features(
+      train_traces.size(),
+      [&](std::size_t r) -> const Trace& {
+        return (r < mon_train ? monitored : background).trace(train_traces[r]);
+      },
+      1);
 
   RandomForest forest(cfg.forest);
   forest.fit({&train_x, train_labels, num_monitored_classes + 1});
@@ -126,10 +126,9 @@ OpenWorldResult open_world_evaluate(const Dataset& monitored, const Dataset& bac
   auto classify_set = [&](const Dataset& src, const std::vector<std::size_t>& test_idx) {
     std::vector<int> verdicts(test_idx.size(), background_label);
     if (test_idx.empty()) return verdicts;
-    FeatureMatrix qx(test_idx.size(), features);
-    for (std::size_t r = 0; r < test_idx.size(); ++r) {
-      kfp_features_into(src.trace(test_idx[r]), qx.row(r));
-    }
+    const FeatureMatrix qx = kfp_features(
+        test_idx.size(), [&](std::size_t r) -> const Trace& { return src.trace(test_idx[r]); },
+        1);
     const std::vector<std::uint32_t> q_leaves = forest.leaf_batch(qx);
     constexpr std::size_t kChunk = 256;
     std::vector<int> counts;

@@ -28,8 +28,8 @@ inline std::uint32_t descend_one(const FlatNode* nodes, std::uint32_t root, cons
 
 }  // namespace
 
-void descend_block_scalar(const FlatNode* nodes, std::uint32_t root, const double* x,
-                          std::size_t stride, std::size_t m, std::uint32_t* leaves) {
+void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
+                   std::size_t stride, std::size_t m, std::uint32_t* leaves) {
   // One branch-free level step for one lane; a lane already at its leaf
   // (feature < 0) re-selects the leaf via conditional moves.
   const auto step = [nodes](std::uint32_t c, std::int32_t f, const double* row) {
@@ -65,85 +65,6 @@ void descend_block_scalar(const FlatNode* nodes, std::uint32_t root, const doubl
     leaves[r + 3] = c3;
   }
   for (; r < m; ++r) leaves[r] = descend_one(nodes, root, x + r * stride);
-}
-
-#if STOB_KERNELS_AVX2
-
-// Eight lanes per group as two 4-wide double halves. Node fields are
-// fetched with byte-offset gathers (index = node*24 + field, scale 1);
-// 32-bit offsets cap the pool at ~89M nodes, far beyond any forest here.
-// Lanes already at a leaf clamp their feature index to 0 (an in-bounds
-// read of the row, like the scalar step) and re-select their own node via
-// the `done` blend, so no masked gathers are needed and every gather stays
-// inside the node pool / sample block. The x <= thr compare is _CMP_LE_OQ:
-// ordered, so a NaN feature selects kid[1] exactly like scalar !(x <= thr).
-__attribute__((target("avx2"))) void descend_block_avx2(const FlatNode* nodes,
-                                                        std::uint32_t root, const double* x,
-                                                        std::size_t stride, std::size_t m,
-                                                        std::uint32_t* leaves) {
-  const char* node_bytes = reinterpret_cast<const char*>(nodes);
-  const int s = static_cast<int>(stride);
-  const __m256i lane_off = _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i k24 = _mm256_set1_epi32(24);
-  const __m256i pack_low32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  std::size_t r = 0;
-  for (; r + 8 <= m; r += 8) {
-    const double* base = x + r * stride;
-    __m256i cur = _mm256_set1_epi32(static_cast<int>(root));
-    for (;;) {
-      const __m256i byte_off = _mm256_mullo_epi32(cur, k24);
-      const __m256i feat = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(node_bytes + offsetof(FlatNode, feature)), byte_off, 1);
-      const __m256i done = _mm256_cmpgt_epi32(zero, feat);  // feature < 0
-      if (_mm256_movemask_epi8(done) == -1) break;          // all 8 at leaves
-      const __m256i fcl = _mm256_max_epi32(feat, zero);
-      const __m128i off_lo = _mm256_castsi256_si128(byte_off);
-      const __m128i off_hi = _mm256_extracti128_si256(byte_off, 1);
-      const __m256d thr_lo =
-          _mm256_i32gather_pd(reinterpret_cast<const double*>(node_bytes), off_lo, 1);
-      const __m256d thr_hi =
-          _mm256_i32gather_pd(reinterpret_cast<const double*>(node_bytes), off_hi, 1);
-      const __m256i xi = _mm256_add_epi32(lane_off, fcl);
-      const __m256d xv_lo = _mm256_i32gather_pd(base, _mm256_castsi256_si128(xi), 8);
-      const __m256d xv_hi = _mm256_i32gather_pd(base, _mm256_extracti128_si256(xi, 1), 8);
-      const __m256d le_lo = _mm256_cmp_pd(xv_lo, thr_lo, _CMP_LE_OQ);
-      const __m256d le_hi = _mm256_cmp_pd(xv_hi, thr_hi, _CMP_LE_OQ);
-      // kid[0] (low 32) and kid[1] (high 32) arrive as one 64-bit gather;
-      // `le ? kid[0] : kid[1]` is a blend between the pair and the pair
-      // shifted down 32, then the 64-bit lanes are packed back to u32.
-      const __m256i pair_lo = _mm256_i32gather_epi64(
-          reinterpret_cast<const long long*>(node_bytes + offsetof(FlatNode, kid)), off_lo, 1);
-      const __m256i pair_hi = _mm256_i32gather_epi64(
-          reinterpret_cast<const long long*>(node_bytes + offsetof(FlatNode, kid)), off_hi, 1);
-      const __m256i sel_lo = _mm256_blendv_epi8(_mm256_srli_epi64(pair_lo, 32), pair_lo,
-                                                _mm256_castpd_si256(le_lo));
-      const __m256i sel_hi = _mm256_blendv_epi8(_mm256_srli_epi64(pair_hi, 32), pair_hi,
-                                                _mm256_castpd_si256(le_hi));
-      const __m128i n_lo =
-          _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(sel_lo, pack_low32));
-      const __m128i n_hi =
-          _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(sel_hi, pack_low32));
-      const __m256i next = _mm256_set_m128i(n_hi, n_lo);
-      cur = _mm256_blendv_epi8(next, cur, done);  // finished lanes stay put
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(leaves + r), cur);
-  }
-  if (r < m) descend_block_scalar(nodes, root, x + r * stride, stride, m - r, leaves + r);
-}
-
-#endif  // STOB_KERNELS_AVX2
-
-void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
-                   std::size_t stride, std::size_t m, std::uint32_t* leaves) {
-#if STOB_KERNELS_AVX2
-  if (simd::active_level() == simd::Level::Avx2) {
-    descend_block_avx2(nodes, root, x, stride, m, leaves);
-    return;
-  }
-#endif
-  // NEON has no gather; the 4-lane ILP scalar path is the AArch64 descent.
-  descend_block_scalar(nodes, root, x, stride, m, leaves);
 }
 
 // ------------------------------------------------- leaf-agreement counts

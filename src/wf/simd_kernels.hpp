@@ -2,13 +2,14 @@
 // descent, leaf-agreement counting, and the vectorizable pieces of k-FP
 // feature extraction.
 //
-// Every kernel has a `_scalar` variant (the reference path, always
+// Every vector kernel has a `_scalar` variant (the reference path, always
 // compiled, byte-for-byte the pre-SIMD engine) and an undecorated entry
-// point that dispatches on simd::active_level(). All SIMD variants are
-// *exact*: they vectorize only comparisons, integer-valued accumulation
-// (counts and 0/1 sums, exact in any order below 2^53) and independent
-// subtractions, so scalar and dispatched results are bit-identical — the
-// parity suite asserts equality, never closeness. Float reductions whose
+// point that dispatches on simd::active_level(); the forest descent is
+// scalar only. All SIMD variants are *exact*: they vectorize only
+// comparisons, integer-valued accumulation (counts and 0/1 sums, exact in
+// any order below 2^53) and independent subtractions, so scalar and
+// dispatched results are bit-identical — the parity suite asserts
+// equality, never closeness. Float reductions whose
 // rounding depends on accumulation order (feature means/stddevs) stay
 // scalar in the original order; see the kernel table in DESIGN.md §17.
 #pragma once
@@ -24,13 +25,10 @@ namespace stob::wf::kernels {
 //
 // Walk one tree (rooted at nodes[root]) for m samples stored row-major at
 // x + r*stride, leaving the absolute leaf index of sample r in leaves[r].
-// The scalar variant keeps 4 lanes in flight so dependent node loads
-// overlap; the AVX2 variant runs 8 lanes with gathered node fields and
-// blend-selected children. NaN features descend to kid[1] in both (the
-// scalar `!(x <= thr)` and the ordered _CMP_LE_OQ compare agree).
-
-void descend_block_scalar(const FlatNode* nodes, std::uint32_t root, const double* x,
-                          std::size_t stride, std::size_t m, std::uint32_t* leaves);
+// Scalar on every level, with 4 lanes in flight so dependent node loads
+// overlap; a NaN feature descends to kid[1] (`!(x <= thr)`). It has no SIMD
+// variant: an 8-lane AVX2 gather descent measured slower than these 4
+// scalar lanes (gathers are microcoded), so it was deleted.
 
 void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
                    std::size_t stride, std::size_t m, std::uint32_t* leaves);

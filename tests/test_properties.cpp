@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -178,7 +180,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GuardedPolicySafety,
 
 class FeatureTotality : public ::testing::TestWithParam<int> {};
 
+// Feature extraction is total on every Trace: times a hostile corpus file
+// can carry (NaN, infinities, far negative, past 2^64) give finite,
+// deterministic features with no undefined behaviour on the way.
 TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const int kind = GetParam();
   wf::Trace t;
   Rng rng(static_cast<std::uint64_t>(kind));
@@ -196,6 +203,22 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
       t.add(500.0, -1, 100);
       t.add(1000.0, +1, 100);
       break;
+    case 8:                                          // a NaN time mid-trace
+      for (int i = 0; i < 40; ++i) t.add(i == 17 ? kNan : i * 0.01, i % 3 ? -1 : 1, 900);
+      break;
+    case 9:                                          // times far below zero
+      for (int i = 0; i < 40; ++i) t.add(-1e6 + i * 0.5, i % 2 ? -1 : 1, 900);
+      t.add(-0.5, +1, 66);
+      break;
+    case 10:                                         // times past 2^64 and +inf
+      t.add(0.0, +1, 66);
+      t.add(1e30, -1, 1514);
+      t.add(kInf, -1, 1514);
+      t.add(3.0, +1, 66);
+      break;
+    case 11:                                         // every time NaN or -inf
+      for (int i = 0; i < 40; ++i) t.add(i % 4 ? kNan : -kInf, i % 2 ? -1 : 1, 900);
+      break;
     default:                                         // random soup
       for (int i = 0; i < 500; ++i) {
         t.add(rng.uniform(0, 10), rng.chance(0.5) ? 1 : -1, rng.uniform_int(1, 65536));
@@ -205,6 +228,7 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
   const auto kfp = wf::kfp_features(t);
   ASSERT_EQ(kfp.size(), wf::kfp_feature_count());
   for (double v : kfp) ASSERT_TRUE(std::isfinite(v)) << kind;
+  EXPECT_EQ(kfp, wf::kfp_features(t)) << "extraction must be deterministic";
   // The name table is index-aligned with the value vector: same width, every
   // slot named, no name reused for two slots.
   const auto& names = wf::kfp_feature_names();
@@ -217,12 +241,22 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
   ASSERT_NE(it, names.end());
   EXPECT_EQ(kfp[static_cast<std::size_t>(it - names.begin())],
             static_cast<double>(t.packets().size()));
+  // The hostile-time contract: a NaN leaves its list's quantiles undefined
+  // (0), and only times in (-1, 120) s are counted per second (kind 9: only
+  // t = -0.5; kind 10: t = 0 and t = 3).
+  const std::map<int, std::pair<const char*, double>> pinned = {
+      {8, {"time_q50_all", 0.0}}, {9, {"pps_sum", 1.0}}, {10, {"pps_sum", 2.0}},
+      {11, {"pps_sum", 0.0}}};
+  if (const auto p = pinned.find(kind); p != pinned.end()) {
+    const auto slot = std::find(names.begin(), names.end(), p->second.first);
+    EXPECT_EQ(kfp.at(static_cast<std::size_t>(slot - names.begin())), p->second.second) << kind;
+  }
   const auto cumul = wf::cumul_features(t, 100);
   ASSERT_EQ(cumul.size(), 104u);
   for (double v : cumul) ASSERT_TRUE(std::isfinite(v)) << kind;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, FeatureTotality, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Sweep, FeatureTotality, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace stob

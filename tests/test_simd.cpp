@@ -8,8 +8,10 @@
 // STOB_SIMD=off) both sides resolve to the scalar path and the suite
 // degenerates to a self-consistency check, which is the intended behavior.
 //
-// Also pins the FeatureMatrix alignment contract the descent kernel
-// depends on: 64-byte row starts and an 8-double-multiple stride.
+// The forest descent has no SIMD variant; its blocked 4-lane kernel is
+// checked against a naive recursive walk instead. Also pins the
+// FeatureMatrix alignment contract the vector kernels depend on: 64-byte
+// row starts and an 8-double-multiple stride.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,41 +53,50 @@ std::uint32_t build_tree(std::vector<FlatNode>& pool, Rng& rng, int depth, int f
   return idx;
 }
 
+/// Naive recursive descent: the reference the blocked kernel must match.
+/// `x <= thr` is false for a NaN feature, which therefore goes to kid[1].
+std::uint32_t descend_reference(const std::vector<FlatNode>& pool, std::uint32_t node,
+                                const double* row) {
+  const FlatNode& nd = pool[node];
+  if (nd.feature < 0) return node;
+  return descend_reference(pool, row[nd.feature] <= nd.threshold ? nd.kid[0] : nd.kid[1], row);
+}
+
 TEST(SimdDispatch, LevelIsStableAndNamed) {
   const simd::Level first = simd::active_level();
   EXPECT_EQ(first, simd::active_level());
   EXPECT_NE(simd::level_name(first), nullptr);
 }
 
-TEST(SimdKernels, DescendBlockParity) {
+TEST(SimdKernels, DescendBlockMatchesRecursiveWalk) {
   Rng rng(0xDE5CEull);
   const int features = 17;
   std::vector<FlatNode> pool;
   std::vector<std::uint32_t> roots;
   for (int depth : {0, 1, 3, 6}) roots.push_back(build_tree(pool, rng, depth, features));
 
-  // Block sizes around the 8-lane AVX2 width, including a ragged tail.
+  // Block sizes around the 4-lane width, including ragged tails.
   for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
                         std::size_t{9}, std::size_t{16}, std::size_t{23}}) {
     const std::size_t stride = 24;  // padded: stride > features
     std::vector<double> x(m * stride, 0.0);
     for (double& v : x) v = rng.normal(0.0, 1.0);
-    // NaN features must descend identically (to kid[1]) in both paths.
+    // NaN features must descend identically (to kid[1]) in both walks.
     if (m > 2) x[1 * stride + 3] = std::numeric_limits<double>::quiet_NaN();
     for (std::uint32_t root : roots) {
-      std::vector<std::uint32_t> ref(m, 0), got(m, 1);
-      kernels::descend_block_scalar(pool.data(), root, x.data(), stride, m, ref.data());
+      std::vector<std::uint32_t> got(m, 1);
       kernels::descend_block(pool.data(), root, x.data(), stride, m, got.data());
       for (std::size_t r = 0; r < m; ++r) {
-        EXPECT_EQ(ref[r], got[r]) << "m=" << m << " root=" << root << " row=" << r;
-        EXPECT_EQ(pool[ref[r]].feature, -1) << "descent must end on a leaf";
+        const std::uint32_t ref = descend_reference(pool, root, x.data() + r * stride);
+        EXPECT_EQ(ref, got[r]) << "m=" << m << " root=" << root << " row=" << r;
+        EXPECT_EQ(pool[ref].feature, -1) << "descent must end on a leaf";
       }
     }
   }
 }
 
-TEST(SimdKernels, DescendThresholdTieParity) {
-  // x == threshold exactly: both paths must take the `<=` branch.
+TEST(SimdKernels, DescendThresholdTieMatchesRecursiveWalk) {
+  // x == threshold exactly: both walks must take the `<=` branch.
   std::vector<FlatNode> pool(3);
   pool[0].feature = 0;
   pool[0].threshold = 1.25;  // exactly representable
@@ -95,10 +106,9 @@ TEST(SimdKernels, DescendThresholdTieParity) {
   pool[2].feature = -1;
   const double xs[] = {1.25, std::nextafter(1.25, 2.0), std::nextafter(1.25, 0.0)};
   for (double v : xs) {
-    std::uint32_t ref = 9, got = 7;
-    kernels::descend_block_scalar(pool.data(), 0, &v, 1, 1, &ref);
+    std::uint32_t got = 7;
     kernels::descend_block(pool.data(), 0, &v, 1, 1, &got);
-    EXPECT_EQ(ref, got) << "x=" << v;
+    EXPECT_EQ(descend_reference(pool, 0, &v), got) << "x=" << v;
   }
 }
 

@@ -9,10 +9,17 @@
 // where tie-breaking bugs hide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "wf/feature_matrix.hpp"
 #include "wf/features.hpp"
 #include "wf/kfp.hpp"
@@ -237,6 +244,116 @@ TEST(KfpParity, EmptyTraceRowsSurviveThePipeline) {
   clf.fit(x, d.labels());
   const std::vector<int> batch = clf.predict_batch(x);
   for (std::size_t r = 0; r < x.rows(); ++r) EXPECT_EQ(batch[r], clf.predict(x.row(r)));
+}
+
+// ------------------------------------------------- feature extraction
+
+/// Traces of every awkward shape, in a count (103) that is not a multiple
+/// of the extractor's 32-row block: empty, 1- and 2-packet, one-direction,
+/// duplicate timestamps, unnormalized (time-shuffled) and plain random.
+Dataset awkward_corpus() {
+  Rng rng(0xF00Dull);
+  Dataset d;
+  for (int i = 0; i < 103; ++i) {
+    Trace t;
+    const int kind = i % 7;
+    const int n = kind == 0 ? 0 : kind == 1 ? 1 : kind == 2 ? 2 : 20 + i;
+    double time = 0.0;
+    for (int k = 0; k < n; ++k) {
+      const int dir = kind == 3 ? -1 : kind == 4 ? +1 : rng.chance(0.4) ? +1 : -1;
+      t.add(time, dir, rng.uniform_int(40, 1514));
+      if (kind != 5 || rng.chance(0.3)) time += rng.uniform(0.0, 0.05);  // 5: many ties
+    }
+    if (kind == 6) std::shuffle(t.packets().begin(), t.packets().end(), rng);
+    d.add(std::move(t), i % 3);
+  }
+  return d;
+}
+
+TEST(KfpFeatureParity, ParallelRowsMatchPerTraceExtraction) {
+  const Dataset d = awkward_corpus();
+  const std::size_t bytes = kfp_feature_count() * sizeof(double);
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    const FeatureMatrix m = kfp_features(d, jobs);
+    ASSERT_EQ(m.rows(), d.size());
+    for (std::size_t r = 0; r < d.size(); ++r) {
+      const std::vector<double> want = kfp_features(d.trace(r));
+      EXPECT_EQ(std::memcmp(m.row(r).data(), want.data(), bytes), 0)
+          << "jobs=" << jobs << " row=" << r;
+    }
+  }
+}
+
+std::size_t feature_index(std::string_view name) {
+  const std::vector<std::string>& names = kfp_feature_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+/// min, max, median and p75 as feature extraction computed them before
+/// selection: one full sort, then the front, the back and two
+/// percentile_sorted reads (all zero for an empty list).
+std::array<double, 4> sorted_stats(std::vector<double> xs) {
+  if (xs.empty()) return {0.0, 0.0, 0.0, 0.0};
+  std::sort(xs.begin(), xs.end());
+  return {xs.front(), xs.back(), stats::percentile_sorted(xs, 50.0),
+          stats::percentile_sorted(xs, 75.0)};
+}
+
+TEST(KfpFeatureParity, SelectionStatisticsMatchSortFormula) {
+  // Random lists of 0-70 values drawn from a handful of levels (heavy
+  // duplicates) reach add_stats as the incoming/outgoing size lists and the
+  // inter-arrival gaps; half the traces are time-shuffled, so the gaps go
+  // negative and the time quantiles take the sorting path.
+  Rng rng(0x5E1Eull);
+  for (int trial = 0; trial < 300; ++trial) {
+    Trace t;
+    const int n = static_cast<int>(rng.uniform_int(0, 70));
+    double time = 0.0;
+    for (int k = 0; k < n; ++k) {
+      t.add(time, rng.chance(0.5) ? +1 : -1, 100 * rng.uniform_int(1, 4));
+      time += 0.001 * static_cast<double>(rng.uniform_int(0, 3));
+    }
+    if (rng.chance(0.5)) std::shuffle(t.packets().begin(), t.packets().end(), rng);
+    std::vector<double> in_sizes, out_sizes, times, gaps;
+    for (const PacketRecord& p : t.packets()) {
+      (p.direction > 0 ? out_sizes : in_sizes).push_back(static_cast<double>(p.size));
+      if (!times.empty()) gaps.push_back(p.time - times.back());
+      times.push_back(p.time);
+    }
+    const std::vector<double> f = kfp_features(t);
+    for (const auto& [prefix, list] : {std::pair{"size_in", &in_sizes},
+                                       std::pair{"size_out", &out_sizes},
+                                       std::pair{"iat_all", &gaps}}) {
+      const std::array<double, 4> want = sorted_stats(*list);
+      const std::array<const char*, 4> suffix = {"_min", "_max", "_median", "_p75"};
+      for (std::size_t i = 0; i < 4; ++i) {
+        const double got = f.at(feature_index(std::string(prefix) + suffix[i]));
+        EXPECT_EQ(std::memcmp(&got, &want[i], sizeof(double)), 0)
+            << prefix << suffix[i] << " trial=" << trial << " got=" << got
+            << " want=" << want[i];
+      }
+    }
+    for (const auto& [name, p] : {std::pair{"time_q25_all", 25.0},
+                                  std::pair{"time_q50_all", 50.0},
+                                  std::pair{"time_q75_all", 75.0}}) {
+      const double got = f.at(feature_index(name));
+      const double want = stats::percentile(times, p);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << name << " trial=" << trial;
+    }
+  }
+}
+
+TEST(KfpParity, CrossValidateOnTracesIdenticalAtAnyJobs) {
+  // The Dataset overload extracts features on the same `jobs` as its folds.
+  const Dataset d = awkward_corpus();
+  KFingerprint::Config cfg;
+  cfg.forest.num_trees = 8;
+  const EvalResult serial = cross_validate(d, cfg, 3, 91, /*jobs=*/1);
+  for (std::size_t jobs : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    EXPECT_EQ(serial, cross_validate(d, cfg, 3, 91, jobs)) << "jobs=" << jobs;
+  }
 }
 
 // ----------------------------------------------- accuracy aggregation
