@@ -6,8 +6,8 @@
 // BENCH_*.json snapshot so every PR extends a comparable perf trajectory.
 // Unlike micro_bench this tool has *no external dependencies* (no
 // google-benchmark): timing comes from CLOCK_PROCESS_CPUTIME_ID (plus a
-// steady_clock wall reading) and heap churn from counting operator new in
-// this translation unit.
+// steady_clock wall reading) and heap churn from the counting operator new
+// of util/alloc_probe.hpp.
 //
 // Usage:
 //   perf_suite [--smoke] [--out BENCH_7.json] [--baseline OLD.json]
@@ -32,7 +32,6 @@
 // events_per_sec is computed from process-CPU time (best of N iterations),
 // which stays comparable when other tenants preempt us on shared runners;
 // wall_ms is the same iteration's wall clock, reported for context.
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -41,7 +40,6 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -58,6 +56,7 @@
 #include "net/packet.hpp"
 #include "net/pipe.hpp"
 #include "sim/simulator.hpp"
+#include "util/alloc_probe.hpp"  // counting operator new for the allocs column
 #include "util/rng.hpp"
 #include "wf/corpus.hpp"
 #include "wf/features.hpp"
@@ -70,36 +69,6 @@
 #include "workload/website.hpp"
 
 using namespace stob;
-
-// ------------------------------------------------------------ alloc probe
-//
-// Counting operator new in the binary gives an allocation figure for each
-// benchmark with zero tooling dependencies. Relaxed atomics: the grid
-// benchmarks allocate from worker threads.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -140,7 +109,7 @@ BenchResult run_bench(const std::string& name, int iters, Body&& body) {
   r.iters = iters;
   r.cpu_ms = 1e300;
   for (int i = 0; i < iters; ++i) {
-    const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t allocs0 = util::allocations();
     const double cpu0 = cpu_now_ms();
     const Clock::time_point t0 = Clock::now();
     const std::uint64_t events = body();
@@ -150,7 +119,7 @@ BenchResult run_bench(const std::string& name, int iters, Body&& body) {
       r.cpu_ms = cpu;
       r.wall_ms = wall;
       r.events = events;
-      r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+      r.allocs = util::allocations() - allocs0;
     }
   }
   r.events_per_sec = r.cpu_ms > 0 ? static_cast<double>(r.events) / (r.cpu_ms / 1e3) : 0;

@@ -2,9 +2,9 @@
 // decisions out.
 //
 // A defenses::Policy is a streaming state machine over one flow's packet
-// sequence — the WFDefProxy shape. The driver (trace replay today, the
-// ROADMAP item-1 live proxy tomorrow) feeds it one PacketEvent per observed
-// packet in time order; the policy emits zero or more PacketOut decisions
+// sequence — the WFDefProxy shape. A caller (trace replay, or the in-stack
+// segment mount below) feeds it one PacketEvent per observed packet in
+// time order; the policy emits zero or more PacketOut decisions
 // per event: forward the packet (possibly later / resized), inject dummy
 // padding, or hold data for a scheduled departure. Because the interface
 // speaks packet events rather than whole traces, the same policy object can

@@ -9,7 +9,7 @@
 namespace stob::obs {
 
 namespace detail {
-thread_local MetricsRegistry* g_metrics = nullptr;
+constinit thread_local MetricsRegistry* g_metrics = nullptr;
 }  // namespace detail
 
 void install_metrics(MetricsRegistry* m) noexcept { detail::g_metrics = m; }

@@ -107,7 +107,7 @@ void scrape_pool(MetricsRegistry& m);
 // ---------------------------------------------------------------- install
 
 namespace detail {
-extern thread_local MetricsRegistry* g_metrics;  // nullptr = metrics disabled
+extern constinit thread_local MetricsRegistry* g_metrics;  // nullptr = metrics disabled
 }  // namespace detail
 
 /// Registry installed on the calling thread, or nullptr.

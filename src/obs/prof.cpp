@@ -12,7 +12,7 @@
 namespace stob::obs {
 
 namespace detail {
-thread_local Profiler* g_profiler = nullptr;
+constinit thread_local Profiler* g_profiler = nullptr;
 }  // namespace detail
 
 void install_profiler(Profiler* p) noexcept { detail::g_profiler = p; }

@@ -120,7 +120,7 @@ class Profiler {
 // ---------------------------------------------------------------- install
 
 namespace detail {
-extern thread_local Profiler* g_profiler;  // nullptr = profiling disabled
+extern constinit thread_local Profiler* g_profiler;  // nullptr = profiling disabled
 }  // namespace detail
 
 /// Profiler installed on the calling thread, or nullptr. The disabled fast

@@ -7,8 +7,8 @@
 namespace stob::obs {
 
 namespace detail {
-thread_local TraceRecorder* g_recorder = nullptr;
-thread_local StackListener* g_listener = nullptr;
+constinit thread_local TraceRecorder* g_recorder = nullptr;
+constinit thread_local StackListener* g_listener = nullptr;
 }  // namespace detail
 
 void install_recorder(TraceRecorder* r) noexcept { detail::g_recorder = r; }

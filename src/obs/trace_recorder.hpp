@@ -103,7 +103,7 @@ class TraceRecorder {
 // ---------------------------------------------------------------- install
 
 namespace detail {
-extern thread_local TraceRecorder* g_recorder;  // nullptr = tracing disabled
+extern constinit thread_local TraceRecorder* g_recorder;  // nullptr = tracing disabled
 }  // namespace detail
 
 /// Recorder installed on the calling thread, or nullptr. The disabled fast
@@ -182,7 +182,7 @@ class StackListener {
 };
 
 namespace detail {
-extern thread_local StackListener* g_listener;  // nullptr = no listener
+extern constinit thread_local StackListener* g_listener;  // nullptr = no listener
 }  // namespace detail
 
 inline StackListener* listener() noexcept { return detail::g_listener; }

@@ -31,7 +31,7 @@ QuicConnection::~QuicConnection() {
 
 void QuicConnection::open_common(net::HostId dst, net::Port dst_port, net::Port src_port) {
   key_ = net::FlowKey{host_.id(), dst, src_port, dst_port, net::Proto::Udp};
-  host_.register_flow(key_.reversed(), [this](net::Packet p) { handle_datagram(std::move(p)); });
+  host_.register_flow(key_.reversed(), *this);
   if (cfg_.policy != nullptr) cfg_.policy->on_flow_start(key_);
 }
 
@@ -54,7 +54,7 @@ void QuicConnection::begin_accept(const net::FlowKey& client_flow) {
 
 void QuicConnection::complete_accept(const net::Packet& initial) {
   net::Packet copy = initial;
-  handle_datagram(std::move(copy));
+  on_packet(std::move(copy));
   if (on_connected) on_connected();
 }
 
@@ -76,7 +76,7 @@ void QuicConnection::finish_stream(std::uint64_t stream_id) {
 
 // ------------------------------------------------------------------ receive
 
-void QuicConnection::handle_datagram(net::Packet p) {
+void QuicConnection::on_packet(net::Packet p) {
   if (!p.is_quic()) return;
   const net::QuicHeader& h = p.quic();
 

@@ -31,7 +31,7 @@
 
 namespace stob::quic {
 
-class QuicConnection {
+class QuicConnection : private stack::FlowEndpoint {
  public:
   struct Config {
     std::int64_t max_payload = 1350;  ///< QUIC datagram payload (PMTU - overhead)
@@ -117,7 +117,7 @@ class QuicConnection {
   };
 
   void open_common(net::HostId dst, net::Port dst_port, net::Port src_port);
-  void handle_datagram(net::Packet p);
+  void on_packet(net::Packet p) override;  // stack::FlowEndpoint: ingress
   void process_ack(const net::QuicAckFrame& ack);
   void process_stream_frame(const net::QuicStreamFrame& frame);
   void detect_losses(std::uint64_t largest_acked, TimePoint now);

@@ -27,9 +27,12 @@ void Host::receive(net::Packet p) {
     STOB_DEBUG("host") << "host " << id_ << " checksum drop " << p;
     return;
   }
-  auto it = flows_.find(p.flow);
-  if (it != flows_.end()) {
-    it->second(std::move(p));
+  if (FlowEndpoint* const* slot = flows_.find(p.flow)) {
+    // Copy the pointer out before the call: the endpoint may register or
+    // remove flows (the HTML response opens the page's other connections),
+    // which moves the table's entries.
+    FlowEndpoint* const endpoint = *slot;
+    endpoint->on_packet(std::move(p));
     return;
   }
   auto lit = listeners_.find(ListenerKey{p.flow.dst_port, p.flow.proto});
@@ -41,8 +44,8 @@ void Host::receive(net::Packet p) {
   STOB_DEBUG("host") << "host " << id_ << " unmatched " << p;
 }
 
-bool Host::register_flow(const net::FlowKey& incoming, PacketHandler handler) {
-  return flows_.emplace(incoming, std::move(handler)).second;
+bool Host::register_flow(const net::FlowKey& incoming, FlowEndpoint& endpoint) {
+  return flows_.insert(incoming, &endpoint);
 }
 
 void Host::unregister_flow(const net::FlowKey& incoming) { flows_.erase(incoming); }

@@ -6,9 +6,11 @@
 #include <memory>
 #include <unordered_map>
 
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "net/pipe.hpp"
 #include "sim/simulator.hpp"
+#include "stack/flow_endpoint.hpp"
 #include "stack/nic.hpp"
 #include "stack/qdisc.hpp"
 
@@ -39,9 +41,10 @@ class Host {
   /// Ingress entry point; typically installed as the sink of the peer pipe.
   void receive(net::Packet p);
 
-  /// Register a handler for packets whose FlowKey equals `incoming` exactly
-  /// (i.e. the connection's own key reversed). Returns false if taken.
-  bool register_flow(const net::FlowKey& incoming, PacketHandler handler);
+  /// Deliver packets whose FlowKey equals `incoming` exactly (i.e. the
+  /// connection's own key reversed) to `endpoint`, which must stay alive
+  /// until unregister_flow. Returns false if the key is taken.
+  bool register_flow(const net::FlowKey& incoming, FlowEndpoint& endpoint);
   void unregister_flow(const net::FlowKey& incoming);
 
   /// Register a fallback handler for packets addressed to `port` with no
@@ -76,7 +79,7 @@ class Host {
   net::Port next_port_ = 40000;
   std::uint64_t unmatched_ = 0;
   std::uint64_t checksum_drops_ = 0;
-  std::unordered_map<net::FlowKey, PacketHandler, net::FlowKeyHash> flows_;
+  net::FlowTable<FlowEndpoint*> flows_;
   std::unordered_map<ListenerKey, PacketHandler, ListenerKeyHash> listeners_;
 };
 

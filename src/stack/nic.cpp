@@ -28,16 +28,15 @@ void Nic::transmit(net::Packet p) {
   pump();
 }
 
-void Nic::set_completion_handler(const net::FlowKey& flow, CompletionHandler handler) {
-  completions_[flow] = std::move(handler);
+void Nic::set_completion_handler(const net::FlowKey& flow, FlowEndpoint& endpoint) {
+  completions_[flow] = &endpoint;
 }
 
 void Nic::clear_completion_handler(const net::FlowKey& flow) { completions_.erase(flow); }
 
 Bytes Nic::flow_unsent(const net::FlowKey& flow) const {
-  auto it = ring_per_flow_.find(flow);
-  const Bytes in_ring = it == ring_per_flow_.end() ? Bytes(0) : Bytes(it->second);
-  return qdisc_->flow_backlog(flow) + in_ring;
+  const std::int64_t* in_ring = ring_per_flow_.find(flow);
+  return qdisc_->flow_backlog(flow) + Bytes(in_ring == nullptr ? 0 : *in_ring);
 }
 
 void Nic::pump() {
@@ -122,13 +121,16 @@ void Nic::push_to_wire(net::Packet p) {
 void Nic::on_wire_complete(const net::Packet& p) {
   const Bytes size = p.wire_size();
   ring_bytes_ -= size;
-  auto rit = ring_per_flow_.find(p.flow);
-  if (rit != ring_per_flow_.end()) {
-    rit->second -= size.count();
-    if (rit->second <= 0) ring_per_flow_.erase(rit);
+  if (std::int64_t* in_ring = ring_per_flow_.find(p.flow)) {
+    *in_ring -= size.count();
+    if (*in_ring <= 0) ring_per_flow_.erase(p.flow);
   }
-  auto it = completions_.find(p.flow);
-  if (it != completions_.end()) it->second(size);
+  if (FlowEndpoint* const* slot = completions_.find(p.flow)) {
+    // Copy the pointer out before the call: the endpoint may install
+    // completions for other flows, which moves the table's entries.
+    FlowEndpoint* const endpoint = *slot;
+    endpoint->on_tx_complete(size);
+  }
   pump();
 }
 

@@ -6,12 +6,12 @@
 // Queues.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <unordered_map>
 
+#include "net/flow_table.hpp"
 #include "net/pipe.hpp"
 #include "sim/simulator.hpp"
+#include "stack/flow_endpoint.hpp"
 #include "stack/qdisc.hpp"
 
 namespace stob::stack {
@@ -23,10 +23,6 @@ class Nic {
     /// for serialisation completions.
     Bytes tx_ring = Bytes::kibi(256);
   };
-
-  /// Per-flow completion callback: `wire_bytes` of the flow finished
-  /// serialising onto the wire.
-  using CompletionHandler = std::function<void(Bytes wire_bytes)>;
 
   Nic(sim::Simulator& sim, std::unique_ptr<Qdisc> qdisc);  // default Config
   Nic(sim::Simulator& sim, std::unique_ptr<Qdisc> qdisc, Config cfg);
@@ -40,8 +36,9 @@ class Nic {
   /// Hand a packet to the qdisc and try to make progress.
   void transmit(net::Packet p);
 
-  /// Register/unregister a TSQ completion handler for a flow.
-  void set_completion_handler(const net::FlowKey& flow, CompletionHandler handler);
+  /// Register/unregister the endpoint whose on_tx_complete() hears when the
+  /// flow's wire packets finish serialising (the TSQ wakeup).
+  void set_completion_handler(const net::FlowKey& flow, FlowEndpoint& endpoint);
   void clear_completion_handler(const net::FlowKey& flow);
 
   /// Bytes a flow currently has queued in qdisc + tx ring (TSQ accounting).
@@ -64,8 +61,8 @@ class Nic {
 
   Bytes ring_bytes_;  // bytes posted to the pipe, not yet serialised
   sim::EventId wakeup_;
-  std::unordered_map<net::FlowKey, CompletionHandler, net::FlowKeyHash> completions_;
-  std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash> ring_per_flow_;
+  net::FlowTable<FlowEndpoint*> completions_;
+  net::FlowTable<std::int64_t> ring_per_flow_;  // wire bytes posted, per flow
   std::uint64_t tso_segments_split_ = 0;
   std::uint64_t wire_packets_sent_ = 0;
 };

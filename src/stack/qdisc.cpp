@@ -76,10 +76,9 @@ std::optional<net::Packet> FifoQdisc::dequeue(TimePoint now) {
   queue_.pop_front();
   const Bytes size = p.wire_size();
   backlog_ -= size;
-  auto it = per_flow_bytes_.find(p.flow);
-  if (it != per_flow_bytes_.end()) {
-    it->second -= size.count();
-    if (it->second <= 0) per_flow_bytes_.erase(it);
+  if (std::int64_t* bytes = per_flow_bytes_.find(p.flow)) {
+    *bytes -= size.count();
+    if (*bytes <= 0) per_flow_bytes_.erase(p.flow);
   }
   note_dequeue(p, now);
   return p;
@@ -90,8 +89,8 @@ TimePoint FifoQdisc::next_ready(TimePoint now) const {
 }
 
 Bytes FifoQdisc::flow_backlog(const net::FlowKey& flow) const {
-  auto it = per_flow_bytes_.find(flow);
-  return it == per_flow_bytes_.end() ? Bytes(0) : Bytes(it->second);
+  const std::int64_t* bytes = per_flow_bytes_.find(flow);
+  return Bytes(bytes == nullptr ? 0 : *bytes);
 }
 
 // ------------------------------------------------------------------ FqQdisc
@@ -109,13 +108,11 @@ void FqQdisc::enqueue(net::Packet p) {
   // the flow forever.
   if (p.not_before > p.enqueued_at + cfg_.horizon) p.not_before = p.enqueued_at + cfg_.horizon;
 
+  // A new flow, or one that drained and returns, joins the back of the round.
+  if (flows_.find(p.flow) == nullptr) round_.push_back(p.flow);
   FlowQueue& fq = flows_[p.flow];
   fq.bytes += size.count();
   backlog_ += size;
-  if (!fq.in_round) {
-    fq.in_round = true;
-    round_.push_back(p.flow);
-  }
   note_enqueue(p, backlog_, cfg_.capacity);
   fq.packets.push_back(std::move(p));
 }
@@ -124,13 +121,9 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
   std::size_t ineligible_streak = 0;
   while (!round_.empty()) {
     const net::FlowKey key = round_.front();
-    auto it = flows_.find(key);
-    if (it == flows_.end() || it->second.packets.empty()) {
-      round_.pop_front();
-      if (it != flows_.end()) flows_.erase(it);
-      continue;
-    }
-    FlowQueue& fq = it->second;
+    FlowQueue* const entry = flows_.find(key);
+    assert(entry != nullptr);  // round_ holds exactly the backlogged flows
+    FlowQueue& fq = *entry;
     const net::Packet& head = fq.packets.front();
     if (head.not_before > now) {
       // Paced into the future: let other flows run (work conservation
@@ -157,7 +150,7 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
     backlog_ -= Bytes(size);
     if (fq.packets.empty()) {
       round_.pop_front();
-      flows_.erase(it);
+      flows_.erase(key);
     }
     note_dequeue(p, now);
     return p;
@@ -168,7 +161,6 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
 TimePoint FqQdisc::next_ready(TimePoint now) const {
   TimePoint earliest = TimePoint::max();
   for (const auto& [key, fq] : flows_) {
-    if (fq.packets.empty()) continue;
     const TimePoint t = fq.packets.front().not_before;
     earliest = std::min(earliest, std::max(t, now));
   }
@@ -176,8 +168,8 @@ TimePoint FqQdisc::next_ready(TimePoint now) const {
 }
 
 Bytes FqQdisc::flow_backlog(const net::FlowKey& flow) const {
-  auto it = flows_.find(flow);
-  return it == flows_.end() ? Bytes(0) : Bytes(it->second.bytes);
+  const FlowQueue* fq = flows_.find(flow);
+  return Bytes(fq == nullptr ? 0 : fq->bytes);
 }
 
 }  // namespace stob::stack

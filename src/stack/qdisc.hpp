@@ -13,11 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "util/ring_deque.hpp"
 #include "util/units.hpp"
@@ -66,7 +65,7 @@ class FifoQdisc final : public Qdisc {
   Bytes backlog_;
   std::uint64_t dropped_ = 0;
   util::RingDeque<net::Packet> queue_;
-  std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash> per_flow_bytes_;
+  net::FlowTable<std::int64_t> per_flow_bytes_;
 };
 
 /// fq-like fair queueing with EDT pacing.
@@ -99,6 +98,8 @@ class FqQdisc final : public Qdisc {
   std::uint64_t dropped() const override { return dropped_; }
   Bytes flow_backlog(const net::FlowKey& flow) const override;
 
+  /// Flows with queued packets; a flow that drains is forgotten, and
+  /// returns with a zero deficit at the back of the round.
   std::size_t active_flows() const { return flows_.size(); }
 
  private:
@@ -106,16 +107,13 @@ class FqQdisc final : public Qdisc {
     util::RingDeque<net::Packet> packets;
     std::int64_t bytes = 0;
     std::int64_t deficit = 0;
-    bool in_round = false;  // linked into the active round-robin list
   };
-
-  using FlowMap = std::unordered_map<net::FlowKey, FlowQueue, net::FlowKeyHash>;
 
   Config cfg_;
   Bytes backlog_;
   std::uint64_t dropped_ = 0;
-  FlowMap flows_;
-  std::list<net::FlowKey> round_;  // active flows, DRR order
+  net::FlowTable<FlowQueue> flows_;  // backlogged flows only
+  util::RingDeque<net::FlowKey> round_;  // the keys of flows_, DRR order
 };
 
 }  // namespace stob::stack

@@ -42,10 +42,8 @@ Bytes TcpConnection::advertised_window() const {
 
 void TcpConnection::open_common(net::HostId dst, net::Port dst_port, net::Port src_port) {
   key_ = net::FlowKey{host_.id(), dst, src_port, dst_port, net::Proto::Tcp};
-  host_.register_flow(key_.reversed(), [this](net::Packet p) { handle_packet(std::move(p)); });
-  host_.nic().set_completion_handler(key_, [this](Bytes) {
-    if (state_ == State::Established || state_ == State::CloseWait) send_more();
-  });
+  host_.register_flow(key_.reversed(), *this);
+  host_.nic().set_completion_handler(key_, *this);
   if (cfg_.policy != nullptr) cfg_.policy->on_flow_start(key_);
 }
 
@@ -88,9 +86,14 @@ void TcpConnection::consume(Bytes n) {
   if (was_zero && advertised_window().count() > 0) send_ack_now();
 }
 
+// TSQ: wire bytes of this flow left the NIC, so more may be queued below.
+void TcpConnection::on_tx_complete(Bytes) {
+  if (state_ == State::Established || state_ == State::CloseWait) send_more();
+}
+
 // --------------------------------------------------------------- RX demux
 
-void TcpConnection::handle_packet(net::Packet p) {
+void TcpConnection::on_packet(net::Packet p) {
   if (!p.is_tcp()) return;
   switch (state_) {
     case State::Closed:

@@ -32,7 +32,7 @@
 
 namespace stob::tcp {
 
-class TcpConnection {
+class TcpConnection : private stack::FlowEndpoint {
  public:
   enum class State {
     Closed,
@@ -145,7 +145,9 @@ class TcpConnection {
   };
 
   void open_common(net::HostId dst, net::Port dst_port, net::Port src_port);
-  void handle_packet(net::Packet p);
+  // stack::FlowEndpoint: ingress from the host, TSQ wakeups from the NIC.
+  void on_packet(net::Packet p) override;
+  void on_tx_complete(Bytes wire_bytes) override;
   void handle_handshake(const net::Packet& p);
   void process_ack(const net::TcpHeader& h, bool has_payload);
   void process_data(const net::Packet& p);

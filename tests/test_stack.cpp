@@ -2,10 +2,13 @@
 // (TSO split, ring backpressure, completions), CPU model, host demux.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "net/path.hpp"
 #include "sim/simulator.hpp"
+#include "stack/flow_endpoint.hpp"
 #include "stack/host.hpp"
 #include "stack/host_pair.hpp"
 #include "stack/nic.hpp"
@@ -13,6 +16,14 @@
 
 namespace stob::stack {
 namespace {
+
+/// Adapts test lambdas to the host stack's per-flow upcalls.
+struct FnEndpoint final : FlowEndpoint {
+  std::function<void(net::Packet)> packet = [](net::Packet) {};
+  std::function<void(Bytes)> complete = [](Bytes) {};
+  void on_packet(net::Packet p) override { packet(std::move(p)); }
+  void on_tx_complete(Bytes wire_bytes) override { complete(wire_bytes); }
+};
 
 net::Packet make_packet(std::int64_t payload, net::FlowKey flow = {1, 2, 1000, 80, net::Proto::Tcp},
                         TimePoint not_before = TimePoint::zero()) {
@@ -67,6 +78,22 @@ TEST(FifoQdisc, FlowBacklogTracksBytes) {
   EXPECT_EQ(q.flow_backlog(b).count(), 300 + net::kEthIpTcpHeader);
   (void)q.dequeue(TimePoint::zero());
   EXPECT_EQ(q.flow_backlog(a).count(), 200 + net::kEthIpTcpHeader);
+}
+
+TEST(FifoQdisc, FlowBacklogReturnsToZeroAfterDrain) {
+  FifoQdisc q;
+  const net::FlowKey a{1, 2, 1000, 80, net::Proto::Tcp};
+  const net::FlowKey b{1, 2, 1001, 80, net::Proto::Tcp};
+  for (int round = 0; round < 3; ++round) {
+    q.enqueue(make_packet(100, a));
+    q.enqueue(make_packet(300, b));
+    q.enqueue(make_packet(200, a));
+    while (q.dequeue(TimePoint::zero())) {
+    }
+    EXPECT_EQ(q.flow_backlog(a).count(), 0);
+    EXPECT_EQ(q.flow_backlog(b).count(), 0);
+    EXPECT_EQ(q.backlog().count(), 0);
+  }
 }
 
 // --------------------------------------------------------------------- fq
@@ -187,6 +214,56 @@ TEST(FqQdisc, BacklogAndActiveFlows) {
   }
   EXPECT_EQ(q.active_flows(), 0u);
   EXPECT_EQ(q.backlog().count(), 0);
+}
+
+TEST(FqQdisc, ActiveFlowsCountsOnlyBackloggedFlows) {
+  FqQdisc q;
+  const net::FlowKey a{1, 2, 1000, 80, net::Proto::Tcp};
+  const net::FlowKey b{1, 2, 1001, 80, net::Proto::Tcp};
+  q.enqueue(make_packet(100, a));
+  q.enqueue(make_packet(100, b));
+  q.enqueue(make_packet(100, b));
+  ASSERT_TRUE(q.dequeue(TimePoint::zero()).has_value());  // a's only packet
+  EXPECT_EQ(q.active_flows(), 1u);
+  EXPECT_EQ(q.flow_backlog(a).count(), 0);
+  EXPECT_EQ(q.flow_backlog(b).count(), 2 * (100 + net::kEthIpTcpHeader));
+  q.enqueue(make_packet(100, a));  // a returns
+  EXPECT_EQ(q.active_flows(), 2u);
+  EXPECT_EQ(q.flow_backlog(a).count(), 100 + net::kEthIpTcpHeader);
+}
+
+TEST(FqQdisc, FlowBacklogIsZeroForIdleFlows) {
+  FqQdisc q;
+  const net::FlowKey a{1, 2, 1000, 80, net::Proto::Tcp};
+  EXPECT_EQ(q.flow_backlog(a).count(), 0);  // never seen
+  q.enqueue(make_packet(100, a));
+  ASSERT_TRUE(q.dequeue(TimePoint::zero()).has_value());
+  EXPECT_EQ(q.flow_backlog(a).count(), 0);  // drained
+}
+
+// A flow that drains is forgotten: when it returns it starts over with a
+// zero deficit at the back of the round, behind flows that stayed
+// backlogged. With a 3028-byte quantum and 1514-byte packets, b sends two
+// packets per visit, and a returning a needs one top-up visit before it
+// sends — so b gets four packets in between, not two.
+TEST(FqQdisc, ReturningFlowRestartsAtBackWithZeroDeficit) {
+  FqQdisc q;
+  const net::FlowKey a{1, 2, 1000, 80, net::Proto::Tcp};
+  const net::FlowKey b{1, 2, 1001, 80, net::Proto::Tcp};
+  const std::int64_t full = 1514 - net::kEthIpTcpHeader;
+  q.enqueue(make_packet(100, a));
+  for (int i = 0; i < 6; ++i) q.enqueue(make_packet(full, b));
+  std::string order;
+  auto next = [&] {
+    auto p = q.dequeue(TimePoint::zero());
+    ASSERT_TRUE(p.has_value());
+    order += p->flow == a ? 'a' : 'b';
+  };
+  next();  // a sends its packet with most of its quantum left, then drains
+  EXPECT_EQ(order, "a");
+  q.enqueue(make_packet(100, a));
+  while (!q.empty()) next();
+  EXPECT_EQ(order, "abbbbabb");
 }
 
 // ------------------------------------------------- capacity guard parity
@@ -314,10 +391,45 @@ TEST(Nic, CompletionHandlerFires) {
   NicFixture f;
   const net::FlowKey flow{1, 2, 1000, 80, net::Proto::Tcp};
   std::int64_t completed = 0;
-  f.nic.set_completion_handler(flow, [&](Bytes b) { completed += b.count(); });
+  FnEndpoint ep;
+  ep.complete = [&](Bytes b) { completed += b.count(); };
+  f.nic.set_completion_handler(flow, ep);
   f.nic.transmit(make_packet(1000, flow));
   f.sim.run();
   EXPECT_EQ(completed, 1000 + net::kEthIpTcpHeader);
+}
+
+// A completion handler may install completions for other flows (a TSQ
+// wakeup that opens a connection). The NIC dispatches through a pointer
+// copied out of its flow table, so the table growing under the running
+// handler must not misroute this or any later completion.
+TEST(Nic, CompletionHandlerMayInstallOtherFlows) {
+  NicFixture f;
+  constexpr int kOthers = 32;
+  auto key = [](int i) { return net::FlowKey{1, 2, static_cast<net::Port>(1000 + i), 80,
+                                             net::Proto::Tcp}; };
+  std::vector<std::int64_t> completed(kOthers + 1, 0);
+  std::vector<FnEndpoint> eps(kOthers + 1);
+  for (int i = 0; i <= kOthers; ++i) {
+    eps[i].complete = [&completed, i](Bytes b) { completed[i] += b.count(); };
+  }
+  bool installed = false;
+  eps[0].complete = [&](Bytes b) {
+    if (!installed) {
+      installed = true;
+      for (int i = 1; i <= kOthers; ++i) f.nic.set_completion_handler(key(i), eps[i]);
+    }
+    completed[0] += b.count();
+  };
+  f.nic.set_completion_handler(key(0), eps[0]);
+  for (int i = 0; i <= kOthers; ++i) f.nic.transmit(make_packet(100 + i, key(i)));
+  f.nic.transmit(make_packet(500, key(0)));
+  f.sim.run();
+  ASSERT_TRUE(installed);
+  EXPECT_EQ(completed[0], 100 + 500 + 2 * net::kEthIpTcpHeader);
+  for (int i = 1; i <= kOthers; ++i) {
+    EXPECT_EQ(completed[i], 100 + i + net::kEthIpTcpHeader) << "flow " << i;
+  }
 }
 
 TEST(Nic, FlowUnsentAccounting) {
@@ -329,6 +441,19 @@ TEST(Nic, FlowUnsentAccounting) {
   EXPECT_EQ(f.nic.flow_unsent(flow).count(), 1000 + net::kEthIpTcpHeader);
   f.sim.run();
   EXPECT_EQ(f.nic.flow_unsent(flow).count(), 0);
+}
+
+TEST(Nic, FlowUnsentIsZeroForIdleFlows) {
+  NicFixture f;
+  const net::FlowKey flow{1, 2, 1000, 80, net::Proto::Tcp};
+  EXPECT_EQ(f.nic.flow_unsent(flow).count(), 0);  // never seen
+  f.nic.transmit(make_packet(1000, flow));
+  auto super = make_packet(3000, flow);
+  super.tso_mss = 1000;  // split into three wire packets, each tracked in the ring
+  f.nic.transmit(std::move(super));
+  EXPECT_GT(f.nic.flow_unsent(flow).count(), 0);
+  f.sim.run();
+  EXPECT_EQ(f.nic.flow_unsent(flow).count(), 0);  // every wire packet completed
 }
 
 TEST(Nic, RingBackpressureBoundsInflight) {
@@ -431,7 +556,9 @@ TEST(Host, DemuxToRegisteredFlow) {
   Host host(sim, 2);
   const net::FlowKey incoming{1, 2, 1000, 80, net::Proto::Tcp};
   int got = 0;
-  ASSERT_TRUE(host.register_flow(incoming, [&](net::Packet) { ++got; }));
+  FnEndpoint ep;
+  ep.packet = [&](net::Packet) { ++got; };
+  ASSERT_TRUE(host.register_flow(incoming, ep));
   host.receive(make_packet(100, incoming));
   EXPECT_EQ(got, 1);
   EXPECT_EQ(host.unmatched_packets(), 0u);
@@ -451,7 +578,9 @@ TEST(Host, ExactFlowBeatsListener) {
   Host host(sim, 2);
   const net::FlowKey incoming{1, 2, 1000, 80, net::Proto::Tcp};
   int flow_got = 0, listener_got = 0;
-  host.register_flow(incoming, [&](net::Packet) { ++flow_got; });
+  FnEndpoint ep;
+  ep.packet = [&](net::Packet) { ++flow_got; };
+  host.register_flow(incoming, ep);
   host.bind_listener(80, net::Proto::Tcp, [&](net::Packet) { ++listener_got; });
   host.receive(make_packet(100, incoming));
   EXPECT_EQ(flow_got, 1);
@@ -469,8 +598,54 @@ TEST(Host, DuplicateFlowRegistrationRejected) {
   sim::Simulator sim;
   Host host(sim, 2);
   const net::FlowKey k{1, 2, 1000, 80, net::Proto::Tcp};
-  EXPECT_TRUE(host.register_flow(k, [](net::Packet) {}));
-  EXPECT_FALSE(host.register_flow(k, [](net::Packet) {}));
+  FnEndpoint first, second;
+  EXPECT_TRUE(host.register_flow(k, first));
+  EXPECT_FALSE(host.register_flow(k, second));
+}
+
+// The page-load client opens its remaining connections from inside the
+// flow handler that receives the HTML, so a handler may grow the host's
+// flow table, and remove other flows from it, while it runs. Every packet
+// must still reach the endpoint registered for its key.
+TEST(Host, FlowHandlerMayRegisterAndUnregisterWhileDispatched) {
+  sim::Simulator sim;
+  Host host(sim, 2);
+  constexpr int kNew = 32;
+  auto key = [](int i) { return net::FlowKey{1, 2, static_cast<net::Port>(1000 + i), 80,
+                                             net::Proto::Tcp}; };
+  // 0 = the dispatched flow, 1 = a flow it unregisters, 2.. = flows it adds.
+  std::vector<std::vector<std::uint64_t>> got(kNew + 2);
+  std::vector<FnEndpoint> eps(kNew + 2);
+  for (int i = 0; i < kNew + 2; ++i) {
+    eps[i].packet = [&got, i](net::Packet p) { got[i].push_back(p.id); };
+  }
+  eps[0].packet = [&](net::Packet p) {
+    if (got[0].empty()) {
+      for (int i = 2; i < kNew + 2; ++i) ASSERT_TRUE(host.register_flow(key(i), eps[i]));
+      host.unregister_flow(key(1));
+    }
+    got[0].push_back(p.id);
+  };
+  ASSERT_TRUE(host.register_flow(key(1), eps[1]));
+  ASSERT_TRUE(host.register_flow(key(0), eps[0]));
+
+  std::vector<std::vector<std::uint64_t>> sent(kNew + 2);
+  auto send = [&](int i) {
+    net::Packet p = make_packet(100, key(i));
+    sent[i].push_back(p.id);
+    host.receive(std::move(p));
+  };
+  send(1);  // still registered
+  send(0);  // runs the re-entrant handler
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kNew + 2; ++i) {
+      if (i != 1) send(i);
+    }
+  }
+  host.receive(make_packet(100, key(1)));  // unregistered: unmatched
+
+  for (int i = 0; i < kNew + 2; ++i) EXPECT_EQ(got[i], sent[i]) << "flow " << i;
+  EXPECT_EQ(host.unmatched_packets(), 1u);
 }
 
 TEST(Host, EphemeralPortsDistinct) {
