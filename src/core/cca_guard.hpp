@@ -25,6 +25,7 @@ class CcaGuard final : public Policy {
   void on_flow_start(const net::FlowKey& flow) override { inner_.on_flow_start(flow); }
   void on_flow_end(const net::FlowKey& flow) override { inner_.on_flow_end(flow); }
   std::string name() const override { return "guard(" + inner_.name() + ")"; }
+  std::string config() const override { return "guard(" + inner_.config() + ")"; }
 
   /// How many decisions had to be clamped per dimension.
   std::uint64_t segment_clamps() const { return segment_clamps_; }

@@ -1,8 +1,18 @@
 #include "core/policies.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 
 namespace stob::core {
+
+std::string config_bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(u));
+  return buf;
+}
 
 // -------------------------------------------------------------- SplitPolicy
 
@@ -15,7 +25,17 @@ SegmentDecision SplitPolicy::on_segment(const SegmentContext& ctx) {
   return d;
 }
 
+std::string SplitPolicy::config() const {
+  return "split(threshold=" + std::to_string(cfg_.threshold) +
+         ",min_size=" + std::to_string(cfg_.min_size) + ")";
+}
+
 // -------------------------------------------------------------- DelayPolicy
+
+std::string DelayPolicy::config() const {
+  return "delay(lo_frac=" + config_bits(cfg_.lo_frac) + ",hi_frac=" + config_bits(cfg_.hi_frac) +
+         ",seed=" + std::to_string(cfg_.seed) + ")";
+}
 
 void DelayPolicy::on_flow_start(const net::FlowKey& flow) {
   last_departure_.erase(flow);
@@ -72,7 +92,24 @@ std::string CompositePolicy::name() const {
   return n + ")";
 }
 
+std::string CompositePolicy::config() const {
+  std::string n = "composite(";
+  for (std::size_t i = 0; i < chain_.size(); ++i) {
+    if (i) n += "+";
+    n += chain_[i]->config();
+  }
+  return n + ")";
+}
+
 // ---------------------------------------------------------- SweepSizePolicy
+
+std::string SweepSizePolicy::config() const {
+  return "sweep-size(alpha=" + std::to_string(cfg_.alpha) + ",mtu=" + std::to_string(cfg_.mtu) +
+         ",header_overhead=" + std::to_string(cfg_.header_overhead) +
+         ",tso_default_segs=" + std::to_string(cfg_.tso_default_segs) +
+         ",pkt_steps=" + std::to_string(cfg_.pkt_steps) +
+         ",tso_steps=" + std::to_string(cfg_.tso_steps) + ")";
+}
 
 SegmentDecision SweepSizePolicy::on_segment(const SegmentContext& ctx) {
   SegmentDecision d = SegmentDecision::passthrough(ctx);
@@ -109,6 +146,12 @@ SegmentDecision HistogramDelayPolicy::on_segment(const SegmentContext& ctx) {
     d.departure = d.departure + Duration::seconds_f(secs);
   }
   return d;
+}
+
+std::string HistogramDelayPolicy::config() const {
+  std::string n = "histogram-delay(seed=" + std::to_string(seed_) + ",histogram=";
+  for (double v : delays_.serialize()) n += config_bits(v);
+  return n + ")";
 }
 
 }  // namespace stob::core

@@ -41,6 +41,7 @@ class SplitPolicy final : public Policy {
 
   SegmentDecision on_segment(const SegmentContext& ctx) override;
   std::string name() const override { return "split"; }
+  std::string config() const override;
 
  private:
   Config cfg_;
@@ -64,6 +65,7 @@ class DelayPolicy final : public Policy {
   void on_flow_start(const net::FlowKey& flow) override;
   void on_flow_end(const net::FlowKey& flow) override;
   std::string name() const override { return "delay"; }
+  std::string config() const override;
 
  private:
   Config cfg_;
@@ -82,6 +84,7 @@ class CompositePolicy final : public Policy {
   void on_flow_start(const net::FlowKey& flow) override;
   void on_flow_end(const net::FlowKey& flow) override;
   std::string name() const override;
+  std::string config() const override;
 
  private:
   std::vector<Policy*> chain_;  // not owned
@@ -109,6 +112,7 @@ class SweepSizePolicy final : public Policy {
   void on_flow_start(const net::FlowKey& flow) override;
   void on_flow_end(const net::FlowKey& flow) override;
   std::string name() const override { return "sweep-size"; }
+  std::string config() const override;
 
  private:
   struct FlowState {
@@ -126,13 +130,15 @@ class SweepSizePolicy final : public Policy {
 class HistogramDelayPolicy final : public Policy {
  public:
   HistogramDelayPolicy(Histogram delays, std::uint64_t seed = 0x415Dull)
-      : delays_(std::move(delays)), rng_(seed) {}
+      : delays_(std::move(delays)), seed_(seed), rng_(seed) {}
 
   SegmentDecision on_segment(const SegmentContext& ctx) override;
   std::string name() const override { return "histogram-delay"; }
+  std::string config() const override;
 
  private:
   Histogram delays_;
+  std::uint64_t seed_;
   Rng rng_;
 };
 

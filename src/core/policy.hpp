@@ -59,7 +59,20 @@ class Policy {
   virtual void on_flow_end(const net::FlowKey& /*flow*/) {}
 
   virtual std::string name() const = 0;
+
+  /// Canonical config string, the policy's part of the result-cache key
+  /// (exp::run_config_salt): name() followed by every parameter that shapes
+  /// decisions, doubles as exact bit patterns. Policies with equal config()
+  /// decide identically on identical input, so a changed parameter can
+  /// never be served a cell cached under the old one. Parameterless
+  /// policies keep this default.
+  virtual std::string config() const { return name(); }
 };
+
+/// A double as its exact bit pattern (16 hex digits), the form config()
+/// strings and exp::run_config_salt write doubles in: formatting would
+/// alias nearby values, and cache keys need equality, not readability.
+std::string config_bits(double d);
 
 /// No-op policy: stack behaves exactly as an unmodified host.
 class NullPolicy final : public Policy {

@@ -34,12 +34,18 @@ class SegmentMount final : public core::Policy {
   /// `seed` feeds the policy's begin() generator; per-job callers should
   /// pass a job-derived seed (e.g. exp::job_seed output).
   SegmentMount(std::unique_ptr<defenses::Policy> inner, std::uint64_t seed)
-      : inner_(std::move(inner)), rng_(seed) {}
+      : inner_(std::move(inner)), seed_(seed), rng_(seed) {}
 
   core::SegmentDecision on_segment(const core::SegmentContext& ctx) override;
   void on_flow_start(const net::FlowKey& flow) override;
   void on_flow_end(const net::FlowKey& flow) override;
   std::string name() const override { return "mount(" + inner_->name() + ")"; }
+  /// The inner streaming policy is keyed by name only (defenses::Policy has
+  /// no config string), which is exact for make_policy(name) instances with
+  /// their default configs; the begin() seed is keyed here.
+  std::string config() const override {
+    return "mount(" + inner_->name() + ",seed=" + std::to_string(seed_) + ")";
+  }
 
   /// Dummy emissions the hook had to drop (padding belongs to the TLS
   /// locus; a nonzero count says the policy wanted in-stack padding).
@@ -47,6 +53,7 @@ class SegmentMount final : public core::Policy {
 
  private:
   std::unique_ptr<defenses::Policy> inner_;
+  std::uint64_t seed_;
   Rng rng_;
   std::vector<PacketOut> scratch_;
   std::uint64_t dummy_suppressed_ = 0;

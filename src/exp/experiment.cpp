@@ -4,13 +4,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
+#include "core/policy.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/worker_pool.hpp"
 #include "fault/invariants.hpp"
@@ -122,15 +122,6 @@ std::string run_config_salt(const RunOptions& opts) {
     out += '=';
     out += value;
   };
-  // Doubles go in as exact bit patterns: formatting them would alias
-  // nearby configs, and the salt needs equality, not readability.
-  const auto bits = [](double d) {
-    std::uint64_t u = 0;
-    std::memcpy(&u, &d, sizeof u);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(u));
-    return std::string(buf);
-  };
   const auto conn = [&](const std::string& side, const tcp::TcpConnection::Config& c) {
     add(side + ".send_buffer", std::to_string(c.send_buffer.count()));
     add(side + ".recv_buffer", std::to_string(c.recv_buffer.count()));
@@ -148,13 +139,13 @@ std::string run_config_salt(const RunOptions& opts) {
     add(side + ".max_rto", std::to_string(c.rtt.max_rto.ns()));
     add(side + ".initial_rto", std::to_string(c.rtt.initial_rto.ns()));
     add(side + ".tsq_limit", std::to_string(c.tsq_limit.count()));
-    add(side + ".policy", c.policy != nullptr ? c.policy->name() : "stock");
+    add(side + ".policy", c.policy != nullptr ? c.policy->config() : "stock");
     add(side + ".auto_consume", c.auto_consume ? "1" : "0");
   };
   conn("client", p.client_conn);
   conn("server", p.server_conn);
-  add("rate_sigma", bits(p.rate_sigma));
-  add("delay_jitter", bits(p.delay_jitter));
+  add("rate_sigma", core::config_bits(p.rate_sigma));
+  add("delay_jitter", core::config_bits(p.delay_jitter));
   add("tls_records", p.tls_records ? "1" : "0");
   add("tls.max_record", std::to_string(p.tls.max_record));
   add("tls.overhead", std::to_string(p.tls.overhead));
@@ -274,10 +265,10 @@ std::vector<JobResult> run_grid_proc(const ExperimentGrid& grid, const RunOption
   CellCache hooks;
   std::vector<std::string> keys;
   if (opts.cache != nullptr) {
-    const std::string salt = run_config_salt(opts);
+    const std::string salt = ResultCache::salt_hash(run_config_salt(opts));
     keys.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
-      keys[i] = ResultCache::entry_key(cell_digest(grid, i, opts), capture_prof, salt);
+      keys[i] = ResultCache::entry_key_hashed(cell_digest(grid, i, opts), capture_prof, salt);
     }
     hooks.probe = [&](std::size_t i) { return opts.cache->load(keys[i]); };
     hooks.commit = [&](std::size_t i, const std::string& payload) {
@@ -312,8 +303,8 @@ std::vector<JobResult> run_grid_proc(const ExperimentGrid& grid, const RunOption
 /// Uninstall the calling thread's profiler for a scope. The cached path
 /// captures per-job spans explicitly (run_cell_payload, true grid index),
 /// so the worker pool must take its unprofiled path — the profiled pool
-/// would wrap each *miss-list* index in a second "job" span under a
-/// compacted sub-domain, breaking cold-vs-warm span identity.
+/// would wrap each cell in a second "job" span, and hits would gain spans
+/// their cold run never recorded, breaking cold-vs-warm span identity.
 class ProfilerSuppression {
  public:
   ProfilerSuppression() : saved_(obs::profiler()) { obs::install_profiler(nullptr); }
@@ -325,60 +316,63 @@ class ProfilerSuppression {
   obs::Profiler* saved_;
 };
 
-/// In-process cached path of run_grid: probe every cell, run only the
-/// misses (worker pool, payload capture identical to proc workers), commit
-/// each miss as soon as it finishes, then decode hits and misses alike in
-/// job order — so the reduction, the spliced span structure and therefore
+/// One cell of the cached pass: its decoded payload, or the decoder's
+/// complaint when the bytes (served or fresh) did not decode.
+struct CachedCell {
+  WorkerPayload payload;
+  std::optional<std::string> decode_error;
+};
+
+/// In-process cached path of run_grid: one pass over every cell on the
+/// worker pool. Each job derives its key, loads (the entry is SHA-256
+/// verified there), runs and commits the cell on a miss, and decodes the
+/// payload; results and span captures are then spliced in job order — so
+/// the reduction, the spliced span structure and therefore
 /// stdout/CSV/manifests cannot depend on which cells were cached.
 std::vector<JobResult> run_grid_cached(const ExperimentGrid& grid, const RunOptions& opts) {
   obs::Profiler* prof = obs::profiler();
   const bool capture_prof = prof != nullptr;
   const std::uint64_t prof_domain = capture_prof ? prof->id_domain() : 0;
   ResultCache& cache = *opts.cache;
-  const std::string salt = run_config_salt(opts);
-  const std::size_t count = grid.job_count();
+  const std::string salt = ResultCache::salt_hash(run_config_salt(opts));
 
-  std::vector<std::string> payloads(count);
-  std::vector<std::size_t> misses;
-  std::vector<std::string> keys(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    keys[i] = ResultCache::entry_key(cell_digest(grid, i, opts), capture_prof, salt);
-    if (std::optional<std::string> hit = cache.load(keys[i])) {
-      payloads[i] = std::move(*hit);
-    } else {
-      misses.push_back(i);
-    }
-  }
-
-  if (!misses.empty()) {
+  std::vector<CachedCell> cells;
+  {
     ProfilerSuppression quiet;
-    std::vector<std::string> fresh;
     try {
-      fresh = run_ordered<std::string>(misses.size(), opts.jobs, [&](std::size_t k) {
-        const std::size_t i = misses[k];
-        std::string payload = run_cell_payload(grid, i, opts, capture_prof, prof_domain);
-        // Commit per cell, not per sweep: a killed run keeps every finished
-        // cell, which is what makes crashed sweeps incremental.
-        cache.store(keys[i], payload);
-        return payload;
+      cells = run_ordered<CachedCell>(grid.job_count(), opts.jobs, [&](std::size_t i) {
+        const std::string key =
+            ResultCache::entry_key_hashed(cell_digest(grid, i, opts), capture_prof, salt);
+        std::optional<std::string> bytes = cache.load(key);
+        if (!bytes.has_value()) {
+          bytes = run_cell_payload(grid, i, opts, capture_prof, prof_domain);
+          // Commit per cell, not per sweep: a killed run keeps every
+          // finished cell, which is what makes crashed sweeps incremental.
+          cache.store(key, *bytes);
+        }
+        CachedCell cell;
+        try {
+          cell.payload = decode_worker_payload(*bytes);
+        } catch (const std::exception& e) {
+          cell.decode_error = e.what();
+        }
+        return cell;
       });
     } catch (const JobError& e) {
-      const std::size_t i = misses[e.job_index()];
+      const std::size_t i = e.job_index();
       throw JobError(i, std::string(e.what()) + " [cell " + describe_cell(grid, grid.job(i)) +
                             "]");
     }
-    for (std::size_t k = 0; k < misses.size(); ++k) payloads[misses[k]] = std::move(fresh[k]);
   }
 
-  std::vector<JobResult> results(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    WorkerPayload payload;
-    try {
-      payload = decode_worker_payload(payloads[i]);
-    } catch (const std::exception& e) {
+  std::vector<JobResult> results(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].decode_error.has_value()) {
       throw std::runtime_error("exp: undecodable cached payload for job " + std::to_string(i) +
-                               " [cell " + describe_cell(grid, grid.job(i)) + "]: " + e.what());
+                               " [cell " + describe_cell(grid, grid.job(i)) +
+                               "]: " + *cells[i].decode_error);
     }
+    WorkerPayload& payload = cells[i].payload;
     if (prof != nullptr) prof->splice(std::move(payload.prof_records), 0, 0);
     results[i] = std::move(payload.result);
   }

@@ -1,5 +1,7 @@
 #include "exp/result_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,17 +35,33 @@ bool is_hex_key(std::string_view key) {
 }
 
 /// Whole file as bytes, or nullopt when it cannot be read (missing file is
-/// the common case on a cold cache — not an error).
-std::optional<std::string> read_file(const fs::path& path) {
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) return std::nullopt;
+/// the common case on a cold cache — not an error). The buffer is sized
+/// once from fstat; a file that shrinks mid-read comes back short and fails
+/// validation.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> out;
+  struct stat st;
+  if (::fstat(fd, &st) == 0) {
+    std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t got = 0;
+    bool ok = true;
+    while (got < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ok = n == 0;
+        break;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    if (ok) {
+      bytes.resize(got);
+      out = std::move(bytes);
+    }
+  }
+  ::close(fd);
   return out;
 }
 
@@ -100,6 +118,15 @@ ResultCache::ResultCache(std::filesystem::path dir, std::uint32_t codec)
 
 std::string ResultCache::entry_key(std::string_view cell_digest, bool profiled,
                                    std::string_view config_salt) {
+  return entry_key_hashed(cell_digest, profiled, salt_hash(config_salt));
+}
+
+std::string ResultCache::salt_hash(std::string_view config_salt) {
+  return util::sha256_hex(config_salt);
+}
+
+std::string ResultCache::entry_key_hashed(std::string_view cell_digest, bool profiled,
+                                          std::string_view salt_sha256) {
   // The salt is hashed first so its free-form contents cannot collide with
   // the framing of the key preimage.
   std::string preimage = "stobcache:";
@@ -109,15 +136,28 @@ std::string ResultCache::entry_key(std::string_view cell_digest, bool profiled,
   preimage += "|prof=";
   preimage += profiled ? '1' : '0';
   preimage += "|salt=";
-  preimage += util::sha256_hex(config_salt);
+  preimage += salt_sha256;
   return util::sha256_hex(preimage);
 }
 
-std::filesystem::path ResultCache::entry_path(std::string_view key) const {
+std::string ResultCache::entry_file(std::string_view key) const {
   if (!is_hex_key(key)) throw std::invalid_argument("cache: malformed entry key");
-  const std::string name(key);
-  const std::string shard = name.substr(0, 2);
-  return dir_ / "objects" / shard / (name + ".entry");
+  // DIR/objects/<k0k1>/<key>.entry, assembled in one allocation.
+  const std::string& dir = dir_.native();
+  std::string path;
+  path.reserve(dir.size() + key.size() + 18);
+  path = dir;
+  if (!path.empty() && path.back() != '/') path += '/';
+  path += "objects/";
+  path += key.substr(0, 2);
+  path += '/';
+  path += key;
+  path += ".entry";
+  return path;
+}
+
+std::filesystem::path ResultCache::entry_path(std::string_view key) const {
+  return entry_file(key);
 }
 
 std::filesystem::path ResultCache::tmp_path(std::string_view key) {
@@ -146,34 +186,39 @@ std::string ResultCache::encode_entry(std::string_view key, std::string_view pay
   return out;
 }
 
-std::optional<std::string> ResultCache::decode_entry(std::string_view bytes, std::string_view key,
+std::optional<std::string> ResultCache::decode_entry(std::string bytes, std::string_view key,
                                                      std::string* why) const {
   const auto fail = [why](const char* reason) -> std::optional<std::string> {
     if (why != nullptr) *why = reason;
     return std::nullopt;
   };
+  const std::string_view view = bytes;
   std::size_t pos = 0;
   std::string_view v;
   std::uint64_t num = 0;
-  if (!take_header_line(bytes, &pos, kMagic, &v)) return fail("magic");
+  if (!take_header_line(view, &pos, kMagic, &v)) return fail("magic");
   if (!parse_u64(v, &num) || num != kCacheEntryVersion) return fail("version");
-  if (!take_header_line(bytes, &pos, "key", &v)) return fail("key");
+  if (!take_header_line(view, &pos, "key", &v)) return fail("key");
   if (v != key) return fail("key");
-  if (!take_header_line(bytes, &pos, "codec", &v)) return fail("codec");
+  if (!take_header_line(view, &pos, "codec", &v)) return fail("codec");
   if (!parse_u64(v, &num) || num != codec_) return fail("codec");
-  if (!take_header_line(bytes, &pos, "len", &v)) return fail("len");
+  if (!take_header_line(view, &pos, "len", &v)) return fail("len");
   std::uint64_t len = 0;
   if (!parse_u64(v, &len)) return fail("len");
-  if (!take_header_line(bytes, &pos, "sha256", &v)) return fail("sha256");
-  const std::string digest(v);
-  if (pos >= bytes.size() || bytes[pos] != '\n') return fail("magic");
+  std::string_view digest;
+  if (!take_header_line(view, &pos, "sha256", &digest)) return fail("sha256");
+  if (pos >= view.size() || view[pos] != '\n') return fail("magic");
   pos += 1;
   // Exact length: a truncated *or* padded payload both fail here, before
   // the hash is even computed.
-  if (bytes.size() - pos != len) return fail("len");
-  const std::string_view payload = bytes.substr(pos);
-  if (util::sha256_hex(payload) != digest) return fail("sha256");
-  return std::string(payload);
+  if (view.size() - pos != len) return fail("len");
+  util::Sha256 sha;
+  sha.update(view.substr(pos));
+  char actual[64];
+  sha.hex_digest(actual);
+  if (digest != std::string_view(actual, sizeof actual)) return fail("sha256");
+  bytes.erase(0, pos);  // the payload, in the buffer it was read into
+  return bytes;
 }
 
 void ResultCache::quarantine(const std::filesystem::path& path) {
@@ -190,14 +235,14 @@ void ResultCache::quarantine(const std::filesystem::path& path) {
 
 std::optional<std::string> ResultCache::load(std::string_view key) {
   probes_.fetch_add(1, std::memory_order_relaxed);
-  const fs::path path = entry_path(key);
-  const std::optional<std::string> bytes = read_file(path);
+  const std::string path = entry_file(key);
+  std::optional<std::string> bytes = read_file(path);
   if (!bytes.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   std::string why;
-  std::optional<std::string> payload = decode_entry(*bytes, key, &why);
+  std::optional<std::string> payload = decode_entry(std::move(*bytes), key, &why);
   if (!payload.has_value()) {
     STOB_WARN("cache") << "entry " << std::string(key.substr(0, 12)) << "… failed " << why
                        << " validation; quarantined, cell will be recomputed";

@@ -20,8 +20,9 @@
 // new one, never a torn write). rename(2) keeps the tmp write's mtime, so
 // an entry's mtime is its commit time, and gc() evicts in that order.
 //
-// Read path: open, read, validate (magic, format version, key echo, codec
-// rev, length, payload SHA-256). Any validation failure quarantines the
+// Read path: open, read into one buffer sized from fstat, validate (magic,
+// format version, key echo, codec rev, length, payload SHA-256 — on every
+// load), strip the header in place. Any validation failure quarantines the
 // file and reports a miss — a corrupt or truncated entry is recomputed,
 // never served. No locks are taken: concurrent readers, writers and even
 // concurrent sweeps sharing one DIR are safe because every mutation is a
@@ -81,6 +82,12 @@ class ResultCache {
   /// jobs/timing/proc knobs never reach it.
   static std::string entry_key(std::string_view cell_digest, bool profiled,
                                std::string_view config_salt);
+  /// entry_key split in two for callers that key many cells under one
+  /// salt: hash the salt once with salt_hash, then derive each key with
+  /// entry_key_hashed. entry_key(d, p, s) == entry_key_hashed(d, p, salt_hash(s)).
+  static std::string salt_hash(std::string_view config_salt);
+  static std::string entry_key_hashed(std::string_view cell_digest, bool profiled,
+                                      std::string_view salt_sha256);
 
   /// Validated payload for `key`, or nullopt (miss). A present-but-invalid
   /// entry is moved to quarantine/ and reported as a miss. Lock-free and
@@ -109,8 +116,9 @@ class ResultCache {
   std::string encode_entry(std::string_view key, std::string_view payload) const;
   /// Payload when `bytes` is a valid entry for `key`; otherwise nullopt
   /// with a one-word reason ("magic", "version", "key", "codec", "len",
-  /// "sha256") in *why when given.
-  std::optional<std::string> decode_entry(std::string_view bytes, std::string_view key,
+  /// "sha256") in *why when given. The header is stripped in place, so the
+  /// payload is returned in the buffer passed in, not copied.
+  std::optional<std::string> decode_entry(std::string bytes, std::string_view key,
                                           std::string* why = nullptr) const;
   /// Unique in-flight path for a commit of `key` (step 1 of the protocol).
   std::filesystem::path tmp_path(std::string_view key);
@@ -119,6 +127,8 @@ class ResultCache {
   std::function<void()> commit_hook_for_testing;
 
  private:
+  /// entry_path as a plain string: the read path opens it directly.
+  std::string entry_file(std::string_view key) const;
   void quarantine(const std::filesystem::path& path);
 
   std::filesystem::path dir_;

@@ -7,16 +7,18 @@ namespace stob::simd {
 
 namespace {
 
-Level detect() {
+bool detect_forced() {
 #if defined(STOB_SIMD_DISABLED)
-  return Level::Scalar;
+  return true;
 #else
-  if (const char* env = std::getenv("STOB_SIMD")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
-        std::strcmp(env, "0") == 0) {
-      return Level::Scalar;
-    }
-  }
+  const char* env = std::getenv("STOB_SIMD");
+  return env != nullptr && (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
+                            std::strcmp(env, "0") == 0);
+#endif
+}
+
+Level detect() {
+  if (scalar_forced()) return Level::Scalar;
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return Level::Avx2;
   return Level::Scalar;
@@ -25,10 +27,14 @@ Level detect() {
 #else
   return Level::Scalar;
 #endif
-#endif
 }
 
 }  // namespace
+
+bool scalar_forced() {
+  static const bool forced = detect_forced();
+  return forced;
+}
 
 Level active_level() {
   static const Level level = detect();

@@ -1,4 +1,5 @@
-// Runtime SIMD dispatch for the WF attack kernels.
+// Runtime SIMD dispatch for the WF attack kernels and the SHA-256 block
+// function (util/sha256.cpp).
 //
 // Policy (DESIGN.md §17): the build compiles at baseline codegen flags;
 // vector kernels live in functions carrying a per-function target
@@ -32,6 +33,11 @@ enum class Level {
 /// The instruction-set level every dispatched kernel uses in this process.
 /// Decided on first call (environment + CPUID) and constant afterwards.
 Level active_level();
+
+/// True when scalar code is forced for every dispatched kernel: the
+/// -DSTOB_SIMD=OFF build, or STOB_SIMD=off|scalar|0 in the environment.
+/// Decided on first call and constant afterwards.
+bool scalar_forced();
 
 /// Human-readable name ("scalar", "avx2", "neon") for logs and manifests.
 /// Never printed on stdout paths under the byte-identity contract.

@@ -24,11 +24,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/cca_guard.hpp"
+#include "core/policies.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/proc_runner.hpp"
 #include "exp/result_cache.hpp"
+#include "exp/worker_pool.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
 #include "util/subprocess.hpp"
@@ -160,6 +163,32 @@ TEST(EntryKey, ConfigSaltCoversPageOptionsAndEnvEscapeHatch) {
   EXPECT_NE(run_config_salt(opts), base);
   ::unsetenv("STOB_CACHE_SALT");
   EXPECT_EQ(run_config_salt(opts), base);
+
+  // A mounted policy keys on its config, not just its name: every
+  // parameter is load-bearing, while no policy at all stays "stock".
+  EXPECT_NE(base.find("server.policy=stock"), std::string::npos);
+  const auto with_policy = [&](core::Policy* policy) {
+    RunOptions o = opts;
+    o.page.server_conn.policy = policy;
+    return run_config_salt(o);
+  };
+  core::SweepSizePolicy alpha3(core::SweepSizePolicy::Config{.alpha = 3});
+  core::SweepSizePolicy alpha5(core::SweepSizePolicy::Config{.alpha = 5});
+  core::SweepSizePolicy alpha5_again(core::SweepSizePolicy::Config{.alpha = 5});
+  EXPECT_EQ(alpha3.name(), alpha5.name());
+  EXPECT_NE(with_policy(&alpha3), with_policy(&alpha5));
+  EXPECT_EQ(with_policy(&alpha5), with_policy(&alpha5_again));
+  EXPECT_NE(with_policy(&alpha3), base);
+  core::SplitPolicy split1200(core::SplitPolicy::Config{.threshold = 1200});
+  core::SplitPolicy split1000(core::SplitPolicy::Config{.threshold = 1000});
+  EXPECT_NE(with_policy(&split1200), with_policy(&split1000));
+  // Through the guard too: CcaGuard forwards its inner policy's config.
+  core::CcaGuard guard3(alpha3);
+  core::CcaGuard guard5(alpha5);
+  EXPECT_NE(with_policy(&guard3), with_policy(&guard5));
+  core::DelayPolicy slow(core::DelayPolicy::Config{.lo_frac = 0.10, .hi_frac = 0.30});
+  core::DelayPolicy slower(core::DelayPolicy::Config{.lo_frac = 0.10, .hi_frac = 0.300001});
+  EXPECT_NE(with_policy(&slow), with_policy(&slower));
 }
 
 // ------------------------------------------------------ entry format golden
@@ -406,6 +435,101 @@ TEST(RunGridCached, CacheSaltEnvInvalidatesEverything) {
   ::unsetenv("STOB_CACHE_SALT");
   EXPECT_EQ(warm.stats().hits, 0u);
   EXPECT_EQ(warm.stats().stores, t.grid.job_count());
+}
+
+// ---------------------------------------------- one pass over all cells
+//
+// run_grid_cached serves hits and runs misses in the same pool pass, each
+// job loading (and SHA-verifying) its own entry; these pin that mixing.
+
+TEST(RunGridCached, HalfWarmGridMatchesCacheFreeRunAtAnyJobs) {
+  CacheGrid t;
+  const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+  const std::size_t count = t.grid.job_count();
+  for (std::size_t jobs : {1u, 2u, 4u}) {
+    TempDir dir("half" + std::to_string(jobs));
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    for (std::size_t i = 0; i < count; i += 2) {
+      WorkerPayload payload;
+      payload.result = baseline[i];
+      ASSERT_TRUE(cache.store(t.key(i), encode_worker_payload(payload)));
+    }
+    RunOptions run = t.opts;
+    run.jobs = jobs;
+    run.cache = &cache;
+    const std::vector<JobResult> results = run_grid(t.grid, run);
+    ASSERT_EQ(results.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(results_identical(baseline[i], results[i])) << "jobs " << jobs << " job " << i;
+    }
+    const ResultCache::Stats s = cache.stats();
+    EXPECT_EQ(s.probes, count) << "jobs " << jobs;
+    EXPECT_EQ(s.hits, count / 2) << "jobs " << jobs;
+    EXPECT_EQ(s.stores, count) << "jobs " << jobs;  // half pre-stored, half misses
+    EXPECT_EQ(s.quarantined, 0u) << "jobs " << jobs;
+  }
+}
+
+TEST(RunGridCached, CorruptMidGridEntryIsQuarantinedAndRecomputed) {
+  CacheGrid t;
+  const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+  const std::size_t count = t.grid.job_count();
+  TempDir dir("midcorrupt");
+  RunOptions run = t.opts;
+  {
+    ResultCache cold(dir.path, kWorkerPayloadVersion);
+    run.cache = &cold;
+    run_grid(t.grid, run);
+  }
+  ResultCache warm(dir.path, kWorkerPayloadVersion);
+  const std::size_t bad = count / 2;
+  {
+    // Flip one payload bit: length intact, the SHA-256 check fails.
+    std::fstream f(warm.entry_path(t.key(bad)), std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(-1, std::ios::end);
+    const char last = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(last ^ 0x01));
+  }
+  run.jobs = 4;
+  run.cache = &warm;
+  const std::vector<JobResult> results = run_grid(t.grid, run);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(results_identical(baseline[i], results[i])) << "job " << i;
+  }
+  const ResultCache::Stats s = warm.stats();
+  EXPECT_EQ(s.hits, count - 1);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.quarantined, 1u);
+  EXPECT_EQ(s.stores, 1u);
+  EXPECT_EQ(count_files(dir.path / "quarantine"), 1u);
+  // The recomputed cell was committed again and now verifies.
+  EXPECT_TRUE(warm.load(t.key(bad)).has_value());
+}
+
+TEST(RunGridCached, UndecodablePayloadNamesTheLowestJobAndCellOnce) {
+  CacheGrid t;
+  TempDir dir("undecodable");
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
+  // Valid entries (framing, length and SHA-256 all check out) whose
+  // payloads are not job-codec frames: only the decoder can reject them.
+  ASSERT_TRUE(cache.store(t.key(5), "not a worker payload"));
+  ASSERT_TRUE(cache.store(t.key(3), "not a worker payload"));
+  RunOptions run = t.opts;
+  run.jobs = 4;
+  run.cache = &cache;
+  std::string what;
+  try {
+    run_grid(t.grid, run);
+  } catch (const JobError&) {
+    FAIL() << "a decode failure is not a job failure";
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what,
+            "exp: undecodable cached payload for job 3 [cell site=tiny0 sample=0 defense=split "
+            "cca=bbr fault=none seed=6586835960015582819]: job_codec: payload version mismatch");
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(RunGridCached, CheckDeterminismVerifiesWarmRuns) {
