@@ -1,6 +1,7 @@
 #include "defenses/policy.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "defenses/baseline_policies.hpp"
 #include "defenses/regulator.hpp"
@@ -10,21 +11,41 @@ namespace stob::defenses {
 
 void Policy::finish(double /*end_time*/, std::vector<PacketOut>& /*out*/) {}
 
-wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng) {
-  policy.begin(rng);
-  std::vector<PacketOut> outs;
-  outs.reserve(in.size() + in.size() / 2);
-  for (const wf::PacketRecord& p : in.packets()) {
-    policy.on_packet({p.time, p.direction, p.size}, outs);
-  }
-  const double end = in.empty() ? 0.0 : in.packets().back().time;
-  policy.finish(end, outs);
+namespace {
 
-  wf::Trace out;
-  out.packets().reserve(outs.size());
-  for (const PacketOut& p : outs) out.add(p.time, p.direction, p.size);
+/// Streams `in` through `policy` in capture order, appending its emissions
+/// to `emitted` in the order the policy made them.
+void feed(Policy& policy, const std::vector<wf::PacketRecord>& in, Rng& rng,
+          std::vector<PacketOut>& emitted) {
+  policy.begin(rng);
+  for (const wf::PacketRecord& p : in) policy.on_packet({p.time, p.direction, p.size}, emitted);
+  policy.finish(in.empty() ? 0.0 : in.back().time, emitted);
+}
+
+/// Replaces `out`'s packets with `emitted`, normalized. The buffer keeps its
+/// capacity and grows, if it must, to exactly what it holds.
+void materialize(const std::vector<PacketOut>& emitted, wf::Trace& out) {
+  std::vector<wf::PacketRecord>& packets = out.packets();
+  packets.clear();
+  packets.reserve(emitted.size());
+  for (const PacketOut& p : emitted) packets.push_back({p.time, p.direction, p.size});
   out.normalize();
+}
+
+}  // namespace
+
+wf::Trace Policy::replay(const wf::Trace& in, Rng& rng) {
+  // Every zoo policy forwards each input packet at least once.
+  std::vector<PacketOut> emitted;
+  emitted.reserve(in.size());
+  feed(*this, in.packets(), rng, emitted);
+  wf::Trace out;
+  materialize(emitted, out);
   return out;
+}
+
+wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng) {
+  return policy.replay(in, rng);
 }
 
 // --------------------------------------------------------------- ChainPolicy
@@ -40,25 +61,46 @@ std::string ChainPolicy::name() const {
 
 void ChainPolicy::begin(Rng& rng) {
   rng_ = &rng;
-  buffer_.clear();
+  trace_.packets().clear();
 }
 
 void ChainPolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>& /*out*/) {
-  buffer_.push_back(ev);
+  trace_.add(ev.time, ev.direction, ev.size);
 }
 
 void ChainPolicy::finish(double /*end_time*/, std::vector<PacketOut>& out) {
-  // Materialize between stages: each stage sees the previous stage's
-  // normalized output, exactly how the trace transforms composed.
-  // (The buffered input is fed to stage 0 in arrival order, un-normalized —
-  // the same view the first trace transform used to get.)
-  wf::Trace cur;
-  cur.packets().reserve(buffer_.size());
-  for (const PacketEvent& ev : buffer_) cur.add(ev.time, ev.direction, ev.size);
-  for (const auto& stage : stages_) cur = run_policy(*stage, cur, *rng_);
-  for (const wf::PacketRecord& p : cur.packets()) {
+  run_stages(trace_.packets(), *rng_);
+  out.reserve(out.size() + trace_.size());
+  for (const wf::PacketRecord& p : trace_.packets()) {
     out.push_back({p.time, p.direction, p.size, false});
   }
+}
+
+wf::Trace ChainPolicy::replay(const wf::Trace& in, Rng& rng) {
+  run_stages(in.packets(), rng);
+  // The default replay would normalize finish()'s output once more. On
+  // the last stage's normalized output that is a scan, but NaN and
+  // infinite times can still move, so it stays.
+  trace_.normalize();
+  return std::exchange(trace_, wf::Trace{});
+}
+
+void ChainPolicy::run_stages(const std::vector<wf::PacketRecord>& input, Rng& rng) {
+  // Each stage reads the previous stage's normalized output, exactly how
+  // the trace transforms composed; its output overwrites what it read only
+  // once the stage is done. The emission buffer is freed on return, before
+  // the caller allocates anything else, so a replay loop reuses its memory
+  // instead of growing the heap around it.
+  std::vector<PacketOut> emitted;
+  const std::vector<wf::PacketRecord>* cur = &input;
+  for (const auto& stage : stages_) {
+    emitted.clear();
+    emitted.reserve(cur->size());
+    feed(*stage, *cur, rng, emitted);
+    materialize(emitted, trace_);
+    cur = &trace_.packets();
+  }
+  if (cur != &trace_.packets()) trace_.packets() = *cur;  // no stages: output = input
 }
 
 // ------------------------------------------------------------- PolicyDefense
@@ -83,6 +125,7 @@ const std::vector<PolicyInfo>& policy_zoo() {
                  {"TLS", "Obfuscation", {.timing = true, .packet_size = true}},
                  [] {
                    std::vector<std::unique_ptr<Policy>> stages;
+                   stages.reserve(2);
                    stages.push_back(std::make_unique<SplitStreamPolicy>());
                    stages.push_back(std::make_unique<DelayStreamPolicy>());
                    return std::make_unique<ChainPolicy>(std::move(stages));

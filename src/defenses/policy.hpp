@@ -81,6 +81,15 @@ class Policy {
   /// queued payload and trailing schedule; policies must never strand real
   /// payload here.
   virtual void finish(double end_time, std::vector<PacketOut>& out);
+
+ protected:
+  /// Trace replay, behind run_policy. The default streams `in` through
+  /// begin/on_packet/finish and normalizes the emissions. A policy that
+  /// buffers the whole stream anyway may override it to work on the trace
+  /// directly; the result must be, bit for bit, what the default makes.
+  virtual wf::Trace replay(const wf::Trace& in, Rng& rng);
+
+  friend wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng);
 };
 
 /// Replay a recorded trace through a policy: events in capture order,
@@ -89,9 +98,15 @@ class Policy {
 wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng);
 
 /// Chain of policies: stage k+1 consumes the normalized output of stage k
-/// (exactly how CombinedDefense = delay(split(trace)) composes). Buffers the
-/// stream and materializes between stages, so timestamp reordering from an
-/// earlier stage is resolved before the next stage sees the packets.
+/// (exactly how CombinedDefense = delay(split(trace)) composes), so
+/// timestamp reordering from an earlier stage is resolved before the next
+/// stage sees the packets. Stage 0 reads the input in arrival order,
+/// un-normalized. Streamed, the chain buffers its input as trace records
+/// and runs the stages at finish(). Replayed by run_policy, stage 0 reads
+/// the recorded trace itself. Either way the stages share two buffers for
+/// the whole run: the records each stage reads, which its normalized output
+/// overwrites, and its emissions. No stage builds a trace of its own, and a
+/// replay returns the record buffer as the defended trace.
 class ChainPolicy final : public Policy {
  public:
   explicit ChainPolicy(std::vector<std::unique_ptr<Policy>> stages)
@@ -103,8 +118,12 @@ class ChainPolicy final : public Policy {
   void finish(double end_time, std::vector<PacketOut>& out) override;
 
  private:
+  wf::Trace replay(const wf::Trace& in, Rng& rng) override;
+  /// Runs every stage, stage 0 over `input`; leaves the output in trace_.
+  void run_stages(const std::vector<wf::PacketRecord>& input, Rng& rng);
+
   std::vector<std::unique_ptr<Policy>> stages_;
-  std::vector<PacketEvent> buffer_;
+  wf::Trace trace_;  ///< buffered input, then each stage's normalized output
   Rng* rng_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "defenses/trace_defense.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "defenses/baseline_policies.hpp"
 #include "defenses/policy.hpp"
@@ -66,6 +67,7 @@ wf::Trace DelayDefense::apply(const wf::Trace& trace, Rng& rng) const {
 
 wf::Trace CombinedDefense::apply(const wf::Trace& trace, Rng& rng) const {
   std::vector<std::unique_ptr<Policy>> stages;
+  stages.reserve(2);
   stages.push_back(std::make_unique<SplitStreamPolicy>(split_cfg_));
   stages.push_back(std::make_unique<DelayStreamPolicy>(delay_cfg_));
   ChainPolicy chain(std::move(stages));
@@ -90,7 +92,10 @@ wf::Trace apply_to_prefix(const TraceDefense& defense, const wf::Trace& trace,
       defended_prefix.empty() ? 0.0 : defended_prefix.packets().back().time;
   const double shift = std::max(0.0, defended_end - prefix_orig_end);
 
-  wf::Trace out = defended_prefix;
+  // For a time-ordered input the shifted tail starts at defended_end or
+  // later (up to rounding), so normalize() finds the trace in order.
+  wf::Trace out = std::move(defended_prefix);
+  out.packets().reserve(out.size() + (pkts.size() - prefix_packets));
   for (std::size_t i = prefix_packets; i < pkts.size(); ++i) {
     out.add(pkts[i].time + shift, pkts[i].direction, pkts[i].size);
   }

@@ -2,12 +2,14 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/policy.hpp"
@@ -158,26 +160,31 @@ std::string run_config_salt(const RunOptions& opts) {
 
 std::string cell_digest(const ExperimentGrid& grid, std::size_t index, const RunOptions& opts) {
   const JobSpec spec = grid.job(index);
-  // Reuse the run-manifest digest machinery: set_config keeps the entries
-  // sorted by key, so the digest is independent of the order fields are
-  // added here (pinned by tests/test_proc.cpp).
-  obs::RunManifest m;
-  m.tool = "cell";
-  m.base_seed = spec.seed;
-  m.set_config("site", grid.sites.empty() ? std::to_string(spec.site) : grid.sites[spec.site].name);
-  m.set_config("sample", std::to_string(spec.sample));
-  m.set_config("defense",
-               grid.defenses.empty() ? std::string("none") : grid.defenses[spec.defense].name);
-  m.set_config("cca", grid.ccas.empty() ? std::string("default") : grid.ccas[spec.cca]);
-  m.set_config("fault",
-               grid.faults.empty() ? std::string("none") : grid.faults[spec.fault].name);
+  // Keys go in sorted order, as a RunManifest config keeps them; the
+  // digests are pinned by tests/test_proc.cpp.
+  obs::CellSpecHash h("cell", spec.seed);
+  char digits[24];
+  const auto number = [&digits](std::uint64_t v) {
+    const char* end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+    return std::string_view(digits, static_cast<std::size_t>(end - digits));
+  };
+  const auto name_or = [](const auto& axis, std::size_t i, std::string_view fallback) {
+    return axis.empty() ? fallback : std::string_view(axis[i].name);
+  };
+  h.add("cca", grid.ccas.empty() ? std::string_view("default")
+                                 : std::string_view(grid.ccas[spec.cca]));
   // Everything that shapes the payload bytes beyond the coordinates: the
   // requested sinks and the codec rev the payload is encoded with.
-  m.set_config("collect_metrics", opts.collect_metrics ? "1" : "0");
-  m.set_config("trace_capacity", std::to_string(opts.trace_capacity));
-  m.set_config("check_invariants", opts.check_invariants ? "1" : "0");
-  m.set_config("codec", std::to_string(kWorkerPayloadVersion));
-  return m.cell_spec_digest();
+  h.add("check_invariants", opts.check_invariants ? "1" : "0");
+  h.add("codec", number(kWorkerPayloadVersion));
+  h.add("collect_metrics", opts.collect_metrics ? "1" : "0");
+  h.add("defense", name_or(grid.defenses, spec.defense, "none"));
+  h.add("fault", name_or(grid.faults, spec.fault, "none"));
+  h.add("sample", number(spec.sample));
+  h.add("site", grid.sites.empty() ? number(spec.site)
+                                   : std::string_view(grid.sites[spec.site].name));
+  h.add("trace_capacity", number(opts.trace_capacity));
+  return h.hex_digest();
 }
 
 namespace {

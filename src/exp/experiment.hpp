@@ -149,7 +149,8 @@ std::vector<JobResult> run_grid(const ExperimentGrid& grid, const RunOptions& op
 bool results_identical(const JobResult& a, const JobResult& b);
 
 /// Content-addressed identity of cell `index` of `grid`: SHA-256 (via
-/// obs::RunManifest::cell_spec_digest) over the cell's full coordinates —
+/// obs::CellSpecHash, the preimage of obs::RunManifest::cell_spec_digest)
+/// over the cell's full coordinates —
 /// seed, site name, sample, defense name, CCA, fault-profile name — plus
 /// every RunOptions field that shapes the result payload (metrics /
 /// flight-recorder / invariant sinks) and the worker-payload codec version.

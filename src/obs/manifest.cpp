@@ -1,6 +1,7 @@
 #include "obs/manifest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,20 +58,26 @@ void RunManifest::set_config(std::string key, std::string value) {
   std::sort(config.begin(), config.end());
 }
 
+CellSpecHash::CellSpecHash(std::string_view tool, std::uint64_t base_seed) {
+  h_.update("stob-cell-spec-v1\n");
+  h_.update(tool);
+  h_.update("\n");
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, base_seed).ptr;
+  h_.update(buf, static_cast<std::size_t>(end - buf));
+  h_.update("\n");
+}
+
+void CellSpecHash::add(std::string_view key, std::string_view value) {
+  h_.update(key);
+  h_.update("=");
+  h_.update(value);
+  h_.update("\n");
+}
+
 std::string RunManifest::cell_spec_digest() const {
-  util::Sha256 h;
-  h.update("stob-cell-spec-v1\n");
-  h.update(tool);
-  h.update("\n");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu\n", static_cast<unsigned long long>(base_seed));
-  h.update(buf);
-  for (const auto& [k, v] : config) {
-    h.update(k);
-    h.update("=");
-    h.update(v);
-    h.update("\n");
-  }
+  CellSpecHash h(tool, base_seed);
+  for (const auto& [k, v] : config) h.add(k, v);
   return h.hex_digest();
 }
 

@@ -19,11 +19,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
+#include "util/sha256.hpp"
 
 namespace stob::obs {
 
@@ -40,6 +42,20 @@ struct PhaseRollup {
 
 /// Rollup of `records` by span name, sorted by name (deterministic order).
 std::vector<PhaseRollup> rollup_phases(const std::vector<ProfRecord>& records);
+
+/// The cell-spec preimage streamed into SHA-256: a version header, the
+/// tool, the base seed, then one `key=value` line per config entry. Callers
+/// add entries in sorted key order; RunManifest::cell_spec_digest and
+/// exp::cell_digest both hash through it, so the format lives here only.
+class CellSpecHash {
+ public:
+  CellSpecHash(std::string_view tool, std::uint64_t base_seed);
+  void add(std::string_view key, std::string_view value);
+  std::string hex_digest() { return h_.hex_digest(); }
+
+ private:
+  util::Sha256 h_;
+};
 
 class RunManifest {
  public:

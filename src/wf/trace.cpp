@@ -1,6 +1,7 @@
 #include "wf/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -9,10 +10,56 @@
 
 namespace stob::wf {
 
+namespace {
+
+bool time_less(const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; }
+
+/// Orders a[first..) into the already ordered prefix a[0..first), where
+/// `first` is the first descent. Insertion moves a record only past
+/// strictly later ones, so equal times keep their capture order, and the
+/// array stays a permutation whose stable sort is the stable sort of the
+/// input. Once the moves pass the budget (far-travelling disorder), a
+/// stable sort finishes.
+void order_from(std::vector<PacketRecord>& a, std::size_t first) {
+  const std::size_t n = a.size();
+  // Eight moves per packet. Split output, where a delayed second half is
+  // overtaken by the next few packets, needs about a quarter.
+  std::size_t budget = 8 * n;
+  for (std::size_t i = first; i < n; ++i) {
+    if (!time_less(a[i], a[i - 1])) continue;
+    const PacketRecord x = a[i];
+    std::size_t j = i;
+    do {
+      a[j] = a[j - 1];
+      --j;
+    } while (j > 0 && time_less(x, a[j - 1]));
+    a[j] = x;
+    if (i - j > budget) {
+      std::stable_sort(a.begin(), a.end(), time_less);
+      return;
+    }
+    budget -= i - j;
+  }
+}
+
+}  // namespace
+
 void Trace::normalize() {
   if (packets_.empty()) return;
-  std::stable_sort(packets_.begin(), packets_.end(),
-                   [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; });
+  std::size_t first = 1;
+  while (first < packets_.size() && packets_[first - 1].time <= packets_[first].time) ++first;
+  if (first < packets_.size() &&
+      std::any_of(packets_.begin(), packets_.end(),
+                  [](const PacketRecord& p) { return std::isnan(p.time); })) {
+    // NaN breaks the strict weak order `<` needs, and only the algorithm
+    // the contract names reproduces its output then.
+    std::stable_sort(packets_.begin(), packets_.end(), time_less);
+  } else {
+    if (first < packets_.size()) order_from(packets_, first);
+    // No NaN here, and x - (+0.0) is x for every other double, -0.0
+    // included: a trace that already starts at +0.0 is done.
+    if (packets_.front().time == 0.0 && !std::signbit(packets_.front().time)) return;
+  }
   const double t0 = packets_.front().time;
   for (PacketRecord& p : packets_) p.time -= t0;
 }

@@ -8,7 +8,10 @@
 // scheduler) never reaches malloc, so one new allocation per packet fails
 // this test. The second serves a whole grid from a warm result cache and
 // bounds the allocations per cell: key derivation, one buffer per entry
-// read, in-place header strip, payload decode.
+// read, in-place header strip, payload decode. The third replays synthetic
+// traces through the combined policy and gates the allocations exactly:
+// the chain's stages share one emission buffer and one record buffer, which
+// becomes the defended trace, so a per-stage trace or buffer shows here.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,15 +19,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/result_cache.hpp"
 #include "net/packet.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
+#include "wf/trace.hpp"
 #include "workload/page_load.hpp"
 #include "workload/website.hpp"
 
@@ -79,12 +85,59 @@ TEST(AllocGate, WarmCacheGridAllocationsPerCell) {
   ASSERT_EQ(results.size(), 18u);
   ASSERT_EQ(warm.stats().hits, 18u);
   const double per_cell = static_cast<double>(allocs) / static_cast<double>(results.size());
-  // 279 allocations (15.5 per cell) with libstdc++ 12; the three-loop
-  // read path this replaced (64 KiB chunked reads, a payload copy, one salt
-  // hash per cell) made 704 (39.1). One more allocation per cell fails.
-  EXPECT_LE(per_cell, 16.0) << allocs << " allocations for " << results.size() << " cells";
+  // 171 allocations (9.5 per cell) with libstdc++ 12. Building a whole
+  // obs::RunManifest per cell key made 279 (15.5); the three-loop read path
+  // before that (64 KiB chunked reads, a payload copy, one salt hash per
+  // cell) made 704 (39.1). One more allocation in the grid fails.
+  EXPECT_LE(per_cell, 9.5) << allocs << " allocations for " << results.size() << " cells";
   std::printf("warm grid: %zu cells, %llu allocations (%.1f per cell)\n", results.size(),
               static_cast<unsigned long long>(allocs), per_cell);
+}
+
+/// `n` packets in time order, about 70 % incoming (a third of those large
+/// enough to split), on a fixed seed.
+wf::Trace synthetic_trace(std::size_t n) {
+  Rng rng(0xA11C0 + n);
+  wf::Trace t;
+  double time = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    time += rng.exponential(500.0);
+    const bool incoming = rng.chance(0.7);
+    t.add(time, incoming ? -1 : +1,
+          incoming ? rng.uniform_int(600, 1514) : rng.uniform_int(60, 600));
+  }
+  return t;
+}
+
+/// Allocations of one replay the way the attack stage runs it: a fresh
+/// policy from the registry, then run_policy.
+std::uint64_t combined_replay_allocations(const wf::Trace& trace) {
+  Rng rng(7);
+  const std::uint64_t before = util::allocations();
+  {
+    const std::unique_ptr<defenses::Policy> policy = defenses::make_policy("combined");
+    const wf::Trace out = defenses::run_policy(*policy, trace, rng);
+    EXPECT_GT(out.size(), trace.size());
+  }
+  return util::allocations() - before;
+}
+
+TEST(AllocGate, CombinedReplayAllocationsAreExact) {
+  defenses::make_policy("combined");  // builds the registry
+  const wf::Trace small = synthetic_trace(500);
+  const wf::Trace large = synthetic_trace(4000);
+  const std::uint64_t a_small = combined_replay_allocations(small);
+  const std::uint64_t a_large = combined_replay_allocations(large);
+  // 7 for either length with libstdc++ 12: the policy, its stage vector
+  // and two stages, then the replay's emission buffer (sized to the input,
+  // grown once when split emits more) and the record buffer that becomes
+  // the defended trace. Streaming the trace through a chain that buffered
+  // events, built one trace per stage and copied the result twice made 25
+  // and 28.
+  EXPECT_EQ(a_small, 7u);
+  EXPECT_EQ(a_large, 7u);
+  std::printf("combined replay: %llu allocations at 500 packets, %llu at 4000\n",
+              static_cast<unsigned long long>(a_small), static_cast<unsigned long long>(a_large));
 }
 
 }  // namespace

@@ -3,8 +3,14 @@
 // protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -49,6 +55,165 @@ TEST(Trace, NormalizeShiftsAndSorts) {
   EXPECT_DOUBLE_EQ(t.packets()[0].time, 0.0);
   EXPECT_EQ(t.packets()[0].direction, -1);
   EXPECT_DOUBLE_EQ(t.packets()[1].time, 2.0);
+}
+
+// ------------------------------------------------- normalize() contract
+//
+// normalize() skips the sort on ordered input and repairs local disorder by
+// insertion, so it is checked against the algorithm it replaced, bit for
+// bit: +0.0 against -0.0 and NaN payloads count.
+
+std::vector<PacketRecord> reference_normalize(std::vector<PacketRecord> v) {
+  if (v.empty()) return v;
+  std::stable_sort(v.begin(), v.end(),
+                   [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; });
+  const double t0 = v.front().time;
+  for (PacketRecord& p : v) p.time -= t0;
+  return v;
+}
+
+void check_normalize(const std::vector<PacketRecord>& input, const std::string& what) {
+  Trace t(input);
+  t.normalize();
+  const std::vector<PacketRecord> want = reference_normalize(input);
+  ASSERT_EQ(t.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const PacketRecord& got = t.packets()[i];
+    ASSERT_EQ(std::memcmp(&got.time, &want[i].time, sizeof(double)), 0)
+        << what << ": packet " << i << " time " << got.time << " want " << want[i].time;
+    ASSERT_EQ(got.direction, want[i].direction) << what << ": packet " << i;
+    ASSERT_EQ(got.size, want[i].size) << what << ": packet " << i;
+  }
+}
+
+/// `n` packets in time order, about 70 % incoming. Sizes count up, so any
+/// reordering of equal times shows. With `ties`, times fall on a 1 ms grid
+/// and many are equal.
+std::vector<PacketRecord> ordered_packets(Rng& rng, std::size_t n, bool ties) {
+  std::vector<PacketRecord> v;
+  v.reserve(n);
+  double t = rng.uniform(0.0, 5.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    t += rng.exponential(2000.0);
+    const double time = ties ? std::floor(t * 1000.0) / 1000.0 : t;
+    v.push_back({time, rng.chance(0.7) ? -1 : +1, static_cast<std::int64_t>(i)});
+  }
+  return v;
+}
+
+/// Split's emission order: a packet, then maybe its second half a little
+/// later, overtaken by the next few packets.
+std::vector<PacketRecord> split_like_packets(Rng& rng, std::size_t n, bool ties) {
+  const std::vector<PacketRecord> in = ordered_packets(rng, n, ties);
+  std::vector<PacketRecord> v;
+  v.reserve(n);
+  for (std::size_t i = 0; v.size() < n; ++i) {
+    v.push_back(in[i]);
+    if (v.size() < n && in[i].direction < 0 && rng.chance(0.6)) {
+      v.push_back({in[i].time + rng.uniform(0.0, 0.004), -1,
+                   static_cast<std::int64_t>(n + i)});
+    }
+  }
+  return v;
+}
+
+/// Every shape the contract covers, at size `n`. Ordered input takes the
+/// scan only, split-like input the insertion pass; from a few dozen packets
+/// on, reversed and shuffled input run out of insertion budget, which covers
+/// the stable-sort fallback on a partly insertion-sorted array.
+std::vector<std::pair<std::string, std::vector<PacketRecord>>> normalize_inputs(Rng& rng,
+                                                                               std::size_t n) {
+  std::vector<std::pair<std::string, std::vector<PacketRecord>>> out;
+  for (const bool ties : {false, true}) {
+    const std::string tag = ties ? " ties" : "";
+    out.emplace_back("ordered" + tag, ordered_packets(rng, n, ties));
+    // Starts at +0.0: what every replay stage after the first reads.
+    out.emplace_back("normalized" + tag, reference_normalize(ordered_packets(rng, n, ties)));
+    out.emplace_back("split-like" + tag, split_like_packets(rng, n, ties));
+    std::vector<PacketRecord> reversed = ordered_packets(rng, n, ties);
+    std::reverse(reversed.begin(), reversed.end());
+    out.emplace_back("reversed" + tag, std::move(reversed));
+    std::vector<PacketRecord> shuffled = ordered_packets(rng, n, ties);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    out.emplace_back("shuffled" + tag, std::move(shuffled));
+  }
+  // The latest packet captured first: it travels back over the whole trace,
+  // n moves, inside the insertion budget.
+  std::vector<PacketRecord> last_first = ordered_packets(rng, n, false);
+  if (n > 1) std::rotate(last_first.begin(), last_first.end() - 1, last_first.end());
+  out.emplace_back("last-first", std::move(last_first));
+  return out;
+}
+
+TEST(TraceNormalize, EmptyAndSinglePacket) {
+  check_normalize({}, "empty");
+  check_normalize({{3.5, -1, 1514}}, "single");
+  check_normalize({{-0.0, +1, 60}}, "single -0.0");
+  check_normalize({{std::numeric_limits<double>::infinity(), +1, 60}}, "single inf");
+  check_normalize({{std::numeric_limits<double>::quiet_NaN(), +1, 60}}, "single NaN");
+}
+
+TEST(TraceNormalize, MatchesStableSortBitForBitAtEverySize) {
+  Rng rng(0x5EED0001ull);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 64; ++n) sizes.push_back(n);
+  for (int i = 0; i < 180; ++i) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniform_int(65, 10000)));
+  }
+  for (const std::size_t n : sizes) {
+    for (const auto& [shape, input] : normalize_inputs(rng, n)) {
+      check_normalize(input, shape + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(TraceNormalize, NaNTakesTheStableSortAnywhere) {
+  // Besides the default quiet NaN: one with sign and payload bits set, and
+  // two signaling NaNs, which arithmetic quiets.
+  const double nans[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::bit_cast<double>(0xFFF8000000C0FFEEull),
+                         std::numeric_limits<double>::signaling_NaN(),
+                         std::bit_cast<double>(0x7FF0000000000001ull)};
+  Rng rng(0x5EED0002ull);
+  for (const std::size_t n : {2u, 3u, 17u, 500u, 4096u}) {
+    for (const double nan : nans) {
+      for (const auto& [shape, base] : normalize_inputs(rng, n)) {
+        for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+          std::vector<PacketRecord> v = base;
+          v[at].time = nan;
+          check_normalize(v, shape + " NaN at " + std::to_string(at) + " n=" + std::to_string(n));
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceNormalize, InfinitiesAndNegativeZero) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(0x5EED0003ull);
+  for (const std::size_t n : {2u, 3u, 64u, 1000u}) {
+    for (const auto& [shape, base] : normalize_inputs(rng, n)) {
+      const std::string at = " n=" + std::to_string(n);
+      std::vector<PacketRecord> v = base;
+      v.back().time = kInf;
+      check_normalize(v, shape + " +inf last" + at);
+      v.front().time = -kInf;
+      check_normalize(v, shape + " -inf first, +inf last" + at);
+      v = base;
+      v[n / 2].time = -kInf;
+      v[n / 3].time = kInf;
+      check_normalize(v, shape + " +-inf inside" + at);
+      v = base;
+      v.front().time = -0.0;
+      check_normalize(v, shape + " -0.0 first" + at);
+      v.front().time = 0.0;
+      v.back().time = -0.0;
+      check_normalize(v, shape + " +0.0 first, -0.0 last" + at);
+    }
+  }
+  // Signed zeros compare equal, so they keep their capture order.
+  check_normalize({{-0.0, +1, 1}, {0.0, -1, 2}, {-0.0, -1, 3}, {1.0, -1, 4}}, "zeros -,+,-");
+  check_normalize({{0.0, +1, 1}, {-0.0, -1, 2}, {0.5, -1, 3}, {0.0, -1, 4}}, "zeros +,-,late +");
 }
 
 TEST(Trace, TruncatedPrefix) {
