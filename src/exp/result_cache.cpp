@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -128,16 +129,23 @@ std::string ResultCache::salt_hash(std::string_view config_salt) {
 std::string ResultCache::entry_key_hashed(std::string_view cell_digest, bool profiled,
                                           std::string_view salt_sha256) {
   // The salt is hashed first so its free-form contents cannot collide with
-  // the framing of the key preimage.
-  std::string preimage = "stobcache:";
-  preimage += std::to_string(kCacheEntryVersion);
-  preimage += "|digest=";
-  preimage += cell_digest;
-  preimage += "|prof=";
-  preimage += profiled ? '1' : '0';
-  preimage += "|salt=";
-  preimage += salt_sha256;
-  return util::sha256_hex(preimage);
+  // the framing of the key preimage. The preimage
+  // "stobcache:<version>|digest=<d>|prof=<0|1>|salt=<s>" is streamed into
+  // the hash piece by piece, so deriving a key allocates only its result.
+  char version[24];  // holds any 64-bit value
+  const char* version_end =
+      std::to_chars(version, version + sizeof version, kCacheEntryVersion).ptr;
+  util::Sha256 h;
+  h.update("stobcache:");
+  h.update(version, static_cast<std::size_t>(version_end - version));
+  h.update("|digest=");
+  h.update(cell_digest);
+  h.update(profiled ? "|prof=1" : "|prof=0");
+  h.update("|salt=");
+  h.update(salt_sha256);
+  std::string key(64, '\0');
+  h.hex_digest(key.data());
+  return key;
 }
 
 std::string ResultCache::entry_file(std::string_view key) const {

@@ -28,8 +28,9 @@ void Pipe::send(Packet p) {
 void Pipe::start_transmission() {
   assert(!queue_.empty());
   busy_ = true;
-  Packet p = std::move(queue_.front());
+  in_service_ = std::move(queue_.front());
   queue_.pop_front();
+  Packet& p = in_service_;
   queued_bytes_ -= p.wire_size();
   p.sent_at = sim_.now();
   if (tx_tap_) tx_tap_(p, sim_.now());
@@ -37,10 +38,11 @@ void Pipe::start_transmission() {
   obs::count("wire.packets");
   obs::count("wire.bytes", static_cast<std::uint64_t>(p.wire_size().count()));
   const Duration tx = cfg_.rate.transmit_time(p.wire_size());
-  sim_.schedule_after(tx, [this, p = std::move(p)]() mutable { on_transmitted(std::move(p)); });
+  sim_.schedule_after(tx, [this] { on_transmitted(); });
 }
 
-void Pipe::on_transmitted(Packet p) {
+void Pipe::on_transmitted() {
+  Packet p = std::move(in_service_);
   // Serialiser is free again; keep the link busy back-to-back.
   if (!queue_.empty()) {
     start_transmission();
@@ -69,12 +71,18 @@ void Pipe::on_transmitted(Packet p) {
 void Pipe::deliver(Packet p, Duration extra) {
   ++delivered_packets_;
   delivered_bytes_ += p.wire_size();
-  sim_.schedule_after(cfg_.delay + extra, [this, p = std::move(p)]() mutable {
-    if (rx_tap_) rx_tap_(p, sim_.now());
-    obs::record_packet(obs::Layer::Wire, obs::Direction::Rx, obs::EventKind::Receive, p,
-                       sim_.now());
-    if (sink_) sink_(std::move(p));
-  });
+  const InFlight::Index slot = in_flight_.put(std::move(p));
+  sim_.schedule_after(cfg_.delay + extra, [this, slot] { arrive(slot); });
+}
+
+void Pipe::arrive(InFlight::Index slot) {
+  // Free the slot before the taps and the sink run: a sink may send() or
+  // deliver() again, which can reuse it.
+  Packet p = in_flight_.take(slot);
+  if (rx_tap_) rx_tap_(p, sim_.now());
+  obs::record_packet(obs::Layer::Wire, obs::Direction::Rx, obs::EventKind::Receive, p,
+                     sim_.now());
+  if (sink_) sink_(std::move(p));
 }
 
 void Pipe::count_lost(const Packet& p) {

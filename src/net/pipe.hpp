@@ -7,9 +7,10 @@
 #include <functional>
 
 #include "net/packet.hpp"
-#include "util/ring_deque.hpp"
 #include "sim/simulator.hpp"
+#include "util/ring_deque.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 #include "util/units.hpp"
 
 namespace stob::net {
@@ -92,13 +93,21 @@ class Pipe {
 
   const Config& config() const { return cfg_; }
 
+  /// Packets in propagation now, and the most there have been at once
+  /// (the in-flight slab's slot count).
+  std::size_t in_flight_packets() const { return in_flight_.live(); }
+  std::size_t in_flight_high_water() const { return in_flight_.high_water(); }
+
   /// Change the link rate at runtime (used by experiments that vary the
   /// bottleneck). Takes effect for the next packet serialised.
   void set_rate(DataRate rate) { cfg_.rate = rate; }
 
  private:
+  using InFlight = util::Slab<Packet>;
+
   void start_transmission();
-  void on_transmitted(Packet p);
+  void on_transmitted();
+  void arrive(InFlight::Index slot);
 
   sim::Simulator& sim_;
   Config cfg_;
@@ -110,6 +119,11 @@ class Pipe {
   Rng loss_rng_{0xC0FFEEull};
 
   util::RingDeque<Packet> queue_;
+  // The packet being serialised (valid while busy_) and the packets in
+  // propagation: pipe events capture `this` and a slot index, never a
+  // packet, so they stay inline in the scheduler's node (DESIGN.md §11).
+  Packet in_service_;
+  InFlight in_flight_;
   bool busy_ = false;
   Bytes queued_bytes_;
   Bytes max_queued_bytes_;

@@ -7,10 +7,11 @@
 // scheduled event. Event keeps 64 bytes inline — covering the timer-sized
 // captures that dominate event counts while keeping the scheduler's node
 // pool small enough to stay cache-resident — and spills bigger captures
-// (e.g. a pipe delivery moving a whole ~288-byte net::Packet) to the
-// thread-local buffer pool, never the global allocator. Spilled callables
-// also move by pointer steal, so oversized captures are cheap to schedule
-// too.
+// (e.g. one holding a whole ~288-byte net::Packet) to the thread-local
+// buffer pool, never the global allocator. Spilled callables also move by
+// pointer steal, so oversized captures are cheap to schedule too. The
+// packet path avoids them: pipe events capture a slot index, not the
+// packet (net/pipe.hpp).
 //
 // Move-only, like the heap slots that own it. Invoking an empty Event is
 // undefined; the simulator asserts non-empty at schedule time.
@@ -32,7 +33,7 @@ class Event {
   /// Covers the transport-timer captures that dominate event counts; larger
   /// captures go to the thread-local pool. Chosen small so the scheduler's
   /// callback pool (one Event per in-flight event) stays cache-resident —
-  /// raising this to fit the pipe's packet capture measures *slower* on the
+  /// raising this to fit a packet capture measured *slower* on the
   /// end-to-end benchmarks than spilling it.
   static constexpr std::size_t kInlineCapacity = 64;
 

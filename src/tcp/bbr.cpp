@@ -19,9 +19,7 @@ BbrCc::BbrCc(Bytes mss, Bytes initial_window)
       initial_cwnd_(initial_window.count() > 0 ? initial_window.count() : 10 * mss_) {}
 
 DataRate BbrCc::btlbw() const {
-  std::int64_t best = 0;
-  for (const auto& [t, bps] : bw_samples_) best = std::max(best, bps);
-  return DataRate(best);
+  return DataRate(bw_samples_.empty() ? 0 : bw_samples_.front().second);
 }
 
 Bytes BbrCc::bdp(double gain) const {
@@ -38,7 +36,11 @@ void BbrCc::update_btlbw(const AckEvent& ev) {
   // safe to include, and dropping them entirely would starve the model on
   // request/response workloads.
   if (!ev.delivery_rate.is_zero()) {
-    bw_samples_.emplace_back(ev.now, ev.delivery_rate.bits_per_sec());
+    // Monotonic max-queue: a sample no larger than the new one can never be
+    // the window's maximum again, because the new one expires later.
+    const std::int64_t bps = ev.delivery_rate.bits_per_sec();
+    while (!bw_samples_.empty() && bw_samples_.back().second <= bps) bw_samples_.pop_back();
+    bw_samples_.emplace_back(ev.now, bps);
   }
   while (!bw_samples_.empty() && ev.now - bw_samples_.front().first > kBwWindow) {
     bw_samples_.pop_front();

@@ -2,9 +2,12 @@
 //
 // Model-based: estimates the bottleneck bandwidth (windowed max of delivery
 // rate samples) and the minimum RTT (windowed min), paces at gain * btlbw
-// and caps inflight at cwnd_gain * BDP. The pacing schedule is load-bearing
-// for BBR, which is why the paper singles it out as the CCA whose estimation
-// Stob's departure-time control could confuse (§5.1).
+// and caps inflight at cwnd_gain * BDP. The bandwidth max is exact over the
+// 10 s window and O(1) per query: samples sit in a monotonic max-queue
+// (rates strictly decreasing from the front), so btlbw() reads the front.
+// The pacing schedule is load-bearing for BBR, which is why the paper
+// singles it out as the CCA whose estimation Stob's departure-time control
+// could confuse (§5.1).
 #pragma once
 
 #include <deque>
@@ -41,7 +44,9 @@ class BbrCc final : public CongestionControl {
   std::int64_t initial_cwnd_;
 
   Mode mode_ = Mode::Startup;
-  std::deque<std::pair<TimePoint, std::int64_t>> bw_samples_;  // (time, bps)
+  // (time, bps), times increasing and rates strictly decreasing: the front
+  // is the window's maximum.
+  std::deque<std::pair<TimePoint, std::int64_t>> bw_samples_;
   Duration min_rtt_ = Duration::seconds(10);
   TimePoint min_rtt_stamp_ = TimePoint::zero();
   Duration srtt_;

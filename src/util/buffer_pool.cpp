@@ -14,8 +14,7 @@ constexpr std::size_t kMinShift = 5;   // 32 B
 constexpr std::size_t kMaxShift = 16;  // 64 KiB
 constexpr std::size_t kBuckets = kMaxShift - kMinShift + 1;
 // Per-bucket cache cap in *bytes*, not entries: small buckets may park many
-// buffers (packet-sized events arrive in thousand-deep bursts from the pipe
-// serialiser) while large buckets park only a few. Worst case parked memory
+// buffers while large buckets park only a few. Worst case parked memory
 // per thread ≈ kBucketCapBytes × number of buckets ≈ 3 MiB.
 constexpr std::size_t kBucketCapBytes = std::size_t{256} * 1024;
 

@@ -1,6 +1,9 @@
 // Tests for the network substrate: packets, pipes, duplex paths, taps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -175,6 +178,130 @@ TEST(Pipe, QueueDepthAccounting) {
   EXPECT_GT(pipe.max_queued_bytes().count(), 0);
   s.run();
   EXPECT_EQ(pipe.queued_bytes().count(), 0);
+}
+
+/// Fault model for the in-flight slab: every fifth packet is lost, the
+/// others are delivered with extra delays that shrink packet by packet over
+/// runs of 16 (so later packets overtake earlier ones), and every third is
+/// duplicated.
+/// Each copy's expected arrival time is recorded against its packet id.
+class ScramblingFault final : public FaultModel {
+ public:
+  explicit ScramblingFault(sim::Simulator& sim) : sim_(sim) {}
+
+  void on_transmitted(Pipe& pipe, Packet p) override {
+    const int k = seen_++;
+    if (k % 5 == 4) {
+      pipe.count_lost(p);
+      return;
+    }
+    const Duration extra = Duration::micros(100) * (16 - k % 16);
+    if (k % 3 == 0) {
+      Packet dup = p;
+      deliver(pipe, std::move(dup), extra + Duration::micros(1));
+    }
+    deliver(pipe, std::move(p), extra);
+  }
+
+  /// pipe.deliver() with the arrival recorded and in-flight counted.
+  void deliver(Pipe& pipe, Packet p, Duration extra) {
+    expected_.emplace(p.id, sim_.now() + pipe.config().delay + extra);
+    peak_in_flight_ = std::max(peak_in_flight_, ++in_flight_);
+    pipe.deliver(std::move(p), extra);
+  }
+
+  /// Checks an arrival against the record and forgets it.
+  void arrived(std::uint64_t id) {
+    --in_flight_;
+    const auto [lo, hi] = expected_.equal_range(id);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == sim_.now()) {
+        expected_.erase(it);
+        return;
+      }
+    }
+    ADD_FAILURE() << "packet " << id << " arrived unexpectedly at " << sim_.now().ns();
+  }
+
+  std::size_t pending() const { return expected_.size(); }
+  std::size_t peak_in_flight() const { return peak_in_flight_; }
+
+ private:
+  sim::Simulator& sim_;
+  int seen_ = 0;
+  std::multimap<std::uint64_t, TimePoint> expected_;
+  std::size_t in_flight_ = 0;
+  std::size_t peak_in_flight_ = 0;
+};
+
+/// Payload size and TCP header derived from the packet id, so a packet that
+/// picked up another slot's contents fails the check.
+Packet make_marked_packet(Port src_port) {
+  Packet p = make_packet(0, {1, 2, src_port, 80, Proto::Tcp});
+  p.payload = Bytes(100 + static_cast<std::int64_t>(p.id % 1000));
+  p.tcp().seq = p.id * 7919;
+  p.tcp().flags = kTcpAck;
+  p.tcp().sack.push_back({p.id, p.id + 3});
+  return p;
+}
+
+void expect_marked(const Packet& p) {
+  EXPECT_EQ(p.payload.count(), 100 + static_cast<std::int64_t>(p.id % 1000)) << p.id;
+  ASSERT_TRUE(p.is_tcp());
+  EXPECT_EQ(p.tcp().seq, p.id * 7919);
+  EXPECT_EQ(p.tcp().flags, kTcpAck);
+  ASSERT_EQ(p.tcp().sack.size(), 1u);
+  EXPECT_EQ(p.tcp().sack[0].first, p.id);
+  EXPECT_EQ(p.tcp().sack[0].second, p.id + 3);
+}
+
+TEST(Pipe, InFlightSlotsSurviveReorderDuplicationLossAndReentry) {
+  sim::Simulator s;
+  Pipe pipe(s, {DataRate::mbps(100), Duration::millis(2), Bytes(0), 0.0});
+  ScramblingFault fault(s);
+  pipe.set_fault_model(&fault);
+  constexpr Port kFirst = 1000, kResent = 1001, kRedelivered = 1002;
+  std::size_t sunk = 0, rx_taps = 0;
+  pipe.set_rx_tap([&](const Packet& p, TimePoint t) {
+    ++rx_taps;
+    EXPECT_EQ(t, s.now());
+    expect_marked(p);
+  });
+  pipe.set_sink([&](Packet p) {
+    ++sunk;
+    fault.arrived(p.id);
+    expect_marked(p);
+    // Re-enter the pipe from its own sink: one packet back through the
+    // serialiser and the fault model, one straight into propagation.
+    if (p.flow.src_port == kFirst && p.id % 4 == 0) {
+      pipe.send(make_marked_packet(kResent));
+      fault.deliver(pipe, make_marked_packet(kRedelivered), Duration::micros(50));
+    }
+  });
+  for (int i = 0; i < 200; ++i) pipe.send(make_marked_packet(kFirst));
+  s.run();
+
+  EXPECT_EQ(fault.pending(), 0u);
+  EXPECT_EQ(sunk, pipe.delivered_packets());
+  EXPECT_EQ(rx_taps, sunk);
+  EXPECT_GT(pipe.lost_packets(), 0u);
+  EXPECT_EQ(pipe.in_flight_packets(), 0u);
+  // Slots are reused: the slab grew only to the peak in flight, well below
+  // the number of deliveries.
+  EXPECT_EQ(pipe.in_flight_high_water(), fault.peak_in_flight());
+  EXPECT_LT(pipe.in_flight_high_water(), pipe.delivered_packets() / 2);
+  pipe.set_fault_model(nullptr);
+}
+
+TEST(Pipe, DestroyedPipeReleasesPacketsInFlight) {
+  sim::Simulator s;
+  {
+    Pipe pipe(s, {DataRate::gbps(1), Duration::millis(10), Bytes(0), 0.0});
+    pipe.set_sink([](Packet) { ADD_FAILURE() << "delivered after destruction"; });
+    for (int i = 0; i < 20; ++i) pipe.send(make_marked_packet(1000));
+    s.run(TimePoint::zero() + Duration::millis(5));
+    EXPECT_EQ(pipe.in_flight_packets(), 20u);
+  }  // the slab destroys the 20 packets still in propagation (ASan checks)
 }
 
 TEST(DuplexPath, SymmetricRtt) {

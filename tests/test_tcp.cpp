@@ -4,6 +4,9 @@
 // for a grid of network conditions and CCAs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -15,6 +18,7 @@
 #include "tcp/reno.hpp"
 #include "tcp/rtt.hpp"
 #include "tcp/tcp_connection.hpp"
+#include "util/rng.hpp"
 
 namespace stob::tcp {
 namespace {
@@ -466,6 +470,215 @@ TEST(BbrCc, RtoWithoutModelRestartsStartup) {
   cc.on_rto(TimePoint(1));
   EXPECT_TRUE(cc.btlbw().is_zero());
   EXPECT_EQ(cc.mode(), BbrCc::Mode::Startup);
+}
+
+/// BbrCc as it was with a linear-scan bandwidth filter: every sample of the
+/// last 10 s kept in arrival order, btlbw() their maximum. The equivalence
+/// tests below drive it beside BbrCc, whose filter is a monotonic
+/// max-queue, and require the same model after every ACK.
+class LinearScanBbr {
+ public:
+  explicit LinearScanBbr(Bytes mss) : mss_(mss.count()), initial_cwnd_(10 * mss_) {}
+
+  DataRate btlbw() const {
+    std::int64_t best = 0;
+    for (const auto& [t, bps] : samples_) best = std::max(best, bps);
+    return DataRate(best);
+  }
+
+  void on_ack(const AckEvent& ev) {
+    srtt_ = ev.srtt;
+    if (!ev.delivery_rate.is_zero()) samples_.emplace_back(ev.now, ev.delivery_rate.bits_per_sec());
+    while (!samples_.empty() && ev.now - samples_.front().first > kWindow) samples_.pop_front();
+    if (ev.rtt_sample.ns() > 0 &&
+        (ev.rtt_sample < min_rtt_ || ev.now - min_rtt_stamp_ > kWindow)) {
+      min_rtt_ = ev.rtt_sample;
+      min_rtt_stamp_ = ev.now;
+    }
+    switch (mode_) {
+      case BbrCc::Mode::Startup:
+        if (ev.now - round_start_ >= std::max(srtt_, Duration::millis(1))) {
+          round_start_ = ev.now;
+          const std::int64_t bw = btlbw().bits_per_sec();
+          if (bw > full_bw_ + full_bw_ / 4) {
+            full_bw_ = bw;
+            full_bw_count_ = 0;
+          } else if (full_bw_ > 0 && ++full_bw_count_ >= 3) {
+            mode_ = BbrCc::Mode::Drain;
+          }
+        }
+        break;
+      case BbrCc::Mode::Drain:
+        if (ev.inflight <= bdp(1.0)) {
+          mode_ = BbrCc::Mode::ProbeBw;
+          cycle_index_ = 0;
+          cycle_stamp_ = ev.now;
+        }
+        break;
+      case BbrCc::Mode::ProbeBw:
+        if (ev.now - cycle_stamp_ >= std::max(min_rtt_, Duration::millis(1))) {
+          cycle_index_ = (cycle_index_ + 1) % 8;
+          cycle_stamp_ = ev.now;
+        }
+        if (ev.now - min_rtt_stamp_ > kWindow) {
+          mode_ = BbrCc::Mode::ProbeRtt;
+          probe_rtt_done_ = ev.now + Duration::millis(200);
+        }
+        break;
+      case BbrCc::Mode::ProbeRtt:
+        if (ev.now >= probe_rtt_done_) {
+          min_rtt_stamp_ = ev.now;
+          mode_ = BbrCc::Mode::ProbeBw;
+          cycle_index_ = 0;
+          cycle_stamp_ = ev.now;
+        }
+        break;
+    }
+  }
+
+  void on_rto() {
+    if (btlbw().is_zero()) {
+      full_bw_ = 0;
+      full_bw_count_ = 0;
+      mode_ = BbrCc::Mode::Startup;
+      return;
+    }
+    mode_ = BbrCc::Mode::ProbeBw;
+    cycle_index_ = 2;
+  }
+
+  Bytes cwnd() const {
+    switch (mode_) {
+      case BbrCc::Mode::Startup:
+        return bdp(kStartupGain) < Bytes(initial_cwnd_) ? Bytes(initial_cwnd_)
+                                                        : bdp(kStartupGain);
+      case BbrCc::Mode::Drain:
+      case BbrCc::Mode::ProbeBw:
+        return bdp(2.0);
+      case BbrCc::Mode::ProbeRtt:
+        return Bytes(4 * mss_);
+    }
+    return Bytes(initial_cwnd_);
+  }
+
+  DataRate pacing_rate() const {
+    static constexpr double kProbeGains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+    const DataRate bw = btlbw();
+    if (bw.is_zero()) {
+      if (srtt_.ns() <= 0) return DataRate(0);
+      return DataRate::from(Bytes(initial_cwnd_), srtt_) * kStartupGain;
+    }
+    double gain = 1.0;
+    switch (mode_) {
+      case BbrCc::Mode::Startup: gain = kStartupGain; break;
+      case BbrCc::Mode::Drain: gain = 1.0 / kStartupGain; break;
+      case BbrCc::Mode::ProbeBw: gain = kProbeGains[cycle_index_]; break;
+      case BbrCc::Mode::ProbeRtt: gain = 1.0; break;
+    }
+    return bw * gain;
+  }
+
+  BbrCc::Mode mode() const { return mode_; }
+
+ private:
+  static constexpr double kStartupGain = 2.885;
+  static constexpr Duration kWindow = Duration::seconds(10);
+
+  Bytes bdp(double gain) const {
+    const DataRate bw = btlbw();
+    if (bw.is_zero() || min_rtt_ >= Duration::seconds(10)) return Bytes(initial_cwnd_);
+    const double bytes = bw.gbps_f() * 1e9 / 8.0 * min_rtt_.sec() * gain;
+    return Bytes(std::max<std::int64_t>(static_cast<std::int64_t>(bytes), 4 * mss_));
+  }
+
+  std::int64_t mss_;
+  std::int64_t initial_cwnd_;
+  BbrCc::Mode mode_ = BbrCc::Mode::Startup;
+  std::deque<std::pair<TimePoint, std::int64_t>> samples_;
+  Duration min_rtt_ = Duration::seconds(10);
+  TimePoint min_rtt_stamp_ = TimePoint::zero();
+  Duration srtt_;
+  std::int64_t full_bw_ = 0;
+  int full_bw_count_ = 0;
+  TimePoint round_start_ = TimePoint::zero();
+  int cycle_index_ = 0;
+  TimePoint cycle_stamp_ = TimePoint::zero();
+  TimePoint probe_rtt_done_ = TimePoint::zero();
+};
+
+enum class RateShape { Random, Rising, Falling, Ties };
+
+/// Feeds the same seeded ACK stream to BbrCc and LinearScanBbr and requires
+/// the same bandwidth, window, pacing rate and mode after every ACK and
+/// every RTO. A quarter of the ACKs carry no rate sample, and about one
+/// gap in 64 is longer than the 10 s window, which empties it.
+void expect_same_model(RateShape shape, std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "shape " << static_cast<int>(shape) << " seed " << seed);
+  BbrCc cc(Bytes(1000));
+  LinearScanBbr ref(Bytes(1000));
+  Rng rng(seed);
+  TimePoint now = TimePoint::zero();
+  for (int i = 0; i < 3000; ++i) {
+    const std::int64_t r = rng.uniform_int(0, 63);
+    now += r == 0 ? Duration::seconds(11) : Duration::micros(rng.uniform_int(0, 40'000));
+    std::int64_t mbps = 0;
+    switch (shape) {
+      case RateShape::Random: mbps = rng.uniform_int(1, 200); break;
+      case RateShape::Rising: mbps = 1 + i / 4; break;
+      case RateShape::Falling: mbps = 1 + (3000 - i) / 4; break;
+      case RateShape::Ties: mbps = 10 * rng.uniform_int(1, 3); break;
+    }
+    AckEvent ev;
+    ev.now = now;
+    ev.newly_acked = Bytes(1000);
+    ev.rtt_sample = rng.chance(0.1) ? Duration() : Duration::micros(rng.uniform_int(5'000, 60'000));
+    ev.srtt = Duration::millis(20);
+    ev.delivery_rate = rng.chance(0.25) ? DataRate(0) : DataRate::mbps(mbps);
+    ev.inflight = Bytes(rng.uniform_int(0, 400'000));
+    cc.on_ack(ev);
+    ref.on_ack(ev);
+    ASSERT_EQ(cc.btlbw().bits_per_sec(), ref.btlbw().bits_per_sec()) << "ack " << i;
+    ASSERT_EQ(cc.cwnd().count(), ref.cwnd().count()) << "ack " << i;
+    ASSERT_EQ(cc.pacing_rate().bits_per_sec(), ref.pacing_rate().bits_per_sec()) << "ack " << i;
+    ASSERT_EQ(cc.mode(), ref.mode()) << "ack " << i;
+    if (rng.chance(0.01)) {
+      cc.on_rto(now);
+      ref.on_rto();
+      ASSERT_EQ(cc.mode(), ref.mode()) << "rto after ack " << i;
+      ASSERT_EQ(cc.pacing_rate().bits_per_sec(), ref.pacing_rate().bits_per_sec());
+    }
+  }
+}
+
+TEST(BbrCc, MaxQueueFilterMatchesLinearScan) {
+  for (const RateShape shape :
+       {RateShape::Random, RateShape::Rising, RateShape::Falling, RateShape::Ties}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) expect_same_model(shape, seed);
+  }
+}
+
+TEST(BbrCc, SampleExactlyOneWindowOldStays) {
+  BbrCc cc(Bytes(1000));
+  LinearScanBbr ref(Bytes(1000));
+  const auto ack = [&](TimePoint now, DataRate rate) {
+    AckEvent ev;
+    ev.now = now;
+    ev.srtt = Duration::millis(10);
+    ev.delivery_rate = rate;
+    cc.on_ack(ev);
+    ref.on_ack(ev);
+    EXPECT_EQ(cc.btlbw().bits_per_sec(), ref.btlbw().bits_per_sec());
+  };
+  const TimePoint t0 = TimePoint::zero() + Duration::seconds(1);
+  ack(t0, DataRate::mbps(50));
+  ack(t0 + Duration::seconds(5), DataRate::mbps(20));
+  // Eviction is `age > window`: a sample exactly 10 s old still counts.
+  ack(t0 + Duration::seconds(10), DataRate(0));
+  EXPECT_EQ(cc.btlbw().bits_per_sec(), DataRate::mbps(50).bits_per_sec());
+  ack(t0 + Duration::seconds(10) + Duration::nanos(1), DataRate(0));
+  EXPECT_EQ(cc.btlbw().bits_per_sec(), DataRate::mbps(20).bits_per_sec());
+  ack(t0 + Duration::seconds(15) + Duration::nanos(1), DataRate(0));
+  EXPECT_TRUE(cc.btlbw().is_zero());
 }
 
 TEST(CongestionFactory, KnownNamesAndUnknownThrows) {

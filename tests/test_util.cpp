@@ -14,6 +14,7 @@
 #include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/slab.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -617,6 +618,56 @@ TEST(BufferPool, SpillsWhenBucketCapExceededAndOnOversize) {
 
   mem::pool_purge();
   EXPECT_EQ(mem::pool_stats().cached, 0u);
+}
+
+
+// ---------------------------------------------------------------- Slab
+
+/// Counts constructions and destructions; `id` is -1 once moved from.
+struct Tracked {
+  static inline int alive = 0;
+  static inline std::vector<int> destroyed;  // by id, for owned values only
+
+  int id;
+  explicit Tracked(int i) : id(i) { ++alive; }
+  Tracked(Tracked&& o) noexcept : id(o.id) {
+    o.id = -1;
+    ++alive;
+  }
+  Tracked(const Tracked&) = delete;
+  ~Tracked() {
+    --alive;
+    if (id >= 0) ++destroyed[static_cast<std::size_t>(id)];
+  }
+};
+
+TEST(Slab, DestroysEveryElementExactlyOnce) {
+  constexpr int kN = 12;
+  Tracked::alive = 0;
+  Tracked::destroyed.assign(kN, 0);
+  {
+    util::Slab<Tracked> slab;
+    // Slot 0 is freed while the free list is empty, then reused below.
+    const auto first = slab.put(Tracked(0));
+    EXPECT_EQ(slab.take(first).id, 0);
+    std::vector<util::Slab<Tracked>::Index> idx;
+    for (int i = 1; i < kN - 1; ++i) idx.push_back(slab.put(Tracked(i)));  // grows once
+    EXPECT_EQ(slab.high_water(), static_cast<std::size_t>(kN - 2));
+    // Take every other element, starting while every slot is live (the
+    // first one freed ends the free list); the rest stay for the destructor.
+    for (std::size_t k = 0; k < idx.size(); k += 2) {
+      EXPECT_EQ(slab.take(idx[k]).id, static_cast<int>(k) + 1);
+    }
+    // One more element reuses the last freed slot; the others stay free.
+    slab.put(Tracked(kN - 1));
+    EXPECT_EQ(slab.live(), static_cast<std::size_t>(kN - 2) / 2 + 1);
+    EXPECT_EQ(slab.high_water(), static_cast<std::size_t>(kN - 2));
+  }
+  EXPECT_EQ(Tracked::alive, 0);  // a second ~T() on a moved-from slot drives this negative
+  for (int i = 0; i < kN; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(Tracked::destroyed[static_cast<std::size_t>(i)], 1);
+  }
 }
 
 }  // namespace
