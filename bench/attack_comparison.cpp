@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "wf/cumul.hpp"
 #include "wf/kfp.hpp"
@@ -42,15 +43,18 @@ int main() {
       workload::collect_dataset(workload::nine_sites(), samples, seed, options)
           .sanitized_by_download_size(0.75);
 
-  defenses::SplitDefense split;
-  defenses::DelayDefense delay;
-  defenses::CombinedDefense combined;
+  const auto split = defenses::make_policy_defense("split");
+  const auto delay = defenses::make_policy_defense("delay");
+  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
     const defenses::TraceDefense* defense;
   };
   const Variant variants[] = {
-      {"Original", nullptr}, {"Split", &split}, {"Delayed", &delay}, {"Combined", &combined}};
+      {"Original", nullptr},
+      {"Split", split.get()},
+      {"Delayed", delay.get()},
+      {"Combined", combined.get()}};
 
   wf::KFingerprint::Config forest_cfg;
   forest_cfg.forest.num_trees = trees;

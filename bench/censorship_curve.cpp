@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
@@ -66,15 +67,18 @@ int main(int argc, char** argv) {
   }
   cache.finish("censorship_curve");
 
-  defenses::SplitDefense split;
-  defenses::DelayDefense delay;
-  defenses::CombinedDefense combined;
+  const auto split = defenses::make_policy_defense("split");
+  const auto delay = defenses::make_policy_defense("delay");
+  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
     const defenses::TraceDefense* defense;
   };
   const std::vector<Variant> variants{
-      {"Original", nullptr}, {"Split", &split}, {"Delayed", &delay}, {"Combined", &combined}};
+      {"Original", nullptr},
+      {"Split", split.get()},
+      {"Delayed", delay.get()},
+      {"Combined", combined.get()}};
   const std::vector<std::size_t> prefixes{5, 10, 15, 20, 30, 45, 60, 90, 150, 0};
 
   wf::KFingerprint::Config kfp_cfg;

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "core/cca_guard.hpp"
-#include "core/histogram.hpp"
 #include "core/policies.hpp"
 #include "net/pipe.hpp"
 #include "obs/metrics.hpp"
@@ -170,15 +169,6 @@ void BM_PolicyHook(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyHook);
-
-void BM_HistogramSample(benchmark::State& state) {
-  core::Histogram h(0.0, 1.0, 64);
-  Rng fill(1);
-  for (int i = 0; i < 10000; ++i) h.add(fill.uniform());
-  Rng rng(2);
-  for (auto _ : state) benchmark::DoNotOptimize(h.sample(rng));
-}
-BENCHMARK(BM_HistogramSample);
 
 wf::Trace micro_trace(std::size_t packets) {
   Rng rng(3);

@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "obs/manifest.hpp"
@@ -437,12 +438,12 @@ std::uint64_t grid_table2(std::size_t sites, std::size_t samples, std::size_t fo
   for (const exp::JobResult& r : results) events += r.sim_events;
   const wf::Dataset data = exp::to_dataset(results).sanitized_by_download_size(0.75);
 
-  defenses::CombinedDefense combined;
+  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
     const defenses::TraceDefense* defense;
   };
-  const Variant variants[] = {{"Original", nullptr}, {"Combined", &combined}};
+  const Variant variants[] = {{"Original", nullptr}, {"Combined", combined.get()}};
   wf::KFingerprint::Config kfp_cfg;
   kfp_cfg.forest.num_trees = trees;
   double acc = 0;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
@@ -158,11 +159,14 @@ int main(int argc, char** argv) {
   std::printf("sanitised to %zu traces (%zu per site)\n\n", data.size(), min_per_class);
 
   // 3. The four countermeasure variants of §3.
-  defenses::SplitDefense split;
-  defenses::DelayDefense delay;
-  defenses::CombinedDefense combined;
+  const auto split = defenses::make_policy_defense("split");
+  const auto delay = defenses::make_policy_defense("delay");
+  const auto combined = defenses::make_policy_defense("combined");
   const std::vector<Variant> variants{
-      {"Original", nullptr}, {"Split", &split}, {"Delayed", &delay}, {"Combined", &combined}};
+      {"Original", nullptr},
+      {"Split", split.get()},
+      {"Delayed", delay.get()},
+      {"Combined", combined.get()}};
   const std::vector<std::size_t> scopes{15, 30, 45, 0};  // 0 = whole trace
 
   wf::KFingerprint::Config kfp_cfg;

@@ -1,8 +1,9 @@
 // Defense comparison: protection vs cost across the defense zoo.
 //
-// Applies each implemented defense (the paper's §3 primitives plus the
-// Table 1 literature baselines) to the same simulated website traces and
-// prints the trade-off every deployment conversation is about:
+// Applies each implemented defense (the whole-trace Table 1 baselines, then
+// the streaming policy zoo: the paper's §3 primitives, RegulaTor and
+// WTF-PAD) to the same simulated website traces and prints the trade-off
+// every deployment conversation is about:
 //
 //     residual k-FP accuracy  vs  bandwidth overhead  vs  latency overhead
 //

@@ -2,7 +2,7 @@
 //
 //  1. Build a simulated client/server pair connected by a network path.
 //  2. Install a Stob obfuscation policy (split + delay, wrapped in the
-//     CCA-safety guard) into the server's stack via the policy table.
+//     CCA-safety guard) into the server's stack.
 //  3. Transfer data over TCP and watch the wire: every packet is at most
 //     half the MSS and departures are jittered, yet the flow never runs
 //     ahead of what congestion control allowed.
@@ -10,11 +10,9 @@
 // Build & run:   ./build/examples/quickstart
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "core/cca_guard.hpp"
 #include "core/policies.hpp"
-#include "core/policy_table.hpp"
 #include "stack/host_pair.hpp"
 #include "tcp/tcp_connection.hpp"
 
@@ -26,23 +24,19 @@ int main() {
   net_cfg.path = net::DuplexPath::symmetric(DataRate::mbps(100), Duration::millis(10));
   stack::HostPair net(net_cfg);
 
-  // --- 2. Obfuscation policy, installed "in shared memory" -----------------
-  // The policy table is the paper's shared policy region: the application
-  // (or an administrator) installs policies; the stack consults them per
-  // flow. Here: split packets in half and inflate inter-departure gaps by
-  // 10-30%, guarded so the flow is never more aggressive than the CCA.
+  // --- 2. Obfuscation policy -----------------------------------------------
+  // The application (or an administrator) installs a policy; the stack
+  // consults it on every segment. Here: split packets in half and inflate
+  // inter-departure gaps by 10-30%, guarded so the flow is never more
+  // aggressive than the CCA.
   core::SplitPolicy split;
   core::DelayPolicy delay;
   core::CompositePolicy combined({&split, &delay});
   core::CcaGuard guarded(combined);
 
-  core::PolicyTable table;
-  table.set_default(std::shared_ptr<core::Policy>(&guarded, [](core::Policy*) {}));
-  core::DispatchPolicy dispatch(table);
-
   // --- 3. A server that pushes 1 MB through the obfuscated stack -----------
   tcp::TcpConnection::Config server_cfg;
-  server_cfg.policy = &dispatch;  // the Stob hook
+  server_cfg.policy = &guarded;  // the Stob hook
   tcp::TcpListener listener(net.server(), 443, server_cfg);
   listener.set_accept_callback([](tcp::TcpConnection& conn) {
     conn.on_connected = [&conn] { conn.send(Bytes::mebi(1)); };

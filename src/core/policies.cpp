@@ -137,21 +137,4 @@ void SweepSizePolicy::on_flow_start(const net::FlowKey& flow) { state_.erase(flo
 
 void SweepSizePolicy::on_flow_end(const net::FlowKey& flow) { state_.erase(flow); }
 
-// ------------------------------------------------------ HistogramDelayPolicy
-
-SegmentDecision HistogramDelayPolicy::on_segment(const SegmentContext& ctx) {
-  SegmentDecision d = SegmentDecision::passthrough(ctx);
-  if (delays_.total_tokens() > 0) {
-    const double secs = std::max(0.0, delays_.sample(rng_));
-    d.departure = d.departure + Duration::seconds_f(secs);
-  }
-  return d;
-}
-
-std::string HistogramDelayPolicy::config() const {
-  std::string n = "histogram-delay(seed=" + std::to_string(seed_) + ",histogram=";
-  for (double v : delays_.serialize()) n += config_bits(v);
-  return n + ")";
-}
-
 }  // namespace stob::core

@@ -9,16 +9,13 @@
 //  * CompositePolicy  — chain policies (e.g. split + delay = "Combined"),
 //  * SweepSizePolicy  — the Figure 3 strategy: incrementally reduce packet
 //                       size and TSO size, resetting at the configured
-//                       maximum reduction degree alpha,
-//  * HistogramDelayPolicy — departure perturbation sampled from a compact
-//                       shared-memory histogram (§4.1).
+//                       maximum reduction degree alpha.
 #pragma once
 
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "core/histogram.hpp"
 #include "core/policy.hpp"
 #include "util/rng.hpp"
 
@@ -122,24 +119,6 @@ class SweepSizePolicy final : public Policy {
 
   Config cfg_;
   std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> state_;
-};
-
-/// Adds a departure-time perturbation sampled from a histogram (seconds).
-/// The histogram is the compact shared-memory representation of §4.1; an
-/// application or administrator fits it offline and installs it.
-class HistogramDelayPolicy final : public Policy {
- public:
-  HistogramDelayPolicy(Histogram delays, std::uint64_t seed = 0x415Dull)
-      : delays_(std::move(delays)), seed_(seed), rng_(seed) {}
-
-  SegmentDecision on_segment(const SegmentContext& ctx) override;
-  std::string name() const override { return "histogram-delay"; }
-  std::string config() const override;
-
- private:
-  Histogram delays_;
-  std::uint64_t seed_;
-  Rng rng_;
 };
 
 }  // namespace stob::core

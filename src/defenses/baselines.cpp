@@ -1,7 +1,6 @@
 #include "defenses/baselines.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "defenses/policy.hpp"
 
@@ -99,79 +98,6 @@ wf::Trace TamarawDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
   return out;
 }
 
-// ----------------------------------------------------------- WtfPadDefense
-
-WtfPadDefense::WtfPadDefense(Config cfg)
-    : cfg_(cfg), inter_dummy_(0.0005, 0.05, 32) {
-  // Default burst-mode histogram: short inter-dummy gaps, geometric-ish
-  // token decay (more tokens on short gaps).
-  for (std::size_t b = 0; b < inter_dummy_.bin_count(); ++b) {
-    const double v = 0.0005 + (0.05 - 0.0005) * (static_cast<double>(b) + 0.5) / 32.0;
-    inter_dummy_.add(v, 32 - static_cast<std::uint64_t>(b));
-  }
-}
-
-wf::Trace WtfPadDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  wf::Trace out = trace;
-  const auto& pkts = trace.packets();
-  core::Histogram hist = inter_dummy_;  // local copy; sampling mutates tokens
-  for (std::size_t i = 1; i < pkts.size(); ++i) {
-    const double gap = pkts[i].time - pkts[i - 1].time;
-    if (gap <= cfg_.gap_threshold) continue;
-    // Unusually long silence: fill the start of the gap with a short dummy
-    // burst in the direction of the preceding packet (adaptive padding).
-    double t = pkts[i - 1].time;
-    for (int d = 0; d < cfg_.max_dummies_per_gap; ++d) {
-      t += hist.sample_and_remove(rng);
-      if (t >= pkts[i].time) break;
-      out.add(t, pkts[i - 1].direction, cfg_.dummy_size);
-    }
-  }
-  out.normalize();
-  return out;
-}
-
-// -------------------------------------------------------- RegulatorDefense
-
-wf::Trace RegulatorDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
-  // Downloads ride a decaying surge schedule; a new surge starts whenever
-  // the backlog of undelivered download packets exceeds the threshold
-  // fraction of what the schedule has emitted so far.
-  std::vector<double> down_times;
-  for (const wf::PacketRecord& p : trace.packets()) {
-    if (p.direction < 0) down_times.push_back(p.time);
-  }
-  wf::Trace out;
-  double surge_start = 0.0;
-  std::size_t delivered = 0;
-  std::size_t emitted = 0;
-  double t = 0.0;
-  while (delivered < down_times.size() && t < down_times.back() + 60.0) {
-    const double rate = cfg_.initial_rate * std::pow(cfg_.decay, t - surge_start);
-    const double step = 1.0 / std::max(rate, 1.0);
-    t += step;
-    std::size_t arrived = 0;
-    while (arrived + delivered < down_times.size() &&
-           down_times[arrived + delivered] <= t) {
-      ++arrived;
-    }
-    // Surge restart: backlog became large relative to the schedule.
-    if (static_cast<double>(arrived) >
-        cfg_.surge_threshold * std::max<double>(1.0, rate * 0.25)) {
-      surge_start = t;
-    }
-    out.add(t, -1, cfg_.packet_size);
-    ++emitted;
-    if (arrived > 0) ++delivered;
-    // Upload coupling: one padded upload packet per `upload_ratio` downloads.
-    if (emitted % std::max<std::size_t>(1, static_cast<std::size_t>(cfg_.upload_ratio)) == 0) {
-      out.add(t, +1, cfg_.packet_size);
-    }
-  }
-  out.normalize();
-  return out;
-}
-
 // ---------------------------------------------------- PadToConstantDefense
 
 wf::Trace PadToConstantDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
@@ -189,20 +115,11 @@ wf::Trace PadToConstantDefense::apply(const wf::Trace& trace, Rng& /*rng*/) cons
 
 std::vector<std::unique_ptr<TraceDefense>> all_defenses() {
   std::vector<std::unique_ptr<TraceDefense>> v;
-  v.push_back(std::make_unique<SplitDefense>());
-  v.push_back(std::make_unique<DelayDefense>());
-  v.push_back(std::make_unique<CombinedDefense>());
   v.push_back(std::make_unique<FrontDefense>());
   v.push_back(std::make_unique<BufloDefense>());
   v.push_back(std::make_unique<TamarawDefense>());
-  v.push_back(std::make_unique<WtfPadDefense>());
-  v.push_back(std::make_unique<RegulatorDefense>());
   v.push_back(std::make_unique<PadToConstantDefense>());
-  // Streaming-policy ports (defenses/policy.hpp): the *full* RegulaTor and
-  // adaptive-padding WTF-PAD state machines, lowercase to distinguish them
-  // from the capitalised trace-level sketches above.
-  v.push_back(make_policy_defense("regulator"));
-  v.push_back(make_policy_defense("wtfpad"));
+  for (const PolicyInfo& info : policy_zoo()) v.push_back(make_policy_defense(info.name));
   return v;
 }
 

@@ -9,16 +9,14 @@
 //    dummies fill gaps, until data is done and a minimum duration passed.
 //  * Tamaraw (Cai et al., CCS'14): direction-specific intervals and
 //    padding the per-direction packet count to a multiple of L.
-//  * WTF-PAD (Juarez et al., ESORICS'16): adaptive padding — dummies are
-//    injected into statistically unusual inter-arrival gaps, histograms
-//    drive the sampling; zero delay.
-//  * RegulaTor (Holland & Hopper, PETS'22): the download is re-shaped onto
-//    a decaying surge schedule; uploads are rate-coupled.
 //  * ALPaCA-style (Cherubin et al., PETS'17): server-side object padding —
 //    incoming packet sizes padded up to a multiple of a quantum.
+//
+// WTF-PAD (Juarez et al., ESORICS'16) and RegulaTor (Holland & Hopper,
+// PETS'22) are full streaming state machines instead (wtfpad.hpp,
+// regulator.hpp); they reach Table 1 through the policy zoo.
 #pragma once
 
-#include "core/histogram.hpp"
 #include "defenses/trace_defense.hpp"
 
 namespace stob::defenses {
@@ -89,55 +87,6 @@ class TamarawDefense final : public TraceDefense {
   Config cfg_;
 };
 
-class WtfPadDefense final : public TraceDefense {
- public:
-  struct Config {
-    /// Gaps longer than this (seconds) are considered "unusual" and trigger
-    /// dummy injection sampled from the burst histogram. Direct web page
-    /// loads have millisecond-scale think-time gaps, so the threshold sits
-    /// below them (Tor's WTF-PAD tuned this on circuit traces instead).
-    double gap_threshold = 0.008;
-    std::int64_t dummy_size = 1514;
-    int max_dummies_per_gap = 8;
-  };
-
-  WtfPadDefense() : WtfPadDefense(Config{}) {}
-  explicit WtfPadDefense(Config cfg);
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return "WTF-PAD"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Obfuscation"; }
-  Manipulations manipulations() const override { return {.padding = true}; }
-
- private:
-  Config cfg_;
-  core::Histogram inter_dummy_;  // shared-memory-style schedule histogram
-};
-
-class RegulatorDefense final : public TraceDefense {
- public:
-  struct Config {
-    double initial_rate = 300.0;  // R: packets per second at surge start
-    double decay = 0.9;           // D: rate multiplier per second
-    double surge_threshold = 2.0; // T: queue ratio that restarts a surge
-    double upload_ratio = 4.0;    // U: one upload per this many downloads
-    std::int64_t packet_size = 1514;
-  };
-
-  RegulatorDefense() : RegulatorDefense(Config{}) {}
-  explicit RegulatorDefense(Config cfg) : cfg_(cfg) {}
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return "RegulaTor"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Regularization"; }
-  Manipulations manipulations() const override { return {.padding = true, .timing = true}; }
-
- private:
-  Config cfg_;
-};
-
 class PadToConstantDefense final : public TraceDefense {
  public:
   struct Config {
@@ -158,8 +107,9 @@ class PadToConstantDefense final : public TraceDefense {
   Config cfg_;
 };
 
-/// All Table 1 baselines plus the §3 emulation primitives, for benches that
-/// iterate the whole defense zoo.
+/// Every Table 1 row, for benches that iterate the whole defense zoo: FRONT,
+/// BuFLO, Tamaraw and ALPaCA-pad, then each policy_zoo() entry once (the
+/// §3 split, delay and combined, RegulaTor, WTF-PAD), in zoo order.
 std::vector<std::unique_ptr<TraceDefense>> all_defenses();
 
 }  // namespace stob::defenses

@@ -10,12 +10,10 @@
 // speaks packet events rather than whole traces, the same policy object can
 // be
 //   * replayed over a recorded wf::Trace (run_policy), which is how the
-//     experiment grid's defense axis evaluates it,
+//     experiment grid's defense axis evaluates it, or
 //   * mounted at the in-stack TCP segment hook via defenses::SegmentMount
 //     (stack_mount.hpp), where its delay/size decisions are enforced by the
-//     transport and clamped by core::CcaGuard,
-//   * driven by a live packet loop (future work; this seam is what the
-//     standalone tunnel proxy reuses).
+//     transport and clamped by core::CcaGuard.
 //
 // Determinism contract: all randomness flows through the Rng handed to
 // begin() — the experiment engine passes the job-seeded generator, so a
@@ -98,7 +96,7 @@ class Policy {
 wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng);
 
 /// Chain of policies: stage k+1 consumes the normalized output of stage k
-/// (exactly how CombinedDefense = delay(split(trace)) composes), so
+/// (exactly how the zoo's "combined" = delay(split(trace)) composes), so
 /// timestamp reordering from an earlier stage is resolved before the next
 /// stage sees the packets. Stage 0 reads the input in arrival order,
 /// un-normalized. Streamed, the chain buffers its input as trace records

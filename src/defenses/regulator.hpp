@@ -1,6 +1,6 @@
 // RegulaTor (Holland & Hopper, PETS'22) as a streaming Stob policy.
 //
-// Full algorithm, not the trace-level sketch in baselines.cpp:
+// The full algorithm:
 //  * Downloads are re-shaped onto a *surge schedule*: from surge start t0
 //    the send rate is R * D^(t - t0) packets/second, each slot carrying a
 //    queued real packet when one is available and a dummy otherwise (up to

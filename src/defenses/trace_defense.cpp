@@ -1,10 +1,6 @@
 #include "defenses/trace_defense.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "defenses/baseline_policies.hpp"
-#include "defenses/policy.hpp"
 
 namespace stob::defenses {
 
@@ -42,36 +38,6 @@ Overhead measure_overhead(const wf::Dataset& data, const TraceDefense& defense, 
   acc.bandwidth /= static_cast<double>(data.size());
   acc.latency /= static_cast<double>(data.size());
   return acc;
-}
-
-// ------------------------------------------------------------ SplitDefense
-//
-// The §3 emulation primitives are implemented as streaming policies
-// (baseline_policies.hpp) and replayed here through the policy driver; the
-// parity suite pins this path byte-identical to the original inline
-// transforms.
-
-wf::Trace SplitDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  SplitStreamPolicy policy(cfg_);
-  return run_policy(policy, trace, rng);
-}
-
-// ------------------------------------------------------------ DelayDefense
-
-wf::Trace DelayDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  DelayStreamPolicy policy(cfg_);
-  return run_policy(policy, trace, rng);
-}
-
-// --------------------------------------------------------- CombinedDefense
-
-wf::Trace CombinedDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  std::vector<std::unique_ptr<Policy>> stages;
-  stages.reserve(2);
-  stages.push_back(std::make_unique<SplitStreamPolicy>(split_cfg_));
-  stages.push_back(std::make_unique<DelayStreamPolicy>(delay_cfg_));
-  ChainPolicy chain(std::move(stages));
-  return run_policy(chain, trace, rng);
 }
 
 // ---------------------------------------------------------- prefix scoping

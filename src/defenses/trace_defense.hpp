@@ -1,12 +1,13 @@
-// Trace-level WF defenses.
+// Trace-level WF defenses: the TraceDefense interface, overhead accounting
+// and prefix scoping.
 //
-// Two families live here:
-//  * the paper's §3 emulation primitives (packet splitting, delaying, their
-//    combination, optionally applied to only the first N packets) used to
-//    produce the 16 datasets behind Table 2, and
-//  * the literature baselines summarised in Table 1 (FRONT, BuFLO, Tamaraw,
-//    WTF-PAD, RegulaTor, ALPaCA-style padding), implemented as trace
-//    transforms with overhead accounting.
+// Two families implement the interface:
+//  * the paper's §3 emulation primitives (packet splitting, delaying and
+//    their combination, the datasets behind Table 2) and the RegulaTor and
+//    WTF-PAD state machines, all streaming policies (policy.hpp) replayed
+//    through PolicyDefense; make_policy_defense("split") and friends, and
+//  * the literature baselines FRONT, BuFLO, Tamaraw and ALPaCA-style
+//    padding (baselines.hpp), implemented as whole-trace transforms.
 //
 // All transforms are pure: Trace in, Trace out, randomness through Rng.
 #pragma once
@@ -52,77 +53,6 @@ Overhead measure_overhead(const wf::Trace& original, const wf::Trace& defended);
 
 /// Average overhead of a defense over a dataset.
 Overhead measure_overhead(const wf::Dataset& data, const TraceDefense& defense, Rng& rng);
-
-// ------------------------------------------------------- §3 emulations
-
-/// Packet splitting: every incoming (server->client) packet larger than
-/// `threshold` bytes becomes two packets of half size; the second half
-/// follows after its serialisation time at `link_rate`. Mirrors the paper:
-/// threshold 1200 B so no fragment drops below the 536 B minimum MSS.
-class SplitDefense final : public TraceDefense {
- public:
-  struct Config {
-    std::int64_t threshold = 1200;
-    DataRate link_rate = DataRate::mbps(100);  // spaces the two halves
-    bool incoming_only = true;                 // server-side deployment
-  };
-
-  SplitDefense() : SplitDefense(Config{}) {}
-  explicit SplitDefense(Config cfg) : cfg_(cfg) {}
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return "split"; }
-  std::string target() const override { return "TLS"; }
-  std::string strategy() const override { return "Obfuscation"; }
-  Manipulations manipulations() const override { return {.packet_size = true}; }
-
- private:
-  Config cfg_;
-};
-
-/// Packet delaying: the inter-arrival gap before each incoming packet is
-/// inflated by a factor drawn uniformly from [lo, hi] (paper: 10-30%).
-/// Later packets shift by the accumulated delay, as they would physically.
-class DelayDefense final : public TraceDefense {
- public:
-  struct Config {
-    double lo = 0.10;
-    double hi = 0.30;
-    bool incoming_only = true;
-  };
-
-  DelayDefense() : DelayDefense(Config{}) {}
-  explicit DelayDefense(Config cfg) : cfg_(cfg) {}
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return "delay"; }
-  std::string target() const override { return "TLS"; }
-  std::string strategy() const override { return "Obfuscation"; }
-  Manipulations manipulations() const override { return {.timing = true}; }
-
- private:
-  Config cfg_;
-};
-
-/// Split + delay, the paper's "Combined" dataset.
-class CombinedDefense final : public TraceDefense {
- public:
-  CombinedDefense() = default;
-  CombinedDefense(SplitDefense::Config split, DelayDefense::Config delay)
-      : split_cfg_(split), delay_cfg_(delay) {}
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return "combined"; }
-  std::string target() const override { return "TLS"; }
-  std::string strategy() const override { return "Obfuscation"; }
-  Manipulations manipulations() const override {
-    return {.timing = true, .packet_size = true};
-  }
-
- private:
-  SplitDefense::Config split_cfg_;
-  DelayDefense::Config delay_cfg_;
-};
 
 /// Applies `defense` to the first `prefix_packets` packets only; the rest of
 /// the trace is carried over unmodified (but shifted by any delay the

@@ -1,9 +1,7 @@
 // Full adaptive-padding WTF-PAD (Juarez et al., ESORICS'16) as a streaming
 // Stob policy.
 //
-// Unlike the trace-level sketch in baselines.cpp (fill long gaps with a
-// fixed burst), this is the two-histogram adaptive-padding state machine,
-// one per direction:
+// The two-histogram adaptive-padding state machine, one per direction:
 //
 //   Idle --real pkt--> Burst: arm a timeout drawn from the *burst*
 //       histogram H_B (the expected intra-burst inter-arrival).

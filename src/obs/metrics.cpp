@@ -25,13 +25,6 @@ std::string format_double(double v) {
 
 }  // namespace
 
-core::Histogram MetricsRegistry::Distribution::to_histogram(std::size_t bins) const {
-  const double lo = min;
-  // A degenerate (constant) series still needs a non-empty bin range.
-  const double hi = max > min ? max : min + 1.0;
-  return core::Histogram::fit(reservoir, lo, hi, bins == 0 ? 1 : bins);
-}
-
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {

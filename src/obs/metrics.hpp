@@ -4,8 +4,8 @@
 // signals — retransmits, cwnd samples, qdisc depth/drops, TSO split counts,
 // pacing-release delays, simulator internals — that are cheap enough to keep
 // for a whole run. Distributions reuse stats::Welford for O(1) streaming
-// moments plus a bounded sample reservoir from which a core::Histogram can
-// be fitted when a full shape is wanted.
+// moments plus a bounded sample reservoir that medians and percentiles are
+// read from.
 //
 // Like tracing, metrics are opt-in via a thread-local slot: with no
 // registry installed every hook is one (TLS) pointer load and branch — the
@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/histogram.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -40,16 +39,13 @@ class MetricsRegistry {
     stats::Welford welford;
     double min = 0.0;
     double max = 0.0;
-    /// First kReservoirCap samples, kept so a shape (core::Histogram) can be
-    /// reconstructed without unbounded memory.
+    /// First kReservoirCap samples, kept so medians and percentiles can be
+    /// read without unbounded memory.
     std::vector<double> reservoir;
 
     std::size_t count() const { return welford.count(); }
     double mean() const { return welford.mean(); }
     double stddev() const { return welford.stddev(); }
-
-    /// Fit a core::Histogram over the retained samples ([min, max] range).
-    core::Histogram to_histogram(std::size_t bins = 32) const;
   };
 
   static constexpr std::size_t kReservoirCap = 4096;

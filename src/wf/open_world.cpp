@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "exp/worker_pool.hpp"
@@ -14,16 +15,6 @@
 namespace stob::wf {
 
 namespace {
-
-/// Split indices of one class into train/test deterministically.
-void split_indices(std::size_t count, double train_fraction, Rng& rng,
-                   std::vector<std::size_t>& order, std::size_t& train_count) {
-  order.resize(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::shuffle(order.begin(), order.end(), rng);
-  train_count = std::max<std::size_t>(1, static_cast<std::size_t>(
-                                             train_fraction * static_cast<double>(count)));
-}
 
 /// k-FP rule: monitored verdict only on unanimous k nearest fingerprints.
 /// `scored` is caller scratch (reused across queries).
@@ -48,153 +39,35 @@ int knn_verdict(std::span<const int> counts, std::span<const int> train_labels,
 
 }  // namespace
 
-OpenWorldResult open_world_evaluate(const Dataset& monitored, const Dataset& background,
-                                    const OpenWorldConfig& cfg) {
-  if (monitored.size() == 0 || background.size() == 0) {
-    throw std::invalid_argument("open_world_evaluate: need monitored and background data");
-  }
-  const int num_monitored_classes =
-      *std::max_element(monitored.labels().begin(), monitored.labels().end()) + 1;
-  const int background_label = num_monitored_classes;  // one extra class
-
-  Rng rng(cfg.seed);
-
-  // Per-class stratified split of the monitored set. Only the split
-  // consumes the RNG; feature extraction is deferred to one batched pass.
-  std::vector<std::size_t> train_traces;  // monitored first, then background
-  std::vector<int> train_labels;
-  std::vector<std::size_t> mon_test;
-  for (int cls = 0; cls < num_monitored_classes; ++cls) {
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < monitored.size(); ++i) {
-      if (monitored.label(i) == cls) idx.push_back(i);
-    }
-    std::shuffle(idx.begin(), idx.end(), rng);
-    const auto train_count = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg.train_fraction * static_cast<double>(idx.size())));
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      if (j < train_count) {
-        train_traces.push_back(idx[j]);
-        train_labels.push_back(cls);
-      } else {
-        mon_test.push_back(idx[j]);
-      }
-    }
-  }
-  const std::size_t mon_train = train_traces.size();
-
-  // Background split (labels collapsed to one class).
-  std::vector<std::size_t> bg_order;
-  std::size_t bg_train = 0;
-  split_indices(background.size(), cfg.train_fraction, rng, bg_order, bg_train);
-  std::vector<std::size_t> bg_test;
-  for (std::size_t j = 0; j < bg_order.size(); ++j) {
-    if (j < bg_train) {
-      train_traces.push_back(bg_order[j]);
-      train_labels.push_back(background_label);
-    } else {
-      bg_test.push_back(bg_order[j]);
-    }
-  }
-
-  // Batched feature extraction straight into contiguous matrices.
-  const FeatureMatrix train_x = kfp_features(
-      train_traces.size(),
-      [&](std::size_t r) -> const Trace& {
-        return (r < mon_train ? monitored : background).trace(train_traces[r]);
-      },
-      1);
-
-  RandomForest forest(cfg.forest);
-  forest.fit({&train_x, train_labels, num_monitored_classes + 1});
-
-  // Fingerprints of the training set for leaf-vector k-NN.
-  const std::size_t trees = forest.tree_count();
-  const std::size_t n_train = train_traces.size();
-  const std::vector<std::uint32_t> train_leaves = forest.leaf_batch(train_x);
-
-  // k-FP rule lives in knn_verdict; selection over the agreement counts is
-  // verbatim the per-sample logic, so the batched kernel cannot change any
-  // verdict.
-  std::vector<std::pair<int, int>> scored;  // (matches, label) scratch
-  auto classify = [&](std::span<const int> counts) -> int {
-    return knn_verdict(counts, train_labels, cfg.k_neighbors, background_label, scored);
-  };
-
-  // One batched pass per test set: extract -> leaf fingerprints -> tiled
-  // agreement counts -> per-query verdicts.
-  auto classify_set = [&](const Dataset& src, const std::vector<std::size_t>& test_idx) {
-    std::vector<int> verdicts(test_idx.size(), background_label);
-    if (test_idx.empty()) return verdicts;
-    const FeatureMatrix qx = kfp_features(
-        test_idx.size(), [&](std::size_t r) -> const Trace& { return src.trace(test_idx[r]); },
-        1);
-    const std::vector<std::uint32_t> q_leaves = forest.leaf_batch(qx);
-    constexpr std::size_t kChunk = 256;
-    std::vector<int> counts;
-    for (std::size_t lo = 0; lo < test_idx.size(); lo += kChunk) {
-      const std::size_t hi = std::min(test_idx.size(), lo + kChunk);
-      counts.assign((hi - lo) * n_train, 0);
-      leaf_match_matrix(train_leaves, n_train,
-                        {q_leaves.data() + lo * trees, (hi - lo) * trees}, hi - lo, trees,
-                        counts);
-      for (std::size_t q = lo; q < hi; ++q) {
-        verdicts[q] = classify({counts.data() + (q - lo) * n_train, n_train});
-      }
-    }
-    return verdicts;
-  };
-
-  OpenWorldResult out;
-  out.monitored_tested = mon_test.size();
-  out.background_tested = bg_test.size();
-
-  const std::vector<int> mon_verdicts = classify_set(monitored, mon_test);
-  std::size_t true_pos = 0, correct_site = 0;
-  for (std::size_t j = 0; j < mon_test.size(); ++j) {
-    if (mon_verdicts[j] != background_label) {
-      ++true_pos;
-      if (mon_verdicts[j] == monitored.label(mon_test[j])) ++correct_site;
-    }
-  }
-  const std::vector<int> bg_verdicts = classify_set(background, bg_test);
-  std::size_t false_pos = 0;
-  for (int v : bg_verdicts) {
-    if (v != background_label) ++false_pos;
-  }
-
-  if (!mon_test.empty()) {
-    out.tpr = static_cast<double>(true_pos) / static_cast<double>(mon_test.size());
-  }
-  if (!bg_test.empty()) {
-    out.fpr = static_cast<double>(false_pos) / static_cast<double>(bg_test.size());
-  }
-  if (true_pos + false_pos > 0) {
-    out.precision = static_cast<double>(true_pos) / static_cast<double>(true_pos + false_pos);
-  }
-  if (true_pos > 0) {
-    out.monitored_accuracy = static_cast<double>(correct_site) / static_cast<double>(true_pos);
-  }
-  return out;
-}
-
 OpenWorldResult open_world_stream(const FeatureStore& monitored, const FeatureStore& background,
                                   const OpenWorldStreamConfig& cfg) {
   const std::size_t features = kfp_feature_count();
   if (monitored.cols() != features || background.cols() != features) {
     throw CorpusError(CorpusErrorCode::DimMismatch, "store cols != kfp_feature_count()");
   }
+  if (monitored.rows() == 0 || background.rows() == 0) {
+    throw std::invalid_argument("open_world_stream: need monitored and background rows");
+  }
+  // Labels are outside data: the store's checksum shows they arrived
+  // intact, not that they are valid. Each must name a class below the row
+  // count, which also bounds the per-class passes below by the rows.
   const std::size_t mon_rows = monitored.rows();
   int num_monitored_classes = 0;
   for (std::size_t r = 0; r < mon_rows; ++r) {
-    num_monitored_classes = std::max(num_monitored_classes, monitored.label(r) + 1);
+    const std::int32_t label = monitored.label(r);
+    if (label < 0 || static_cast<std::uint64_t>(label) >= mon_rows) {
+      throw std::invalid_argument("open_world_stream: monitored row " + std::to_string(r) +
+                                  " has label " + std::to_string(label) + " outside [0, " +
+                                  std::to_string(mon_rows) + ")");
+    }
+    num_monitored_classes = std::max(num_monitored_classes, label + 1);
   }
   const int background_label = num_monitored_classes;
 
   Rng rng(cfg.seed);
 
   // Per-class stratified split of the (small, materialisable) monitored
-  // store — same protocol as the in-memory evaluator.
+  // store.
   std::vector<std::size_t> mon_train_rows;
   std::vector<int> train_labels;
   std::vector<std::size_t> mon_test;

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "wf/random_forest.hpp"
-#include "wf/trace.hpp"
 
 namespace stob::wf {
 
@@ -30,19 +29,6 @@ struct OpenWorldResult {
   std::size_t monitored_tested = 0;
   std::size_t background_tested = 0;
 };
-
-struct OpenWorldConfig {
-  RandomForest::Config forest;
-  std::size_t k_neighbors = 3;   ///< unanimity over this many neighbours
-  double train_fraction = 0.6;   ///< per-class split for monitored & background
-  std::uint64_t seed = 0x0B5Eull;
-};
-
-/// Evaluate the open-world attack. `monitored` carries labels 0..M-1;
-/// every trace of `background` is treated as the unmonitored world (its
-/// labels are ignored). Deterministic for a given config seed.
-OpenWorldResult open_world_evaluate(const Dataset& monitored, const Dataset& background,
-                                    const OpenWorldConfig& cfg);
 
 class FeatureStore;
 
@@ -65,7 +51,10 @@ struct OpenWorldStreamConfig {
 /// store is streamed block-wise with pages dropped behind the pass, so
 /// peak memory is O(train set + one block) — constant in corpus size.
 /// Per-block counters are reduced in block order via exp::run_ordered, so
-/// results are identical for every `jobs` value.
+/// results are identical for every `jobs` value; every background label is
+/// ignored. Throws std::invalid_argument when either store holds no rows or
+/// a monitored label lies outside [0, monitored.rows()). Deterministic for
+/// a given config seed.
 OpenWorldResult open_world_stream(const FeatureStore& monitored, const FeatureStore& background,
                                   const OpenWorldStreamConfig& cfg);
 

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "core/cca_guard.hpp"
 #include "core/policies.hpp"
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
@@ -100,14 +102,14 @@ ProcOptions fork_opts(std::size_t workers) {
 /// 2 CCAs = 8 cells, with every optional sink armed so payloads carry
 /// metrics, captured events and invariant verdicts.
 struct CacheGrid {
-  defenses::SplitDefense split;
+  std::unique_ptr<defenses::TraceDefense> split = defenses::make_policy_defense("split");
   ExperimentGrid grid;
   RunOptions opts;
 
   CacheGrid() {
     grid.sites = tiny_sites(2);
     grid.samples = 1;
-    grid.defenses = {{"none", nullptr}, {"split", &split}};
+    grid.defenses = {{"none", nullptr}, {"split", split.get()}};
     grid.ccas = {"cubic", "bbr"};
     grid.base_seed = 20260808;
     opts.jobs = 2;
@@ -654,15 +656,15 @@ class FaultableSplit final : public defenses::TraceDefense {
 
   wf::Trace apply(const wf::Trace& trace, Rng& rng) const override {
     if (fault) fault();
-    return split_.apply(trace, rng);
+    return split_->apply(trace, rng);
   }
-  std::string name() const override { return split_.name(); }
-  std::string target() const override { return split_.target(); }
-  std::string strategy() const override { return split_.strategy(); }
-  defenses::Manipulations manipulations() const override { return split_.manipulations(); }
+  std::string name() const override { return split_->name(); }
+  std::string target() const override { return split_->target(); }
+  std::string strategy() const override { return split_->strategy(); }
+  defenses::Manipulations manipulations() const override { return split_->manipulations(); }
 
  private:
-  defenses::SplitDefense split_;
+  std::unique_ptr<defenses::TraceDefense> split_ = defenses::make_policy_defense("split");
 };
 
 /// 1 site x 2 samples x {none, split} = 4 cells; the split cells are 1 and 3.

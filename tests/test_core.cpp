@@ -1,15 +1,12 @@
-// Tests for the Stob core: histogram distributions, built-in policies, the
-// CCA guard invariant, the policy table, and end-to-end enforcement of
-// policies through the live TCP stack.
+// Tests for the Stob core: built-in policies, the CCA guard invariant, and
+// end-to-end enforcement of policies through the live TCP stack.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/cca_guard.hpp"
-#include "core/histogram.hpp"
 #include "core/policies.hpp"
 #include "core/policy.hpp"
-#include "core/policy_table.hpp"
 #include "stack/host_pair.hpp"
 #include "tcp/tcp_connection.hpp"
 
@@ -26,94 +23,6 @@ SegmentContext make_ctx(std::int64_t cca_segment = 65160, std::int64_t mss = 144
   ctx.cca_departure = TimePoint(departure_ns);
   ctx.cca_pacing_rate = DataRate::gbps(1);
   return ctx;
-}
-
-// --------------------------------------------------------------- Histogram
-
-TEST(Histogram, BinningAndTotals) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5, 3);
-  h.add(9.9);
-  EXPECT_EQ(h.total_tokens(), 5u);
-  EXPECT_EQ(h.tokens(0), 1u);
-  EXPECT_EQ(h.tokens(5), 3u);
-  EXPECT_EQ(h.tokens(9), 1u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.tokens(0), 1u);
-  EXPECT_EQ(h.tokens(9), 1u);
-}
-
-TEST(Histogram, SampleWithinRange) {
-  Histogram h(1.0, 3.0, 4);
-  h.add(1.5, 10);
-  h.add(2.5, 10);
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = h.sample(rng);
-    EXPECT_GE(v, 1.0);
-    EXPECT_LE(v, 3.0);
-  }
-}
-
-TEST(Histogram, SampleFollowsWeights) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5, 900);
-  h.add(1.5, 100);
-  Rng rng(7);
-  int low = 0;
-  for (int i = 0; i < 10000; ++i) low += h.sample(rng) < 1.0;
-  EXPECT_NEAR(low / 10000.0, 0.9, 0.02);
-}
-
-TEST(Histogram, SampleEmptyThrows) {
-  Histogram h(0.0, 1.0, 4);
-  Rng rng(1);
-  EXPECT_THROW(h.sample(rng), std::logic_error);
-}
-
-TEST(Histogram, SampleAndRemoveDrainsAndRefills) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25, 3);
-  Rng rng(2);
-  for (int i = 0; i < 3; ++i) (void)h.sample_and_remove(rng);
-  // Drained to zero -> refilled from the snapshot.
-  EXPECT_EQ(h.total_tokens(), 3u);
-}
-
-TEST(Histogram, FitFromSamples) {
-  std::vector<double> samples{0.1, 0.1, 0.9};
-  const Histogram h = Histogram::fit(samples, 0.0, 1.0, 2);
-  EXPECT_EQ(h.tokens(0), 2u);
-  EXPECT_EQ(h.tokens(1), 1u);
-}
-
-TEST(Histogram, SerializeRoundTrip) {
-  Histogram h(0.5, 4.5, 8);
-  h.add(1.0, 5);
-  h.add(4.0, 2);
-  const Histogram back = Histogram::deserialize(h.serialize());
-  EXPECT_EQ(back.lo(), 0.5);
-  EXPECT_EQ(back.hi(), 4.5);
-  EXPECT_EQ(back.total_tokens(), 7u);
-  EXPECT_EQ(back.tokens(1), 5u);
-}
-
-TEST(Histogram, MeanMatchesTokens) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(2.5, 1);
-  h.add(7.5, 1);
-  EXPECT_NEAR(h.mean(), 5.0, 1e-9);
-}
-
-TEST(Histogram, BadConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- policies
@@ -252,17 +161,6 @@ TEST(SweepSizePolicy, TsoShrinksAndFloorsAtOneSegment) {
   for (std::int64_t s : segs) EXPECT_GE(s, 1);
 }
 
-TEST(HistogramDelayPolicy, AddsSampledDelay) {
-  Histogram h(0.001, 0.002, 4);
-  h.add(0.0015, 100);
-  HistogramDelayPolicy p(std::move(h));
-  const SegmentContext ctx = make_ctx();
-  const SegmentDecision d = p.on_segment(ctx);
-  const Duration added = d.departure - ctx.cca_departure;
-  EXPECT_GE(added.sec(), 0.001);
-  EXPECT_LE(added.sec(), 0.002);
-}
-
 // ---------------------------------------------------------------- CcaGuard
 
 /// A deliberately aggressive policy: bigger segments, earlier departures.
@@ -320,49 +218,6 @@ TEST(CcaGuard, PropertyNeverMoreAggressive) {
       ASSERT_GE(d.wire_mss.count(), 1) << p->name();
     }
   }
-}
-
-// ------------------------------------------------------------- PolicyTable
-
-TEST(PolicyTable, PrecedenceOrder) {
-  PolicyTable table;
-  auto flow_p = std::make_shared<NullPolicy>();
-  auto dst_p = std::make_shared<SplitPolicy>();
-  auto def_p = std::make_shared<DelayPolicy>();
-  const net::FlowKey flow{1, 2, 40000, 443, net::Proto::Tcp};
-
-  table.set_default(def_p);
-  EXPECT_EQ(table.lookup(flow), def_p.get());
-  table.set_for_destination(2, dst_p);
-  EXPECT_EQ(table.lookup(flow), dst_p.get());
-  table.set_for_flow(flow, flow_p);
-  EXPECT_EQ(table.lookup(flow), flow_p.get());
-
-  table.clear_for_flow(flow);
-  EXPECT_EQ(table.lookup(flow), dst_p.get());
-  table.clear_for_destination(2);
-  EXPECT_EQ(table.lookup(flow), def_p.get());
-}
-
-TEST(PolicyTable, UnmatchedIsNull) {
-  PolicyTable table;
-  EXPECT_EQ(table.lookup({1, 2, 3, 4, net::Proto::Tcp}), nullptr);
-}
-
-TEST(DispatchPolicy, PassthroughWhenUnmatched) {
-  PolicyTable table;
-  DispatchPolicy dispatch(table);
-  const SegmentContext ctx = make_ctx();
-  const SegmentDecision d = dispatch.on_segment(ctx);
-  EXPECT_EQ(d.wire_mss, ctx.mss);
-}
-
-TEST(DispatchPolicy, RoutesToInstalledPolicy) {
-  PolicyTable table;
-  table.set_for_destination(2, std::make_shared<SplitPolicy>());
-  DispatchPolicy dispatch(table);
-  const SegmentDecision d = dispatch.on_segment(make_ctx());
-  EXPECT_EQ(d.wire_mss.count(), 724);
 }
 
 // ------------------------------------------- end-to-end stack enforcement

@@ -1,12 +1,15 @@
-// Tests for trace-level defenses: the §3 emulation primitives (split,
-// delay, combined, prefix scoping) and the Table 1 baselines, including the
-// invariants DESIGN.md commits to (byte preservation, monotone timestamps,
-// bounded inflation).
+// Tests for trace-level defenses: the §3 emulation primitives (the zoo's
+// split, delay and combined, and prefix scoping), the Table 1 baselines and
+// the streaming RegulaTor and WTF-PAD machines, including the invariants
+// DESIGN.md commits to (byte preservation, monotone timestamps, bounded
+// inflation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "defenses/baselines.hpp"
 #include "defenses/policy.hpp"
@@ -32,24 +35,24 @@ wf::Trace web_like_trace(std::uint64_t seed = 7, std::size_t packets = 200) {
   return t;
 }
 
-// ----------------------------------------------------------- SplitDefense
+// ------------------------------------------------------------------ split
 
-TEST(SplitDefense, PreservesTotalBytes) {
-  SplitDefense d;
+TEST(SplitStreamPolicy, PreservesTotalBytes) {
+  const auto d = make_policy_defense("split");
   Rng rng(1);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = d->apply(original, rng);
   EXPECT_EQ(defended.total_bytes(), original.total_bytes());
 }
 
-TEST(SplitDefense, SplitsOnlyLargeIncoming) {
-  SplitDefense d;
+TEST(SplitStreamPolicy, SplitsOnlyLargeIncoming) {
+  const auto d = make_policy_defense("split");
   Rng rng(1);
   wf::Trace t;
   t.add(0.0, -1, 1500);  // split
   t.add(0.1, -1, 1000);  // below threshold: kept
   t.add(0.2, +1, 1500);  // outgoing: kept (server-side deployment)
-  const wf::Trace out = d.apply(t, rng);
+  const wf::Trace out = d->apply(t, rng);
   EXPECT_EQ(out.size(), 4u);
   std::size_t large_incoming = 0;
   for (const auto& p : out.packets()) {
@@ -58,35 +61,35 @@ TEST(SplitDefense, SplitsOnlyLargeIncoming) {
   EXPECT_EQ(large_incoming, 0u);
 }
 
-TEST(SplitDefense, HalvesRespectMinimumMss) {
-  SplitDefense d;  // threshold 1200 guarantees halves >= 600 > 536
+TEST(SplitStreamPolicy, HalvesRespectMinimumMss) {
+  const auto d = make_policy_defense("split");  // threshold 1200: halves >= 600 > 536
   Rng rng(1);
   // All incoming packets above the threshold, so every one is split and
   // every resulting fragment must respect the 536 B minimum.
   Rng gen(42);
   wf::Trace t;
   for (int i = 0; i < 50; ++i) t.add(0.01 * i, -1, gen.uniform_int(1201, 1514));
-  const wf::Trace out = d.apply(t, rng);
+  const wf::Trace out = d->apply(t, rng);
   EXPECT_EQ(out.size(), 100u);
   for (const auto& p : out.packets()) EXPECT_GE(p.size, 536);
 }
 
-TEST(SplitDefense, TimestampsMonotone) {
-  SplitDefense d;
+TEST(SplitStreamPolicy, TimestampsMonotone) {
+  const auto d = make_policy_defense("split");
   Rng rng(1);
-  const wf::Trace out = d.apply(web_like_trace(), rng);
+  const wf::Trace out = d->apply(web_like_trace(), rng);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out.packets()[i].time, out.packets()[i - 1].time);
   }
 }
 
-// ----------------------------------------------------------- DelayDefense
+// ------------------------------------------------------------------ delay
 
-TEST(DelayDefense, PreservesPacketMultiset) {
-  DelayDefense d;
+TEST(DelayStreamPolicy, PreservesPacketMultiset) {
+  const auto d = make_policy_defense("delay");
   Rng rng(2);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = d->apply(original, rng);
   ASSERT_EQ(defended.size(), original.size());
   // Same direction/size sequence (order preserved, only times change).
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -95,11 +98,11 @@ TEST(DelayDefense, PreservesPacketMultiset) {
   }
 }
 
-TEST(DelayDefense, OnlyStretchesTime) {
-  DelayDefense d;
+TEST(DelayStreamPolicy, OnlyStretchesTime) {
+  const auto d = make_policy_defense("delay");
   Rng rng(3);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = d->apply(original, rng);
   EXPECT_GT(defended.duration(), original.duration());
   // Inflation bounded: every incoming gap grew by at most 30% cumulative.
   EXPECT_LE(defended.duration(), original.duration() * 1.31);
@@ -108,22 +111,22 @@ TEST(DelayDefense, OnlyStretchesTime) {
   }
 }
 
-TEST(DelayDefense, ZeroBandwidthOverhead) {
-  DelayDefense d;
+TEST(DelayStreamPolicy, ZeroBandwidthOverhead) {
+  const auto d = make_policy_defense("delay");
   Rng rng(4);
   const wf::Trace original = web_like_trace();
-  const Overhead o = measure_overhead(original, d.apply(original, rng));
+  const Overhead o = measure_overhead(original, d->apply(original, rng));
   EXPECT_DOUBLE_EQ(o.bandwidth, 0.0);
   EXPECT_GT(o.latency, 0.0);
 }
 
-// -------------------------------------------------------- CombinedDefense
+// --------------------------------------------------------------- combined
 
-TEST(CombinedDefense, SplitsAndDelays) {
-  CombinedDefense d;
+TEST(CombinedPolicy, SplitsAndDelays) {
+  const auto d = make_policy_defense("combined");
   Rng rng(5);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = d->apply(original, rng);
   EXPECT_GT(defended.size(), original.size());        // splitting happened
   EXPECT_GT(defended.duration(), original.duration());  // delaying happened
   EXPECT_EQ(defended.total_bytes(), original.total_bytes());
@@ -132,10 +135,10 @@ TEST(CombinedDefense, SplitsAndDelays) {
 // ------------------------------------------------------------ prefix scope
 
 TEST(PrefixScope, OnlyPrefixModified) {
-  SplitDefense d;
+  const auto d = make_policy_defense("split");
   Rng rng(6);
   const wf::Trace original = web_like_trace(8, 100);
-  const wf::Trace defended = apply_to_prefix(d, original, 30, rng);
+  const wf::Trace defended = apply_to_prefix(*d, original, 30, rng);
   // Packets after the prefix keep their sizes (split would halve them).
   const auto& orig = original.packets();
   const auto& def = defended.packets();
@@ -148,18 +151,18 @@ TEST(PrefixScope, OnlyPrefixModified) {
 }
 
 TEST(PrefixScope, ZeroMeansWholeTrace) {
-  SplitDefense d;
+  const auto d = make_policy_defense("split");
   Rng rng(7);
   const wf::Trace original = web_like_trace(9, 50);
   Rng rng2(7);
-  EXPECT_EQ(apply_to_prefix(d, original, 0, rng).size(), d.apply(original, rng2).size());
+  EXPECT_EQ(apply_to_prefix(*d, original, 0, rng).size(), d->apply(original, rng2).size());
 }
 
 TEST(PrefixScope, DelayShiftsTail) {
-  DelayDefense d;
+  const auto d = make_policy_defense("delay");
   Rng rng(8);
   const wf::Trace original = web_like_trace(10, 100);
-  const wf::Trace defended = apply_to_prefix(d, original, 30, rng);
+  const wf::Trace defended = apply_to_prefix(*d, original, 30, rng);
   ASSERT_EQ(defended.size(), original.size());
   // The tail shifted right but gaps within the tail are unchanged.
   const auto& orig = original.packets();
@@ -232,47 +235,6 @@ TEST(TamarawDefense, PadsToMultiple) {
   EXPECT_EQ(out_count % 100, 0u);
 }
 
-TEST(WtfPadDefense, FillsLargeGapsOnly) {
-  WtfPadDefense d;
-  Rng rng(14);
-  wf::Trace t;
-  t.add(0.0, -1, 1000);
-  t.add(0.001, -1, 1000);  // small gap: untouched
-  t.add(0.5, -1, 1000);    // 499 ms gap: dummies injected
-  const wf::Trace defended = d.apply(t, rng);
-  EXPECT_GT(defended.size(), t.size());
-  // Injected packets live inside the large gap.
-  std::size_t in_gap = 0;
-  for (const auto& p : defended.packets()) {
-    if (p.time > 0.001 && p.time < 0.5) ++in_gap;
-  }
-  EXPECT_GT(in_gap, 0u);
-}
-
-TEST(WtfPadDefense, NoDelayAddedToRealPackets) {
-  WtfPadDefense d;
-  Rng rng(15);
-  const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
-  // Every original packet still exists at its original time.
-  std::multiset<double> times;
-  for (const auto& p : defended.packets()) times.insert(p.time);
-  for (const auto& p : original.packets()) {
-    EXPECT_TRUE(times.count(p.time) > 0);
-  }
-}
-
-TEST(RegulatorDefense, ReshapesDownloadCompletely) {
-  RegulatorDefense d;
-  Rng rng(16);
-  const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
-  // At least as many download packets as the original needed (all data
-  // eventually delivered through the schedule).
-  EXPECT_GE(defended.incoming_count(), original.incoming_count());
-  for (const auto& p : defended.packets()) EXPECT_EQ(p.size, 1514);
-}
-
 TEST(PadToConstant, SizesQuantised) {
   PadToConstantDefense d;
   Rng rng(17);
@@ -291,6 +253,18 @@ TEST(PadToConstant, NeverShrinks) {
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_GE(defended.packets()[i].size, original.packets()[i].size);
   }
+}
+
+TEST(AllDefenses, BaselinesThenEveryZooPolicyOnce) {
+  // Table 1's rows: the four whole-trace baselines, then each streaming
+  // policy of the zoo exactly once, every row under its own name.
+  std::vector<std::string> want{"FRONT", "BuFLO", "Tamaraw", "ALPaCA-pad"};
+  for (const PolicyInfo& info : policy_zoo()) want.push_back(info.name);
+  std::vector<std::string> got;
+  for (const auto& d : all_defenses()) got.push_back(d->name());
+  EXPECT_EQ(got, want);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
 }
 
 TEST(AllDefenses, ApplyCleanlyAndReportMetadata) {

@@ -2,17 +2,19 @@
 //
 // The §3 emulation primitives (split / delay / combined) used to be inline
 // trace transforms; they now run as streaming policies (defenses/
-// baseline_policies.hpp) through the run_policy driver. The migration gate
-// is byte-identity: this file pins the legacy transform bodies (copied
-// verbatim from the pre-migration trace_defense.cpp) as reference
-// implementations and asserts the migrated path produces the *same trace,
-// bit for bit*, across seeds, trace shapes, and Rng interleavings — and
-// that the experiment grid built on top of them stays byte-identical at
+// baseline_policies.hpp) through the run_policy driver, and the drivers
+// reach them as make_policy_defense("split"|"delay"|"combined"). The
+// migration gate is byte-identity: this file pins the legacy transform
+// bodies (copied verbatim from the pre-migration trace_defense.cpp) as
+// reference implementations and asserts the zoo entries produce the *same
+// trace, bit for bit*, across seeds, trace shapes, and Rng interleavings —
+// and that the experiment grid built on top of them stays byte-identical at
 // any --jobs value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/cca_guard.hpp"
@@ -32,7 +34,7 @@ namespace {
 
 // ------------------------------------------------- legacy reference bodies
 
-wf::Trace legacy_split(const wf::Trace& trace, const SplitDefense::Config& cfg) {
+wf::Trace legacy_split(const wf::Trace& trace, const SplitStreamPolicy::Config& cfg) {
   wf::Trace out;
   for (const wf::PacketRecord& p : trace.packets()) {
     const bool in_scope = !cfg.incoming_only || p.direction < 0;
@@ -51,7 +53,8 @@ wf::Trace legacy_split(const wf::Trace& trace, const SplitDefense::Config& cfg) 
   return out;
 }
 
-wf::Trace legacy_delay(const wf::Trace& trace, const DelayDefense::Config& cfg, Rng& rng) {
+wf::Trace legacy_delay(const wf::Trace& trace, const DelayStreamPolicy::Config& cfg,
+                       Rng& rng) {
   wf::Trace out;
   const auto& pkts = trace.packets();
   double shift = 0.0;
@@ -70,8 +73,8 @@ wf::Trace legacy_delay(const wf::Trace& trace, const DelayDefense::Config& cfg, 
   return out;
 }
 
-wf::Trace legacy_combined(const wf::Trace& trace, const SplitDefense::Config& split,
-                          const DelayDefense::Config& delay, Rng& rng) {
+wf::Trace legacy_combined(const wf::Trace& trace, const SplitStreamPolicy::Config& split,
+                          const DelayStreamPolicy::Config& delay, Rng& rng) {
   return legacy_delay(legacy_split(trace, split), delay, rng);
 }
 
@@ -135,12 +138,12 @@ std::vector<wf::Trace> parity_corpus() {
 // ------------------------------------------------------------ parity gate
 
 TEST(PolicyParity, SplitByteIdentical) {
-  const SplitDefense migrated;
+  const auto migrated = make_policy_defense("split");
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng rng(seed);
-      const wf::Trace got = migrated.apply(t, rng);
-      EXPECT_EQ(got, legacy_split(t, SplitDefense::Config{}));
+      const wf::Trace got = migrated->apply(t, rng);
+      EXPECT_EQ(got, legacy_split(t, SplitStreamPolicy::Config{}));
       // The migrated split must consume exactly as much randomness as the
       // legacy transform did (none): the stream must stay in sync.
       Rng probe(seed);
@@ -150,13 +153,13 @@ TEST(PolicyParity, SplitByteIdentical) {
 }
 
 TEST(PolicyParity, DelayByteIdentical) {
-  const DelayDefense migrated;
+  const auto migrated = make_policy_defense("delay");
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng legacy_rng(seed);
-      const wf::Trace want = legacy_delay(t, DelayDefense::Config{}, legacy_rng);
+      const wf::Trace want = legacy_delay(t, DelayStreamPolicy::Config{}, legacy_rng);
       Rng rng(seed);
-      const wf::Trace got = migrated.apply(t, rng);
+      const wf::Trace got = migrated->apply(t, rng);
       EXPECT_EQ(got, want);
       // Identical residual Rng state: draw-for-draw replication, not just
       // identical output.
@@ -166,40 +169,44 @@ TEST(PolicyParity, DelayByteIdentical) {
 }
 
 TEST(PolicyParity, CombinedByteIdentical) {
-  const CombinedDefense migrated;
+  const auto migrated = make_policy_defense("combined");
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng legacy_rng(seed);
-      const wf::Trace want =
-          legacy_combined(t, SplitDefense::Config{}, DelayDefense::Config{}, legacy_rng);
+      const wf::Trace want = legacy_combined(t, SplitStreamPolicy::Config{},
+                                             DelayStreamPolicy::Config{}, legacy_rng);
       Rng rng(seed);
-      EXPECT_EQ(migrated.apply(t, rng), want);
+      EXPECT_EQ(migrated->apply(t, rng), want);
       EXPECT_EQ(rng.uniform(0.0, 1.0), legacy_rng.uniform(0.0, 1.0));
     }
   }
 }
 
 TEST(PolicyParity, NonDefaultConfigsStayIdentical) {
-  SplitDefense::Config scfg;
+  SplitStreamPolicy::Config scfg;
   scfg.threshold = 600;
   scfg.incoming_only = false;
-  DelayDefense::Config dcfg;
+  DelayStreamPolicy::Config dcfg;
   dcfg.lo = 0.5;
   dcfg.hi = 1.5;
   dcfg.incoming_only = false;
-  const SplitDefense split(scfg);
-  const DelayDefense delay(dcfg);
-  const CombinedDefense combined(scfg, dcfg);
+  SplitStreamPolicy split(scfg);
+  DelayStreamPolicy delay(dcfg);
   for (const wf::Trace& t : parity_corpus()) {
     Rng a(5), b(5);
-    EXPECT_EQ(split.apply(t, a), legacy_split(t, scfg));
-    EXPECT_EQ(delay.apply(t, a), legacy_delay(t, dcfg, b));
+    EXPECT_EQ(run_policy(split, t, a), legacy_split(t, scfg));
+    EXPECT_EQ(run_policy(delay, t, a), legacy_delay(t, dcfg, b));
+    std::vector<std::unique_ptr<Policy>> stages;
+    stages.push_back(std::make_unique<SplitStreamPolicy>(scfg));
+    stages.push_back(std::make_unique<DelayStreamPolicy>(dcfg));
+    ChainPolicy combined(std::move(stages));
     Rng c(5), d(5);
-    EXPECT_EQ(combined.apply(t, c), legacy_combined(t, scfg, dcfg, d));
+    EXPECT_EQ(run_policy(combined, t, c), legacy_combined(t, scfg, dcfg, d));
   }
 }
 
-// The registry's policy objects are the same machines the defenses wrap.
+// The registry's streaming policies are the same machines its trace
+// defenses wrap.
 TEST(PolicyParity, RegistryPoliciesMatchDefenses) {
   for (const char* name : {"split", "delay", "combined"}) {
     const auto defense = make_policy_defense(name);

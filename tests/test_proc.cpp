@@ -14,10 +14,12 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
@@ -451,8 +453,8 @@ TEST(RunGridProc, ByteIdenticalToInProcessAtAnyWorkerCount) {
   ExperimentGrid grid;
   grid.sites = tiny_sites(2);
   grid.samples = 2;
-  defenses::SplitDefense split;
-  grid.defenses = {{"none", nullptr}, {"split", &split}};
+  const auto split = defenses::make_policy_defense("split");
+  grid.defenses = {{"none", nullptr}, {"split", split.get()}};
   grid.base_seed = 20260808;
 
   RunOptions opts;

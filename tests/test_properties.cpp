@@ -117,9 +117,10 @@ TEST_P(DefenseInvariants, WellFormedOutput) {
   EXPECT_EQ(defense.apply(original, rng2), defended) << defense.name();
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, DefenseInvariants,
-                         ::testing::Combine(::testing::Range(0, 11),
-                                            ::testing::Values(1, 2, 3)));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DefenseInvariants,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(defenses::all_defenses().size())),
+                       ::testing::Values(1, 2, 3)));
 
 // ------------------------------------------------- guarded policy safety
 
