@@ -80,8 +80,8 @@ std::string fmt(double v) {
 // collection grid produces a deterministic manifest (tool/config/seed/span
 // structure; harness timing facts excluded) byte-identical to a cache-
 // bypassing re-run. CI drives this at --proc-workers 0/1/4, so the check
-// covers the in-process cached path and the supervisor's probe/commit hooks
-// alike. Returns nonzero on mismatch.
+// covers the cached grid pipeline with both executors. Returns nonzero on
+// mismatch.
 int verify_warm_manifest(const exp::ExperimentGrid& grid, exp::RunOptions run,
                          exp::ResultCache* cache, std::size_t jobs, std::uint64_t seed) {
   run.check_determinism = false;

@@ -202,6 +202,12 @@ std::string describe_cell(const ExperimentGrid& grid, const JobSpec& spec) {
   return out;
 }
 
+/// Rethrow a pool failure with the failing cell's grid coordinates.
+[[noreturn]] void throw_with_cell(const ExperimentGrid& grid, const JobError& e) {
+  const std::size_t i = e.job_index();
+  throw JobError(i, std::string(e.what()) + " [cell " + describe_cell(grid, grid.job(i)) + "]");
+}
+
 /// Run one cell and encode the worker payload, capturing per-job profiler
 /// records exactly the way run_ordered_profiled does (a "job" span wrapping
 /// the cell, span-id domain derived from the job index) so the supervisor's
@@ -240,7 +246,7 @@ std::string run_cell_payload(const ExperimentGrid& grid, std::size_t index,
   try {
     const std::string payload = run_cell_payload(grid, index, opts, opts.proc.worker_profile,
                                                  opts.proc.worker_prof_domain);
-    if (!util::write_frame(opts.proc.worker_fd, payload)) code = 1;
+    if (!util::write_frame(util::kResultFd, payload)) code = 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "worker: job %zu threw: %s\n", index, e.what());
     code = 1;
@@ -249,65 +255,7 @@ std::string run_cell_payload(const ExperimentGrid& grid, std::size_t index,
   ::_exit(code);
 }
 
-/// Supervisor path of run_grid: fan the grid out to worker processes and
-/// decode the payloads back into ordered JobResults. Quarantined cells get
-/// a placeholder result (completed = false) so downstream reductions keep
-/// their shape instead of the whole sweep dying with the cell.
-std::vector<JobResult> run_grid_proc(const ExperimentGrid& grid, const RunOptions& opts,
-                                     ProcReport* report) {
-  obs::Profiler* prof = obs::profiler();
-  ProcOptions proc = opts.proc;
-  if (prof != nullptr) {
-    proc.worker_profile = true;
-    proc.worker_prof_domain = prof->id_domain();
-  }
-  const bool capture_prof = prof != nullptr;
-  const std::uint64_t prof_domain = capture_prof ? prof->id_domain() : 0;
-
-  const std::size_t count = grid.job_count();
-
-  // Cache hooks: the supervisor probes before scheduling a worker and
-  // commits every worker-produced frame. Keyed exactly like the in-process
-  // cached path, so in-process and proc sweeps share entries.
-  CellCache hooks;
-  std::vector<std::string> keys;
-  if (opts.cache != nullptr) {
-    const std::string salt = ResultCache::salt_hash(run_config_salt(opts));
-    keys.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      keys[i] = ResultCache::entry_key_hashed(cell_digest(grid, i, opts), capture_prof, salt);
-    }
-    hooks.probe = [&](std::size_t i) { return opts.cache->load(keys[i]); };
-    hooks.commit = [&](std::size_t i, const std::string& payload) {
-      opts.cache->store(keys[i], payload);
-    };
-  }
-
-  const auto payloads = run_cells(
-      count, proc, [&](std::size_t i) { return cell_digest(grid, i, opts); },
-      [&](std::size_t i) { return run_cell_payload(grid, i, opts, capture_prof, prof_domain); },
-      report, opts.cache != nullptr ? &hooks : nullptr);
-
-  std::vector<JobResult> results(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!payloads[i].has_value()) {
-      results[i].spec = grid.job(i);  // quarantined placeholder
-      continue;
-    }
-    WorkerPayload payload;
-    try {
-      payload = decode_worker_payload(*payloads[i]);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("exp: undecodable worker payload for job " + std::to_string(i) +
-                               " [cell " + describe_cell(grid, grid.job(i)) + "]: " + e.what());
-    }
-    if (prof != nullptr) prof->splice(std::move(payload.prof_records), 0, 0);
-    results[i] = std::move(payload.result);
-  }
-  return results;
-}
-
-/// Uninstall the calling thread's profiler for a scope. The cached path
+/// Uninstall the calling thread's profiler for a scope. The pipeline
 /// captures per-job spans explicitly (run_cell_payload, true grid index),
 /// so the worker pool must take its unprofiled path — the profiled pool
 /// would wrap each cell in a second "job" span, and hits would gain spans
@@ -323,41 +271,82 @@ class ProfilerSuppression {
   obs::Profiler* saved_;
 };
 
-/// One cell of the cached pass: its decoded payload, or the decoder's
-/// complaint when the bytes (served or fresh) did not decode.
-struct CachedCell {
+/// One cell of the pipeline pass: its decoded payload, the decoder's
+/// complaint when the bytes did not decode, or the crash record of a cell
+/// the proc executor quarantined.
+struct PipelineCell {
   WorkerPayload payload;
   std::optional<std::string> decode_error;
+  bool hit = false;
+  bool ran_in_worker = false;
+  std::size_t retries = 0;
+  std::size_t injected_faults = 0;
+  std::optional<CrashRecord> crash;
 };
 
-/// In-process cached path of run_grid: one pass over every cell on the
-/// worker pool. Each job derives its key, loads (the entry is SHA-256
-/// verified there), runs and commits the cell on a miss, and decodes the
-/// payload; results and span captures are then spliced in job order — so
-/// the reduction, the spliced span structure and therefore
-/// stdout/CSV/manifests cannot depend on which cells were cached.
-std::vector<JobResult> run_grid_cached(const ExperimentGrid& grid, const RunOptions& opts) {
+/// The cached and out-of-process paths of run_grid: one run_ordered pass in
+/// job order. Each job derives its key, loads (the entry is SHA-256
+/// verified there), runs the cell on a miss, commits it and decodes the
+/// payload. Only "run the miss" depends on the mode: in process it calls
+/// run_cell_payload; with proc.workers > 0 each pool thread runs its misses
+/// through the ProcExecutor's attempt loop, which keeps at most that many
+/// worker processes alive at once.
+/// Results, span captures and crash records are then reduced in job order,
+/// so the reduction, the spliced span structure and therefore
+/// stdout/CSV/manifests cannot depend on which cells were cached, on
+/// --jobs or on the worker count. Quarantined cells get a placeholder
+/// result (completed = false) so downstream reductions keep their shape.
+std::vector<JobResult> run_pipeline(const ExperimentGrid& grid, const RunOptions& opts,
+                                    ProcReport& report) {
   obs::Profiler* prof = obs::profiler();
   const bool capture_prof = prof != nullptr;
   const std::uint64_t prof_domain = capture_prof ? prof->id_domain() : 0;
-  ResultCache& cache = *opts.cache;
-  const std::string salt = ResultCache::salt_hash(run_config_salt(opts));
+  std::size_t threads = opts.jobs == 0 ? default_jobs() : opts.jobs;
+  std::optional<ProcExecutor> executor;
+  if (opts.proc.workers > 0) {
+    ProcOptions proc = opts.proc;
+    proc.worker_profile = capture_prof;
+    proc.worker_prof_domain = prof_domain;
+    executor.emplace(proc);
+    // Hits stay on the --jobs pool; at most proc.workers misses run at once.
+    threads = std::max(threads, opts.proc.workers);
+  }
+  ResultCache* cache = opts.cache;
+  const std::string salt =
+      cache != nullptr ? ResultCache::salt_hash(run_config_salt(opts)) : std::string();
 
-  std::vector<CachedCell> cells;
+  std::vector<PipelineCell> cells;
   {
     ProfilerSuppression quiet;
     try {
-      cells = run_ordered<CachedCell>(grid.job_count(), opts.jobs, [&](std::size_t i) {
-        const std::string key =
-            ResultCache::entry_key_hashed(cell_digest(grid, i, opts), capture_prof, salt);
-        std::optional<std::string> bytes = cache.load(key);
+      cells = run_ordered<PipelineCell>(grid.job_count(), threads, [&](std::size_t i) {
+        PipelineCell cell;
+        std::string key;
+        std::optional<std::string> bytes;
+        if (cache != nullptr) {
+          key = ResultCache::entry_key_hashed(cell_digest(grid, i, opts), capture_prof, salt);
+          bytes = cache->load(key);
+          cell.hit = bytes.has_value();
+        }
         if (!bytes.has_value()) {
-          bytes = run_cell_payload(grid, i, opts, capture_prof, prof_domain);
+          if (executor.has_value()) {
+            CellRun run = executor->run(i);
+            cell.retries = run.retries;
+            cell.injected_faults = run.injected_faults;
+            if (!run.payload.has_value()) {
+              run.crash.digest = cell_digest(grid, i, opts);
+              cell.crash = std::move(run.crash);
+              return cell;  // quarantined: never committed
+            }
+            cell.ran_in_worker = true;
+            bytes = std::move(run.payload);
+          } else {
+            bytes = run_cell_payload(grid, i, opts, capture_prof, prof_domain);
+          }
           // Commit per cell, not per sweep: a killed run keeps every
           // finished cell, which is what makes crashed sweeps incremental.
-          cache.store(key, *bytes);
+          if (cache != nullptr) cache->store(key, *bytes);
         }
-        CachedCell cell;
         try {
           cell.payload = decode_worker_payload(*bytes);
         } catch (const std::exception& e) {
@@ -366,22 +355,32 @@ std::vector<JobResult> run_grid_cached(const ExperimentGrid& grid, const RunOpti
         return cell;
       });
     } catch (const JobError& e) {
-      const std::size_t i = e.job_index();
-      throw JobError(i, std::string(e.what()) + " [cell " + describe_cell(grid, grid.job(i)) +
-                            "]");
+      throw_with_cell(grid, e);
     }
   }
 
+  report = ProcReport{};
+  report.cells = cells.size();
   std::vector<JobResult> results(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (cells[i].decode_error.has_value()) {
-      throw std::runtime_error("exp: undecodable cached payload for job " + std::to_string(i) +
-                               " [cell " + describe_cell(grid, grid.job(i)) +
-                               "]: " + *cells[i].decode_error);
+    PipelineCell& cell = cells[i];
+    report.retries += cell.retries;
+    report.injected_faults += cell.injected_faults;
+    if (cell.ran_in_worker) report.ran += 1;
+    if (cell.crash.has_value()) {
+      results[i].spec = grid.job(i);  // quarantined placeholder
+      report.failures.push_back(std::move(*cell.crash));
+      report.quarantined += 1;
+      continue;
     }
-    WorkerPayload& payload = cells[i].payload;
-    if (prof != nullptr) prof->splice(std::move(payload.prof_records), 0, 0);
-    results[i] = std::move(payload.result);
+    if (cell.decode_error.has_value()) {
+      throw std::runtime_error(std::string("exp: undecodable ") +
+                               (cell.hit ? "cached" : "worker") + " payload for job " +
+                               std::to_string(i) + " [cell " + describe_cell(grid, grid.job(i)) +
+                               "]: " + *cell.decode_error);
+    }
+    if (prof != nullptr) prof->splice(std::move(cell.payload.prof_records), 0, 0);
+    results[i] = std::move(cell.payload.result);
   }
   return results;
 }
@@ -400,16 +399,15 @@ std::vector<JobResult> run_grid(const ExperimentGrid& grid, const RunOptions& op
           grid.job_count(), threads,
           [&](std::size_t i) { return run_job(grid, grid.job(i), opts); });
     } catch (const JobError& e) {
-      throw JobError(e.job_index(), std::string(e.what()) + " [cell " +
-                                        describe_cell(grid, grid.job(e.job_index())) + "]");
+      throw_with_cell(grid, e);
     }
   };
   ProcReport report;
   std::vector<JobResult> results = [&] {
     obs::ProfSpan span("grid.run");
-    if (opts.proc.workers > 0) return run_grid_proc(grid, opts, &report);
-    if (opts.cache != nullptr) return run_grid_cached(grid, opts);
-    return run_with(opts.jobs);
+    // Uncached in-process cells skip the payload codec entirely.
+    if (opts.proc.workers == 0 && opts.cache == nullptr) return run_with(opts.jobs);
+    return run_pipeline(grid, opts, report);
   }();
   if (opts.proc.workers > 0 && opts.proc_report != nullptr) *opts.proc_report = report;
   if (opts.check_determinism) {
@@ -559,7 +557,6 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
                                  {"--retries", true},
                                  {"--inject-worker-fault", true},
                                  {"--worker-job", true},
-                                 {"--worker-fd", true},
                                  {"--worker-fault", true},
                                  {"--worker-prof-domain", true}};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
@@ -636,8 +633,6 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
     } else if (name == "--worker-job") {
       cli.worker_mode = true;
       cli.worker_job = static_cast<std::size_t>(parse_u64(name, *value));
-    } else if (name == "--worker-fd") {
-      cli.worker_fd = static_cast<int>(parse_u64(name, *value));
     } else if (name == "--worker-fault") {
       cli.worker_fault = *value;
     } else if (name == "--worker-prof-domain") {
@@ -662,9 +657,14 @@ ProcOptions proc_options_from_cli(const Cli& cli) {
   proc.job_timeout = Duration::seconds_f(cli.job_timeout_s);
   proc.retries = cli.retries;
   proc.fault_spec = cli.inject_worker_fault;
-  if (cli.proc_workers > 0) proc.worker_argv = cli.argv;
+  if (cli.proc_workers > 0) {
+    // The driver re-execs itself. Resolve the binary now: argv[0] may be a
+    // bare name found on PATH (execv does not search it) or relative to a
+    // cwd that could change, and /proc/self/exe survives a rename.
+    proc.worker_argv = cli.argv;
+    proc.worker_argv[0] = util::self_exe_path(cli.argv[0]);
+  }
   if (cli.worker_mode) proc.worker_job = cli.worker_job;
-  proc.worker_fd = cli.worker_fd;
   proc.worker_fault = cli.worker_fault;
   proc.worker_profile = cli.worker_profile;
   proc.worker_prof_domain = cli.worker_prof_domain;

@@ -124,9 +124,11 @@ struct RunOptions {
   /// byte-identical.
   bool check_determinism = false;
   /// Out-of-process execution (crash isolation; see exp/proc_runner.hpp).
-  /// proc.workers > 0 routes run_grid through the process supervisor;
-  /// proc.worker_job set means *this process is a worker*: run that one
-  /// cell, write the result frame to proc.worker_fd, and _exit.
+  /// proc.workers > 0 runs cache misses in that many concurrent worker
+  /// processes (proc.worker_argv must name the worker command, else
+  /// run_grid throws std::invalid_argument); proc.worker_job set means
+  /// *this process is a worker*: run that one cell, write the result frame
+  /// to util::kResultFd, and _exit.
   ProcOptions proc;
   /// When non-null and proc mode ran, filled with the supervisor's report.
   ProcReport* proc_report = nullptr;
@@ -190,9 +192,9 @@ wf::Dataset to_dataset(const std::vector<JobResult>& results);
 /// (0 = in-process, the default), --job-timeout SECONDS, --retries N,
 /// --inject-worker-fault crash|hang|exit[:rate]. A killed sweep resumes
 /// by rerunning it against the same --cache DIR.
-/// The supervisor re-execs the driver binary with --worker-job N
-/// --worker-fd FD [--worker-fault KIND] [--worker-prof-domain D] appended;
-/// those worker flags are parsed here too but are never user-facing.
+/// The executor re-execs the driver binary with --worker-job N
+/// [--worker-fault KIND] [--worker-prof-domain D] appended; those worker
+/// flags are parsed here too but are never user-facing.
 struct Cli {
   std::size_t jobs = 0;
   bool check_determinism = false;
@@ -216,7 +218,6 @@ struct Cli {
   // Out-of-process runner (worker side; set only in spawned workers).
   bool worker_mode = false;            ///< --worker-job was given
   std::size_t worker_job = 0;          ///< cell index to run, then _exit
-  int worker_fd = 3;                   ///< result-frame descriptor
   std::string worker_fault;            ///< fault to execute before the job
   bool worker_profile = false;         ///< --worker-prof-domain was given
   std::uint64_t worker_prof_domain = 0;
@@ -250,8 +251,9 @@ struct FlagSpec {
 /// Both "--flag value" and "--flag=value" spellings are accepted.
 Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags = {});
 
-/// Map the CLI's out-of-process flags onto supervisor options. Sets
-/// worker_argv to the CLI's verbatim argv (the driver re-execs itself) and
+/// Map the CLI's out-of-process flags onto executor options. Sets
+/// worker_argv to the CLI's argv with argv[0] resolved to this executable
+/// (/proc/self/exe: the driver re-execs itself) and
 /// forwards the worker-side fields, so a driver only needs
 /// `run.proc = proc_options_from_cli(cli)` to support every runner flag.
 ProcOptions proc_options_from_cli(const Cli& cli);

@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -106,31 +106,9 @@ void execute_worker_fault(std::string_view kind) {
   if (kind == "exit") ::_exit(3);
 }
 
-// --------------------------------------------------------------- supervisor
+// ----------------------------------------------------------------- executor
 
 namespace {
-
-struct Attempt {
-  std::size_t job = 0;
-  std::size_t attempt = 0;  // 0-based
-};
-
-struct Delayed {
-  Clock::time_point ready;
-  Attempt item;
-};
-
-struct Active {
-  util::Subprocess proc;
-  Attempt item;
-  Clock::time_point deadline;
-  std::string result_buf;
-  std::string err_tail;
-  bool result_eof = false;
-  bool err_eof = false;
-
-  bool drained() const { return result_eof && err_eof; }
-};
 
 /// Drain whatever is readable from `fd` into `buf`; returns true on EOF.
 bool drain_fd(int fd, std::string* buf) {
@@ -153,264 +131,129 @@ struct Outcome {
   std::string kind;  // "signal" / "exit" / "timeout" / "frame"
   int signal_no = 0;
   int exit_code = 0;
+  std::string err_tail;
 };
 
-Outcome classify(Active& a, bool timed_out) {
+/// One worker process, start to reap: collect both pipes until EOF or the
+/// watchdog deadline, then classify how the attempt ended.
+Outcome run_attempt(const std::vector<std::string>& argv, Duration timeout) {
+  util::Subprocess proc = util::Subprocess::spawn(argv);
+  const Clock::time_point deadline = Clock::now() + std::chrono::nanoseconds(timeout.ns());
+  std::string result;
   Outcome out;
+  bool result_eof = false;
+  bool err_eof = false;
+  bool timed_out = false;
+  while (!(result_eof && err_eof)) {
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (left <= 0) {
+      timed_out = true;
+      break;
+    }
+    pollfd fds[2] = {};
+    nfds_t n = 0;
+    if (!result_eof) fds[n++] = {proc.result_fd(), POLLIN, 0};
+    if (!err_eof) fds[n++] = {proc.stderr_fd(), POLLIN, 0};
+    if (::poll(fds, n, static_cast<int>(std::min<std::int64_t>(left, 60'000))) < 0) continue;
+    for (nfds_t k = 0; k < n; ++k) {
+      if (fds[k].revents == 0) continue;
+      if (fds[k].fd == proc.result_fd()) {
+        result_eof = drain_fd(fds[k].fd, &result);
+      } else {
+        err_eof = drain_fd(fds[k].fd, &out.err_tail);
+        trim_tail(&out.err_tail);
+      }
+    }
+  }
+  if (timed_out) proc.kill(SIGKILL);
+  // Both pipes at EOF means the worker is exiting: block until it has.
+  const util::ExitStatus st = proc.wait();
   if (timed_out) {
+    // The kill closed the worker's pipe ends; keep its last words.
+    drain_fd(proc.stderr_fd(), &out.err_tail);
+    trim_tail(&out.err_tail);
     out.kind = "timeout";
     out.signal_no = SIGKILL;
-    return out;
-  }
-  const util::ExitStatus st = a.proc.wait();
-  if (st.signaled) {
+  } else if (st.signaled) {
     out.kind = "signal";
     out.signal_no = st.term_signal;
-    return out;
-  }
-  if (!st.clean()) {
+  } else if (!st.clean()) {
     out.kind = "exit";
     out.exit_code = st.exit_code;
-    return out;
-  }
-  std::optional<std::string> payload = util::parse_frame(a.result_buf);
-  if (!payload.has_value()) {
+  } else if (std::optional<std::string> payload = util::parse_frame(result)) {
+    out.success = true;
+    out.payload = std::move(*payload);
+  } else {
     out.kind = "frame";  // exited 0 but the result frame is missing/torn
-    return out;
   }
-  out.success = true;
-  out.payload = std::move(*payload);
   return out;
 }
 
 }  // namespace
 
-std::vector<std::optional<std::string>> run_cells(
-    std::size_t count, const ProcOptions& opts,
-    const std::function<std::string(std::size_t)>& digest,
-    const std::function<std::string(std::size_t)>& run_cell, ProcReport* report,
-    const CellCache* cache) {
-  if (opts.workers == 0) throw std::runtime_error("proc: run_cells needs workers > 0");
-  const WorkerFaultPlan fault = WorkerFaultPlan::parse(opts.fault_spec);
-  const std::size_t max_attempts = opts.retries + 1;
-  const bool exec_mode = !opts.worker_argv.empty();
-
-  ProcReport local;
-  ProcReport& rep = report != nullptr ? *report : local;
-  rep = ProcReport{};
-  rep.cells = count;
-
-  // Cells the cache already holds never reach a worker.
-  std::vector<std::optional<std::string>> payloads(count);
-  std::deque<Attempt> pending;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (cache != nullptr && cache->probe) payloads[i] = cache->probe(i);
-    if (payloads[i].has_value()) {
-      rep.cache_hits += 1;
-    } else {
-      pending.push_back({i, 0});
-    }
+ProcExecutor::ProcExecutor(const ProcOptions& opts)
+    : opts_(opts),
+      fault_(WorkerFaultPlan::parse(opts.fault_spec)),
+      slots_(static_cast<std::ptrdiff_t>(opts.workers)) {
+  if (opts_.worker_argv.empty()) {
+    throw std::invalid_argument(
+        "exp: ProcOptions::worker_argv is empty; proc mode (workers > 0) needs a worker "
+        "command");
   }
+  if (opts_.worker_profile) {
+    opts_.worker_argv.push_back("--worker-prof-domain");
+    opts_.worker_argv.push_back(std::to_string(opts_.worker_prof_domain));
+  }
+}
 
-  // Resolve the worker binary once: argv[0] may be relative to a cwd that
-  // could change, and /proc/self/exe survives deletion/rename of the path.
-  std::vector<std::string> base_argv = opts.worker_argv;
-  if (exec_mode) base_argv[0] = util::self_exe_path(base_argv[0]);
-
-  std::vector<Active> active;
-  std::vector<Delayed> delayed;
-  active.reserve(opts.workers);
-
-  const auto spawn = [&](const Attempt& item) {
-    const bool inject = fault.should_inject(item.job, item.attempt, max_attempts);
-    if (inject) rep.injected_faults += 1;
-
-    util::Subprocess::Options sub;
-    sub.result_fd = opts.worker_fd >= 0 ? opts.worker_fd : 3;
-    if (exec_mode) {
-      sub.argv = base_argv;
-      sub.argv.push_back("--worker-job");
-      sub.argv.push_back(std::to_string(item.job));
-      sub.argv.push_back("--worker-fd");
-      sub.argv.push_back(std::to_string(sub.result_fd));
-      if (inject) {
-        sub.argv.push_back("--worker-fault");
-        sub.argv.push_back(fault.kind_name());
-      }
-      if (opts.worker_profile) {
-        sub.argv.push_back("--worker-prof-domain");
-        sub.argv.push_back(std::to_string(opts.worker_prof_domain));
-      }
-    } else {
-      const std::size_t job = item.job;
-      const std::string fault_kind = inject ? fault.kind_name() : "";
-      sub.child_fn = [job, fault_kind, &run_cell](int result_fd) {
-        execute_worker_fault(fault_kind);
-        const std::string payload = run_cell(job);
-        return util::write_frame(result_fd, payload) ? 0 : 1;
-      };
+CellRun ProcExecutor::run(std::size_t job) {
+  const std::size_t max_attempts = opts_.retries + 1;
+  CellRun cell;
+  for (std::size_t attempt = 0;; ++attempt) {
+    std::vector<std::string> argv = opts_.worker_argv;
+    argv.push_back("--worker-job");
+    argv.push_back(std::to_string(job));
+    if (fault_.should_inject(job, attempt, max_attempts)) {
+      cell.injected_faults += 1;
+      argv.push_back("--worker-fault");
+      argv.push_back(fault_.kind_name());
     }
-
-    Active a;
-    a.proc = util::Subprocess::spawn(sub);
-    a.item = item;
-    a.deadline = Clock::now() + std::chrono::nanoseconds(opts.job_timeout.ns());
-    active.push_back(std::move(a));
-  };
-
-  const auto backoff = [&](std::size_t attempt) {
-    Duration d = opts.backoff_base;
-    for (std::size_t k = 0; k < attempt && d < opts.backoff_cap; ++k) d = d * 2;
-    return std::min(d, opts.backoff_cap);
-  };
-
-  const auto finalize = [&](Active& a, bool timed_out) {
-    Outcome out = classify(a, timed_out);
-    const std::size_t job = a.item.job;
-    const std::size_t attempts = a.item.attempt + 1;
+    Outcome out = [&] {
+      slots_.acquire();
+      struct Release {
+        std::counting_semaphore<>& slots;
+        ~Release() { slots.release(); }
+      } release{slots_};
+      return run_attempt(argv, opts_.job_timeout);
+    }();
     if (out.success) {
-      if (cache != nullptr && cache->commit) {
-        cache->commit(job, out.payload);
-        rep.cache_stores += 1;
-      }
-      payloads[job] = std::move(out.payload);
-      rep.ran += 1;
-      return;
+      cell.payload = std::move(out.payload);
+      return cell;
     }
-    if (attempts < max_attempts) {
-      rep.retries += 1;
-      delayed.push_back({Clock::now() + std::chrono::nanoseconds(backoff(a.item.attempt).ns()),
-                         {job, a.item.attempt + 1}});
-      return;
+    if (attempt + 1 >= max_attempts) {
+      cell.crash.job = job;
+      cell.crash.attempts = static_cast<std::uint32_t>(attempt + 1);
+      cell.crash.outcome = std::move(out.kind);
+      cell.crash.signal_no = out.signal_no;
+      cell.crash.exit_code = out.exit_code;
+      cell.crash.stderr_tail = std::move(out.err_tail);
+      return cell;
     }
-    trim_tail(&a.err_tail);
-    CrashRecord crash;
-    crash.job = job;
-    crash.digest = digest(job);
-    crash.attempts = static_cast<std::uint32_t>(attempts);
-    crash.outcome = out.kind;
-    crash.signal_no = out.signal_no;
-    crash.exit_code = out.exit_code;
-    crash.stderr_tail = a.err_tail;
-    rep.failures.push_back(std::move(crash));
-    rep.quarantined += 1;
-  };
-
-  while (!pending.empty() || !delayed.empty() || !active.empty()) {
-    const Clock::time_point now = Clock::now();
-
-    // Promote retry attempts whose backoff has elapsed.
-    for (std::size_t i = 0; i < delayed.size();) {
-      if (delayed[i].ready <= now) {
-        pending.push_back(delayed[i].item);
-        delayed.erase(delayed.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    while (active.size() < opts.workers && !pending.empty()) {
-      spawn(pending.front());
-      pending.pop_front();
-    }
-    if (active.empty()) {
-      if (delayed.empty()) break;  // pending handled above; nothing left
-      Clock::time_point earliest = delayed.front().ready;
-      for (const Delayed& d : delayed) earliest = std::min(earliest, d.ready);
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(earliest - now);
-      ::poll(nullptr, 0, static_cast<int>(std::max<std::int64_t>(1, ms.count() + 1)));
-      continue;
-    }
-
-    // Poll every live descriptor, bounded by the nearest watchdog deadline
-    // (or retry-ready time), so hangs are detected without busy-waiting.
-    Clock::time_point wake = active.front().deadline;
-    for (const Active& a : active) wake = std::min(wake, a.deadline);
-    for (const Delayed& d : delayed) wake = std::min(wake, d.ready);
-    for (const Active& a : active) {
-      // Both pipes at EOF means the worker is mid-exit: its zombie may not
-      // be waitable for another scheduler tick (the parent can win the
-      // waitpid race outright on a single-core machine), and a dead child
-      // contributes no descriptors to wake poll. Re-check shortly instead
-      // of sleeping to the watchdog deadline.
-      if (a.drained()) {
-        wake = std::min(wake, now + std::chrono::milliseconds(2));
-        break;
-      }
-    }
-    std::vector<pollfd> fds;
-    std::vector<std::pair<std::size_t, bool>> owner;  // (active idx, is_result)
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (!active[i].result_eof && active[i].proc.result_fd() >= 0) {
-        fds.push_back({active[i].proc.result_fd(), POLLIN, 0});
-        owner.emplace_back(i, true);
-      }
-      if (!active[i].err_eof && active[i].proc.stderr_fd() >= 0) {
-        fds.push_back({active[i].proc.stderr_fd(), POLLIN, 0});
-        owner.emplace_back(i, false);
-      }
-    }
-    const auto timeout_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-        wake - Clock::now());
-    const int timeout =
-        static_cast<int>(std::clamp<std::int64_t>(timeout_ms.count() + 1, 0, 60'000));
-    int rc;
-    do {
-      rc = ::poll(fds.data(), fds.size(), timeout);
-    } while (rc < 0 && errno == EINTR);
-
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if (fds[k].revents == 0) continue;
-      Active& a = active[owner[k].first];
-      if (owner[k].second) {
-        a.result_eof = drain_fd(fds[k].fd, &a.result_buf);
-      } else {
-        a.err_eof = drain_fd(fds[k].fd, &a.err_tail);
-        trim_tail(&a.err_tail);
-      }
-    }
-
-    // Reap finished and expired workers. Iterate by index and compact at
-    // the end so finalize() (which can push retries) never invalidates the
-    // loop.
-    const Clock::time_point after = Clock::now();
-    for (std::size_t i = 0; i < active.size();) {
-      Active& a = active[i];
-      bool done = false;
-      if (a.drained()) {
-        if (a.proc.try_wait().has_value()) {
-          finalize(a, /*timed_out=*/false);
-          done = true;
-        }
-      }
-      if (!done && after >= a.deadline) {
-        a.proc.kill(SIGKILL);
-        a.proc.wait();
-        // The kill closed the child's pipe ends; collect any last bytes.
-        if (!a.result_eof && a.proc.result_fd() >= 0) drain_fd(a.proc.result_fd(), &a.result_buf);
-        if (!a.err_eof && a.proc.stderr_fd() >= 0) {
-          drain_fd(a.proc.stderr_fd(), &a.err_tail);
-          trim_tail(&a.err_tail);
-        }
-        finalize(a, /*timed_out=*/true);
-        done = true;
-      }
-      if (done) {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
+    cell.retries += 1;
+    Duration backoff = opts_.backoff_base;
+    for (std::size_t k = 0; k < attempt && backoff < opts_.backoff_cap; ++k) backoff = backoff * 2;
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(std::min(backoff, opts_.backoff_cap).ns()));
   }
-
-  return payloads;
 }
 
 void print_proc_summary(const char* tool, const ProcReport& report) {
   std::fprintf(stderr,
-               "%s: proc supervisor: %zu cells, %zu ran, %zu cache hits, %zu cache stores, "
-               "%zu retries, %zu injected faults, %zu quarantined\n",
-               tool, report.cells, report.ran, report.cache_hits, report.cache_stores,
-               report.retries, report.injected_faults, report.quarantined);
+               "%s: proc supervisor: %zu cells, %zu ran, %zu retries, %zu injected faults, "
+               "%zu quarantined\n",
+               tool, report.cells, report.ran, report.retries, report.injected_faults,
+               report.quarantined);
   for (const CrashRecord& f : report.failures) {
     std::fprintf(stderr,
                  "%s: quarantined cell %llu (digest %.12s…) after %u attempts: %s "

@@ -1,31 +1,35 @@
-// Crash-isolated out-of-process experiment runner.
+// Crash-isolated out-of-process executor for run_grid's cell pipeline.
 //
-// run_cells() is a single-threaded supervisor that executes a dense index
-// space of grid cells in child worker processes (util::Subprocess), one
-// process per cell attempt, multiplexed with poll(). It turns the failure
-// modes that kill a single-address-space sweep — a segfaulting cell, an
-// OOM kill, a wedged simulation — into per-cell events:
+// With --proc-workers N, each thread of run_grid's one pipeline pass
+// (experiment.cpp) hands its cache misses to ProcExecutor::run(): one
+// blocking attempt loop per cell that execs one worker process per attempt
+// (util::Subprocess, at most N alive at once), polls the worker's result
+// and stderr pipes until EOF or the watchdog deadline, reaps it and
+// classifies the attempt. It turns the failure modes that kill a
+// single-address-space sweep — a segfaulting cell, an OOM kill, a wedged
+// simulation — into per-cell events:
 //
 //   * crash (signal) / nonzero exit / torn result frame → the cell is
 //     retried with capped exponential backoff;
-//   * hang → a per-job wall-clock watchdog SIGKILLs the worker, then the
-//     same retry path applies;
+//   * hang → a per-attempt wall-clock watchdog SIGKILLs the worker, then
+//     the same retry path applies;
 //   * a cell that fails every attempt is *quarantined*: the sweep keeps
 //     going, and the cell gets a structured CrashRecord (outcome, signal /
 //     exit code, attempt count, captured stderr tail) in the report.
 //
-// Determinism: the supervisor only moves opaque result payloads around —
-// cells are pure functions of their spec, payloads are decoded in job-index
-// order by the caller, and retries/backoff/scheduling affect timing only.
-// The self-fault hook (WorkerFaultPlan, `--inject-worker-fault`) makes that
-// claim testable: it deterministically injects crash/hang/exit faults into
-// worker attempts, *never on a cell's final attempt* (unless rate >= 1), so
-// a faulted sweep converges to output byte-identical to a fault-free run.
+// Determinism: the executor only moves opaque result payloads around —
+// cells are pure functions of their spec, payloads are decoded and crash
+// records reported in job-index order by run_grid, and retries/backoff/
+// scheduling affect timing only. The self-fault hook (WorkerFaultPlan,
+// `--inject-worker-fault`) makes that claim testable: it deterministically
+// injects crash/hang/exit faults into worker attempts, *never on a cell's
+// final attempt* (unless rate >= 1), so a faulted sweep converges to output
+// byte-identical to a fault-free run.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,7 +62,8 @@ struct WorkerFaultPlan {
 /// (including "") returns and the worker proceeds normally.
 void execute_worker_fault(std::string_view kind);
 
-/// Supervisor configuration (CLI-shaped; see exp::proc_options_from_cli).
+/// Out-of-process executor configuration (CLI-shaped; see
+/// exp::proc_options_from_cli).
 struct ProcOptions {
   /// Concurrent worker processes; 0 disables out-of-process mode.
   std::size_t workers = 0;
@@ -71,14 +76,14 @@ struct ProcOptions {
   Duration backoff_cap = Duration::seconds(2);
   /// Self-fault hook, e.g. "crash:0.1" (see WorkerFaultPlan).
   std::string fault_spec;
-  /// Non-empty: fork/exec these argv as the worker (the supervisor appends
-  /// the --worker-* flags). Empty: fork-only workers running the caller's
-  /// in-process cell function — no exec, used by tests/library callers.
+  /// The worker command: argv[0] is the executable, and the executor
+  /// appends --worker-job N [--worker-fault KIND] [--worker-prof-domain D].
+  /// The worker writes its result frame to util::kResultFd. Required when
+  /// workers > 0.
   std::vector<std::string> worker_argv;
 
   // -- worker-side fields (set only inside a spawned worker process) --
   std::optional<std::size_t> worker_job;  ///< cell index to run, then _exit
-  int worker_fd = 3;                      ///< descriptor for the result frame
   std::string worker_fault;               ///< fault to execute before the job
   std::uint64_t worker_prof_domain = 0;   ///< caller profiler's id domain
   bool worker_profile = false;            ///< capture per-job span records
@@ -98,44 +103,47 @@ struct CrashRecord {
   std::string stderr_tail;  ///< last bytes of the worker's captured stderr
 };
 
-/// What the supervisor did, cell by cell aggregated. Failures only holds
-/// quarantined cells (every attempt failed); transient failures that a
-/// retry recovered show up in `retries` only.
+/// What the proc executor did, aggregated over the grid. Failures only
+/// holds quarantined cells (every attempt failed), in ascending job index;
+/// transient failures that a retry recovered show up in `retries` only.
+/// Cache hits and stores are counted by ResultCache::stats().
 struct ProcReport {
   std::size_t cells = 0;          ///< total cells in the run
   std::size_t ran = 0;            ///< cells executed by workers this run
-  std::size_t cache_hits = 0;     ///< cells served by the result cache
-  std::size_t cache_stores = 0;   ///< worker results committed to the cache
   std::size_t retries = 0;        ///< extra attempts scheduled
   std::size_t injected_faults = 0;  ///< attempts the self-fault hook hit
   std::size_t quarantined = 0;    ///< cells that failed all attempts
   std::vector<CrashRecord> failures;
 };
 
-/// Supervisor-side hooks into the content-addressed result cache: `probe`
-/// is consulted before a cell is scheduled (a hit skips the worker), and
-/// `commit` is called with every worker-produced payload — workers publish
-/// frames, only the supervisor commits them, so a crashing worker can never
-/// tear a cache entry. Committing per cell, not per sweep, is what makes a
-/// killed sweep (SIGKILL of the supervisor included) resumable: a rerun
-/// against the same cache hits every cell that finished.
-struct CellCache {
-  std::function<std::optional<std::string>(std::size_t)> probe;
-  std::function<void(std::size_t, const std::string&)> commit;
+/// One cell's run in worker processes.
+struct CellRun {
+  std::optional<std::string> payload;  ///< nullopt = quarantined
+  CrashRecord crash;                   ///< final attempt's failure (digest unset)
+  std::size_t retries = 0;
+  std::size_t injected_faults = 0;
 };
 
-/// Execute cells [0, count) out of process and return each cell's result
-/// payload in index order (nullopt = quarantined). `digest(i)` names cell i
-/// in its crash record; `run_cell(i)` produces cell i's payload and is
-/// invoked *in the forked child* when `opts.worker_argv` is empty (exec
-/// mode never calls it — the exec'd binary computes the payload itself).
-/// Throws std::runtime_error on supervisor-level failures (no workers, or
-/// workers cannot be spawned at all).
-std::vector<std::optional<std::string>> run_cells(
-    std::size_t count, const ProcOptions& opts,
-    const std::function<std::string(std::size_t)>& digest,
-    const std::function<std::string(std::size_t)>& run_cell, ProcReport* report,
-    const CellCache* cache = nullptr);
+/// Runs cells in exec'd worker processes, at most opts.workers at a time.
+/// run() is blocking and thread-safe, so run_grid's pool threads share one
+/// executor: a thread holds one of the `workers` slots only while its
+/// worker process runs, never while it backs off.
+class ProcExecutor {
+ public:
+  /// Throws std::invalid_argument when opts.worker_argv is empty or
+  /// opts.fault_spec is malformed.
+  explicit ProcExecutor(const ProcOptions& opts);
+
+  /// Attempt loop for cell `job`: spawn, poll the worker's two pipes until
+  /// EOF or the watchdog deadline, wait(), classify; back off and retry a
+  /// failed attempt, or return the last failure as the cell's CrashRecord.
+  CellRun run(std::size_t job);
+
+ private:
+  ProcOptions opts_;
+  WorkerFaultPlan fault_;
+  std::counting_semaphore<> slots_;
+};
 
 /// One-line supervisor summary, plus one line per quarantined cell carrying
 /// its JSON-escaped stderr tail, on stderr — never stdout, which stays

@@ -39,10 +39,7 @@ namespace {
 
 constexpr char kFrameMagic[4] = {'S', 'F', '0', '1'};
 
-void set_nonblock_cloexec(int fd) {
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-}
+void set_nonblock(int fd) { ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK); }
 
 void close_quietly(int& fd) {
   if (fd >= 0) {
@@ -107,21 +104,25 @@ std::optional<std::string> parse_frame(std::string_view bytes) {
   return std::string(bytes.substr(8, len));
 }
 
-Subprocess Subprocess::spawn(const Options& opts) {
-  const bool exec_mode = !opts.argv.empty();
-  if (!exec_mode && !opts.child_fn) {
-    throw std::runtime_error("Subprocess::spawn: neither argv nor child_fn given");
-  }
+Subprocess Subprocess::spawn(const std::vector<std::string>& args) {
+  if (args.empty()) throw std::runtime_error("Subprocess::spawn: empty argv");
+  // Built before fork(): the child of a multi-threaded parent must not
+  // allocate (another thread may hold the allocator's lock) before execv.
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
 
   int result_pipe[2] = {-1, -1};
   int err_pipe[2] = {-1, -1};
-  if (opts.result_fd >= 0 && ::pipe(result_pipe) != 0) {
-    throw std::runtime_error("Subprocess::spawn: pipe() failed");
-  }
-  if (opts.capture_stderr && ::pipe(err_pipe) != 0) {
-    close_quietly(result_pipe[0]);
-    close_quietly(result_pipe[1]);
-    throw std::runtime_error("Subprocess::spawn: pipe() failed");
+  const auto close_pipes = [&] {
+    for (int* fd : {&result_pipe[0], &result_pipe[1], &err_pipe[0], &err_pipe[1]}) {
+      close_quietly(*fd);
+    }
+  };
+  if (::pipe2(result_pipe, O_CLOEXEC) != 0 || ::pipe2(err_pipe, O_CLOEXEC) != 0) {
+    close_pipes();
+    throw std::runtime_error("Subprocess::spawn: pipe2() failed");
   }
 
   // Keep pending stdio out of the child: a fork()'d copy of a partially
@@ -130,47 +131,25 @@ Subprocess Subprocess::spawn(const Options& opts) {
 
   const pid_t pid = ::fork();
   if (pid < 0) {
-    close_quietly(result_pipe[0]);
-    close_quietly(result_pipe[1]);
-    close_quietly(err_pipe[0]);
-    close_quietly(err_pipe[1]);
+    close_pipes();
     throw std::runtime_error("Subprocess::spawn: fork() failed");
   }
 
   if (pid == 0) {
-    // ---- child ----
-    close_quietly(result_pipe[0]);
-    close_quietly(err_pipe[0]);
+    // ---- child: the read ends are O_CLOEXEC and vanish at execv ----
     const int devnull = ::open("/dev/null", O_RDWR);
     if (devnull >= 0) {
       ::dup2(devnull, STDIN_FILENO);
       ::dup2(devnull, STDOUT_FILENO);
       if (devnull > STDERR_FILENO) ::close(devnull);
     }
-    if (opts.capture_stderr) child_dup_onto(err_pipe[1], STDERR_FILENO);
-    if (result_pipe[1] >= 0) child_dup_onto(result_pipe[1], opts.result_fd);
-
-    if (exec_mode) {
-      std::vector<char*> argv;
-      argv.reserve(opts.argv.size() + 1);
-      for (const std::string& a : opts.argv) argv.push_back(const_cast<char*>(a.c_str()));
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      // exec failed: report on the captured stderr and die with the
-      // conventional shell "command not found" code.
-      ::dprintf(STDERR_FILENO, "Subprocess: execv(%s) failed: %s\n", argv[0],
-                ::strerror(errno));
-      ::_exit(127);
-    }
-    int code = 125;
-    try {
-      code = opts.child_fn(opts.result_fd);
-    } catch (...) {
-      ::dprintf(STDERR_FILENO, "Subprocess: child_fn threw\n");
-      code = 125;
-    }
-    ::fflush(nullptr);
-    ::_exit(code);
+    child_dup_onto(err_pipe[1], STDERR_FILENO);
+    child_dup_onto(result_pipe[1], kResultFd);
+    ::execv(argv[0], argv.data());
+    // exec failed: report on the captured stderr and die with the
+    // conventional shell "command not found" code.
+    ::dprintf(STDERR_FILENO, "Subprocess: execv(%s) failed: %s\n", argv[0], ::strerror(errno));
+    ::_exit(127);
   }
 
   // ---- parent ----
@@ -180,8 +159,8 @@ Subprocess Subprocess::spawn(const Options& opts) {
   close_quietly(err_pipe[1]);
   p.result_fd_ = result_pipe[0];
   p.stderr_fd_ = err_pipe[0];
-  if (p.result_fd_ >= 0) set_nonblock_cloexec(p.result_fd_);
-  if (p.stderr_fd_ >= 0) set_nonblock_cloexec(p.stderr_fd_);
+  set_nonblock(p.result_fd_);
+  set_nonblock(p.stderr_fd_);
   return p;
 }
 
@@ -215,9 +194,6 @@ Subprocess::~Subprocess() {
   close_quietly(stderr_fd_);
 }
 
-void Subprocess::close_result_fd() { close_quietly(result_fd_); }
-void Subprocess::close_stderr_fd() { close_quietly(stderr_fd_); }
-
 void Subprocess::kill(int sig) {
   if (running()) ::kill(pid_, sig);
 }
@@ -229,20 +205,6 @@ ExitStatus Subprocess::wait() {
   do {
     rc = ::waitpid(pid_, &raw, 0);
   } while (rc < 0 && errno == EINTR);
-  if (rc == pid_) status_ = decode_status(raw);
-  reaped_ = true;
-  return status_;
-}
-
-std::optional<ExitStatus> Subprocess::try_wait() {
-  if (reaped_) return status_;
-  if (pid_ <= 0) return std::nullopt;
-  int raw = 0;
-  pid_t rc;
-  do {
-    rc = ::waitpid(pid_, &raw, WNOHANG);
-  } while (rc < 0 && errno == EINTR);
-  if (rc == 0) return std::nullopt;
   if (rc == pid_) status_ = decode_status(raw);
   reaped_ = true;
   return status_;

@@ -1,7 +1,7 @@
 // RAII child-process primitive for the out-of-process experiment runner.
 //
-// A Subprocess is one fork()'d — and usually exec()'d — worker with three
-// plumbed file descriptors:
+// A Subprocess is one fork()'d and exec()'d worker with three plumbed file
+// descriptors:
 //
 //   * stdin and stdout are pointed at /dev/null: workers re-run a bench
 //     driver's main() up to the job dispatch point, and anything they print
@@ -9,36 +9,38 @@
 //     stdout;
 //   * stderr is captured through a pipe so the supervisor can keep a tail
 //     for crash reports;
-//   * a dedicated *result* descriptor carries the job's output back as a
+//   * descriptor kResultFd (3) carries the job's output back as a
 //     length-prefixed frame (see write_frame / parse_frame) — results never
 //     share a stream with logging.
 //
-// Two spawn modes share the plumbing:
+// The exec gives every worker a fresh address space, so heap corruption in
+// one cell cannot leak into its siblings or the supervisor — the
+// crash-isolation property the proc runner is built on.
 //
-//   * exec mode (`Options::argv` non-empty): fork + execv. The worker gets
-//     a fresh address space, so heap corruption in one cell cannot leak
-//     into its siblings or the supervisor — the crash-isolation property
-//     the proc runner is built on.
-//   * callback mode (`Options::child_fn` set): fork only; the child runs
-//     the callback and _exit()s with its return value. Used by tests and
-//     by library callers that have no binary to re-exec.
+// spawn() is safe to call from several threads at once: both pipes are
+// created O_CLOEXEC (the child's dup2 onto stderr / fd 3 clears the flag on
+// the copies it keeps), so a sibling forked in the window between pipe
+// creation and the parent's close cannot carry another worker's write end
+// across exec and hold back that worker's EOF. The child's argv is built
+// before fork(), so the child allocates nothing before execv.
 //
-// All pipe I/O helpers retry EINTR; parent-side descriptors are
-// O_NONBLOCK + O_CLOEXEC so a poll()-driven supervisor can multiplex many
-// children from one thread without leaking descriptors into later workers.
-// The destructor SIGKILLs and reaps a still-running child: a Subprocess
-// can never outlive its owner as a zombie or an orphan.
+// All pipe I/O helpers retry EINTR; parent-side descriptors are nonblocking
+// so the caller can poll() a child's two pipes against a deadline. The
+// destructor SIGKILLs and reaps a still-running child: a Subprocess can
+// never outlive its owner as a zombie or an orphan.
 #pragma once
 
 #include <sys/types.h>
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace stob::util {
+
+/// Child-side descriptor number the result pipe is dup2()'d onto.
+inline constexpr int kResultFd = 3;
 
 // ------------------------------------------------------- EINTR-safe I/O
 
@@ -78,22 +80,11 @@ struct ExitStatus {
 
 class Subprocess {
  public:
-  struct Options {
-    /// exec mode: argv[0] is the executable path. Empty = callback mode.
-    std::vector<std::string> argv;
-    /// callback mode: run in the forked child; its return value becomes the
-    /// child's exit code. The argument is the child-side result descriptor.
-    std::function<int(int result_fd)> child_fn;
-    /// Child-side descriptor number the result pipe is dup2()'d onto (exec
-    /// mode workers learn it via a flag). < 0 disables the result pipe.
-    int result_fd = 3;
-    bool capture_stderr = true;
-  };
-
-  /// Fork (and exec) the child. Throws std::runtime_error when fork or the
-  /// pipe plumbing fails; exec failure surfaces as exit code 127 with a
-  /// message on the captured stderr.
-  static Subprocess spawn(const Options& opts);
+  /// Fork and execv `argv` (argv[0] is the executable path). Throws
+  /// std::runtime_error when argv is empty or fork / the pipe plumbing
+  /// fails; exec failure surfaces as exit code 127 with a message on the
+  /// captured stderr.
+  static Subprocess spawn(const std::vector<std::string>& argv);
 
   Subprocess() = default;
   Subprocess(Subprocess&& o) noexcept { *this = std::move(o); }
@@ -102,15 +93,11 @@ class Subprocess {
   Subprocess& operator=(const Subprocess&) = delete;
   ~Subprocess();  ///< SIGKILL + reap if still running; closes descriptors
 
-  pid_t pid() const { return pid_; }
   bool running() const { return pid_ > 0 && !reaped_; }
 
-  /// Parent ends of the result / stderr pipes (nonblocking), -1 when absent
-  /// or already drained+closed.
+  /// Parent ends of the result / stderr pipes (nonblocking).
   int result_fd() const { return result_fd_; }
   int stderr_fd() const { return stderr_fd_; }
-  void close_result_fd();
-  void close_stderr_fd();
 
   /// Send `sig` (no-op once reaped).
   void kill(int sig);
@@ -118,9 +105,6 @@ class Subprocess {
   /// Blocking, EINTR-safe waitpid. Idempotent: the first call reaps, later
   /// calls return the cached status.
   ExitStatus wait();
-
-  /// Nonblocking reap; nullopt while the child is still running.
-  std::optional<ExitStatus> try_wait();
 
  private:
   pid_t pid_ = -1;

@@ -6,9 +6,11 @@
 // byte-identical at any --jobs / --proc-workers — plus resuming failed or
 // killed proc-mode sweeps from the cache, eviction (gc), SIGKILL-mid-commit
 // crash consistency, and a concurrent mixed hit/miss stress kept honest by
-// TSan.
+// TSan. Proc-mode workers are the grid_worker helper
+// (tests/helpers/grid_worker.cpp).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -16,7 +18,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -34,30 +35,15 @@
 #include "exp/proc_runner.hpp"
 #include "exp/result_cache.hpp"
 #include "exp/worker_pool.hpp"
+#include "helpers/tiny_grids.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
 #include "util/subprocess.hpp"
-#include "workload/website.hpp"
 
 namespace stob::exp {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Small, fast site profiles so whole-grid tests run in well under a second.
-std::vector<workload::SiteProfile> tiny_sites(std::size_t n) {
-  std::vector<workload::SiteProfile> sites;
-  for (std::size_t i = 0; i < n; ++i) {
-    workload::SiteProfile s;
-    s.name = "tiny" + std::to_string(i);
-    s.html_mu = 8.5 + 0.3 * static_cast<double>(i);
-    s.objects_mean = 3.0 + static_cast<double>(i);
-    s.object_mu = 8.0;
-    s.parallel_connections = 2;
-    sites.push_back(s);
-  }
-  return sites;
-}
 
 /// Fresh per-test path (the pid keeps parallel ctest runs apart).
 fs::path temp_path(const std::string& stem) {
@@ -88,35 +74,13 @@ std::size_t count_files(const fs::path& dir) {
   return n;
 }
 
-/// Fork-mode proc options: no exec, workers run the cell in a forked child.
-ProcOptions fork_opts(std::size_t workers) {
-  ProcOptions proc;
-  proc.workers = workers;
-  proc.job_timeout = Duration::seconds(30);
-  proc.backoff_base = Duration::millis(1);
-  proc.backoff_cap = Duration::millis(8);
-  return proc;
-}
-
-/// The grid the differential tests run: 2 sites x 1 sample x 2 defenses x
-/// 2 CCAs = 8 cells, with every optional sink armed so payloads carry
-/// metrics, captured events and invariant verdicts.
+/// The grid the differential tests run (tiny grid "cache"): 2 sites x
+/// 1 sample x 2 defenses x 2 CCAs = 8 cells, with every optional sink armed
+/// so payloads carry metrics, captured events and invariant verdicts.
 struct CacheGrid {
-  std::unique_ptr<defenses::TraceDefense> split = defenses::make_policy_defense("split");
-  ExperimentGrid grid;
-  RunOptions opts;
-
-  CacheGrid() {
-    grid.sites = tiny_sites(2);
-    grid.samples = 1;
-    grid.defenses = {{"none", nullptr}, {"split", split.get()}};
-    grid.ccas = {"cubic", "bbr"};
-    grid.base_seed = 20260808;
-    opts.jobs = 2;
-    opts.collect_metrics = true;
-    opts.trace_capacity = 4096;
-    opts.check_invariants = true;
-  }
+  tiny::TinyGrid t = tiny::make_grid("cache");
+  ExperimentGrid& grid = t.grid;
+  RunOptions& opts = t.opts;
 
   /// Entry key of cell `i` exactly as run_grid derives it (unprofiled).
   std::string key(std::size_t i) const {
@@ -148,7 +112,7 @@ TEST(EntryKey, ConfigSaltCoversPageOptionsAndEnvEscapeHatch) {
   // and --proc-workers settings.
   RunOptions knobs = opts;
   knobs.jobs = 7;
-  knobs.proc = fork_opts(3);
+  knobs.proc = tiny::worker_opts(3, "cache");
   knobs.proc.retries = 9;
   EXPECT_EQ(run_config_salt(knobs), base);
 
@@ -441,8 +405,8 @@ TEST(RunGridCached, CacheSaltEnvInvalidatesEverything) {
 
 // ---------------------------------------------- one pass over all cells
 //
-// run_grid_cached serves hits and runs misses in the same pool pass, each
-// job loading (and SHA-verifying) its own entry; these pin that mixing.
+// run_grid serves hits and runs misses in the same pool pass, each job
+// loading (and SHA-verifying) its own entry; these pin that mixing.
 
 TEST(RunGridCached, HalfWarmGridMatchesCacheFreeRunAtAnyJobs) {
   CacheGrid t;
@@ -596,126 +560,102 @@ TEST(RunGridCached, ProfiledWarmRunProducesIdenticalManifest) {
   EXPECT_EQ(cache.stats().hits, cache.stats().stores);
 }
 
-// ------------------------------------------------- proc-mode supervisor
+// ------------------------------------------------- proc-mode executor
 
 TEST(RunGridProcCache, ColdStoresWarmHitsByteIdentically) {
   CacheGrid t;
   const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
 
   TempDir dir("proc");
-  ResultCache cache(dir.path, kWorkerPayloadVersion);
   RunOptions proc_run = t.opts;
-  proc_run.proc = fork_opts(2);
-  proc_run.cache = &cache;
+  proc_run.proc = tiny::worker_opts(2, "cache");
   ProcReport cold;
   proc_run.proc_report = &cold;
-  const std::vector<JobResult> cold_results = run_grid(t.grid, proc_run);
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_TRUE(results_identical(baseline[i], cold_results[i])) << "cold job " << i;
+  {
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    proc_run.cache = &cache;
+    const std::vector<JobResult> cold_results = run_grid(t.grid, proc_run);
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_TRUE(results_identical(baseline[i], cold_results[i])) << "cold job " << i;
+    }
+    EXPECT_EQ(cold.ran, t.grid.job_count());
+    EXPECT_EQ(cache.stats().stores, t.grid.job_count());
+    EXPECT_EQ(cache.stats().hits, 0u);
   }
-  EXPECT_EQ(cold.ran, t.grid.job_count());
-  EXPECT_EQ(cold.cache_stores, t.grid.job_count());
-  EXPECT_EQ(cold.cache_hits, 0u);
 
-  // Warm at a different worker count: no worker ever forks.
-  proc_run.proc = fork_opts(4);
+  // Warm at a different worker count: no worker is ever spawned.
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
+  proc_run.cache = &cache;
+  proc_run.proc = tiny::worker_opts(4, "cache");
   ProcReport warm;
   proc_run.proc_report = &warm;
   const std::vector<JobResult> warm_results = run_grid(t.grid, proc_run);
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_TRUE(results_identical(baseline[i], warm_results[i])) << "warm job " << i;
   }
-  EXPECT_EQ(warm.cache_hits, t.grid.job_count());
+  EXPECT_EQ(cache.stats().hits, t.grid.job_count());
   EXPECT_EQ(warm.ran, 0u);
-  EXPECT_EQ(warm.cache_stores, 0u);
+  EXPECT_EQ(cache.stats().stores, 0u);
 }
 
 TEST(RunGridProcCache, EntriesAreSharedAcrossInProcessAndProcModes) {
   CacheGrid t;
   TempDir dir("cross");
-  ResultCache cache(dir.path, kWorkerPayloadVersion);
   // Populate in process...
+  {
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    RunOptions run = t.opts;
+    run.cache = &cache;
+    run_grid(t.grid, run);
+  }
+  // ...hit from proc mode: same keys, same entries.
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
   RunOptions run = t.opts;
   run.cache = &cache;
-  run_grid(t.grid, run);
-  // ...hit from the proc supervisor: same keys, same entries.
-  run.proc = fork_opts(2);
+  run.proc = tiny::worker_opts(2, "cache");
   ProcReport report;
   run.proc_report = &report;
   run_grid(t.grid, run);
-  EXPECT_EQ(report.cache_hits, t.grid.job_count());
+  EXPECT_EQ(cache.stats().hits, t.grid.job_count());
   EXPECT_EQ(report.ran, 0u);
 }
 
-/// Split that runs `fault` first when set: a stand-in for a transient
-/// failure that a later rerun of the sweep no longer hits. It keeps the name
-/// "split", so its cells share cache keys with an unfaulted run's.
-class FaultableSplit final : public defenses::TraceDefense {
- public:
-  std::function<void()> fault;
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override {
-    if (fault) fault();
-    return split_->apply(trace, rng);
-  }
-  std::string name() const override { return split_->name(); }
-  std::string target() const override { return split_->target(); }
-  std::string strategy() const override { return split_->strategy(); }
-  defenses::Manipulations manipulations() const override { return split_->manipulations(); }
-
- private:
-  std::unique_ptr<defenses::TraceDefense> split_ = defenses::make_policy_defense("split");
-};
-
-/// 1 site x 2 samples x {none, split} = 4 cells; the split cells are 1 and 3.
-struct ResumeGrid {
-  FaultableSplit split;
-  ExperimentGrid grid;
-  RunOptions opts;
-
-  ResumeGrid() {
-    grid.sites = tiny_sites(1);
-    grid.samples = 2;
-    grid.defenses = {{"none", nullptr}, {"split", &split}};
-    grid.ccas = {"cubic"};
-    grid.base_seed = 20261017;
-    opts.jobs = 2;
-    opts.collect_metrics = true;
-    opts.trace_capacity = 4096;
-  }
-};
-
 TEST(RunGridProcCache, RerunAgainstTheCacheRunsOnlyUnfinishedCells) {
-  ResumeGrid t;
+  // Tiny grid "resume": 1 site x 2 samples x {none, split}; the split cells
+  // are 1 and 3.
+  tiny::TinyGrid t = tiny::make_grid("resume");
   ASSERT_EQ(t.grid.job_count(), 4u);
   ASSERT_EQ(t.grid.job(1).defense, 1u);
   ASSERT_EQ(t.grid.job(3).defense, 1u);
   const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
 
   TempDir dir("rerun");
-  ResultCache cache(dir.path, kWorkerPayloadVersion);
   RunOptions run = t.opts;
-  run.cache = &cache;
-  run.proc = fork_opts(2);
-  run.proc.retries = 1;
 
   // First sweep: cells 1 and 3 throw in their worker on every attempt, are
   // quarantined, and so never reach the cache.
-  t.split.fault = [] { throw std::runtime_error("transient failure"); };
-  ProcReport first;
-  run.proc_report = &first;
-  run_grid(t.grid, run);
-  EXPECT_EQ(first.quarantined, 2u);
-  EXPECT_EQ(first.ran, 2u);
-  EXPECT_EQ(first.cache_stores, 2u);
+  {
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    run.cache = &cache;
+    run.proc = tiny::worker_opts(2, "resume", {"--fail-split"});
+    run.proc.retries = 1;
+    ProcReport first;
+    run.proc_report = &first;
+    run_grid(t.grid, run);
+    EXPECT_EQ(first.quarantined, 2u);
+    EXPECT_EQ(first.ran, 2u);
+    EXPECT_EQ(cache.stats().stores, 2u);
+  }
 
   // The rerun serves the finished cells from the cache and runs only the
   // two that failed; the result is the clean in-process run's.
-  t.split.fault = nullptr;
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
+  run.cache = &cache;
+  run.proc = tiny::worker_opts(2, "resume");
   ProcReport second;
   run.proc_report = &second;
   const std::vector<JobResult> resumed = run_grid(t.grid, run);
-  EXPECT_EQ(second.cache_hits, first.ran);
+  EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(second.ran, 2u);
   EXPECT_EQ(second.quarantined, 0u);
   ASSERT_EQ(resumed.size(), baseline.size());
@@ -725,28 +665,31 @@ TEST(RunGridProcCache, RerunAgainstTheCacheRunsOnlyUnfinishedCells) {
 }
 
 TEST(RunGridProcCache, SigkilledSupervisorResumesFromTheCache) {
-  ResumeGrid t;
+  tiny::TinyGrid t = tiny::make_grid("resume");
   const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+  const std::size_t count = t.grid.job_count();
   TempDir dir("killed");
 
-  // The supervisor runs in a child with one worker, so cells start in
-  // index order: cell 0 finishes and is committed, then cell 1's worker
-  // SIGKILLs the supervisor mid-sweep.
-  util::Subprocess::Options opts;
-  opts.result_fd = -1;
-  opts.child_fn = [&](int) {
-    ResultCache cache(dir.path, kWorkerPayloadVersion);
-    RunOptions run = t.opts;
-    run.cache = &cache;
-    run.proc = fork_opts(1);
-    t.split.fault = [] {
-      ::kill(::getppid(), SIGKILL);
-      ::_exit(0);
-    };
-    run_grid(t.grid, run);
-    return 7;  // unreachable: the worker killed us
+  // A supervisor process runs the sweep with one worker, so cells go in
+  // index order. Its split cells fail and back off for over a second, so
+  // the sweep is still running when the first entry (cell 0) is committed;
+  // it is SIGKILLed then, as the CI resume leg does.
+  util::Subprocess supervisor = util::Subprocess::spawn(
+      {STOB_GRID_WORKER, "--grid", "resume", "--fail-split", "--proc-workers", "1", "--retries",
+       "5", "--cache", dir.path.string()});
+  const auto committed = [&] {
+    std::error_code ec;
+    for (auto it = fs::recursive_directory_iterator(dir.path / "objects", ec);
+         !ec && it != fs::recursive_directory_iterator(); ++it) {
+      if (it->path().extension() == ".entry") return true;
+    }
+    return false;
   };
-  util::Subprocess supervisor = util::Subprocess::spawn(opts);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!committed() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  supervisor.kill(SIGKILL);
   const util::ExitStatus status = supervisor.wait();
   ASSERT_TRUE(status.signaled);
   ASSERT_EQ(status.term_signal, SIGKILL);
@@ -754,12 +697,15 @@ TEST(RunGridProcCache, SigkilledSupervisorResumesFromTheCache) {
   ResultCache cache(dir.path, kWorkerPayloadVersion);
   RunOptions run = t.opts;
   run.cache = &cache;
-  run.proc = fork_opts(2);
+  run.proc = tiny::worker_opts(2, "resume");
   ProcReport report;
   run.proc_report = &report;
   const std::vector<JobResult> resumed = run_grid(t.grid, run);
-  EXPECT_EQ(report.cache_hits, 1u);
-  EXPECT_EQ(report.ran, 3u);
+  // Some, not all, cells were committed before the kill: 0 < H < N.
+  const std::size_t hits = cache.stats().hits;
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, count);
+  EXPECT_EQ(report.ran, count - hits);
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_TRUE(results_identical(baseline[i], resumed[i])) << "job " << i;
   }
@@ -817,19 +763,19 @@ TEST(CrashConsistency, SigkillMidCommitLeavesEarlierEntriesAndNoTornOnes) {
 
   // The child commits one entry, then dies by SIGKILL between the tmp write
   // and the rename of a second commit — the worst possible moment.
-  util::Subprocess::Options opts;
-  opts.result_fd = -1;
-  opts.child_fn = [&](int) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
     ResultCache child(dir.path, 1);
-    if (!child.store(survivor, "landed before the crash")) return 9;
+    if (!child.store(survivor, "landed before the crash")) ::_exit(9);
     child.commit_hook_for_testing = [] { ::kill(::getpid(), SIGKILL); };
     child.store(doomed, "never committed");
-    return 7;  // unreachable: the hook killed us
-  };
-  util::Subprocess child = util::Subprocess::spawn(opts);
-  const util::ExitStatus status = child.wait();
-  ASSERT_TRUE(status.signaled);
-  ASSERT_EQ(status.term_signal, SIGKILL);
+    ::_exit(7);  // unreachable: the hook killed us
+  }
+  int raw = 0;
+  ASSERT_EQ(::waitpid(pid, &raw, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(raw));
+  ASSERT_EQ(WTERMSIG(raw), SIGKILL);
 
   // The completed commit survives; the torn one is invisible — only a stray
   // tmp file remains, which gc sweeps as junk.

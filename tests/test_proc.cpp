@@ -1,50 +1,42 @@
 // Tests for the crash-isolated out-of-process experiment runner:
 // util::Subprocess plumbing, the length-prefixed result frame, the worker
 // payload codec, the JSON escaper behind crash lines, the cell_spec_digest
-// cell key, the deterministic self-fault hook, and the supervisor itself —
-// retries, watchdog, quarantine, crash reporting, and the headline
-// guarantee that out-of-process sweeps are byte-identical to in-process
-// ones. Resuming a killed sweep through the result cache is covered in
-// test_cache.
+// cell key, the deterministic self-fault hook, and the proc executor behind
+// run_grid — retries, watchdog, quarantine, crash reporting, and the
+// headline guarantee that out-of-process sweeps are byte-identical to
+// in-process ones. Workers are the grid_worker helper
+// (tests/helpers/grid_worker.cpp), exec'd exactly as a bench driver
+// re-execs itself. Resuming a killed sweep through the result cache is
+// covered in test_cache.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/proc_runner.hpp"
+#include "helpers/tiny_grids.hpp"
 #include "obs/json.hpp"
 #include "util/subprocess.hpp"
-#include "workload/website.hpp"
 
 namespace stob::exp {
 namespace {
 
-// Small, fast site profiles so whole-grid tests run in well under a second.
-std::vector<workload::SiteProfile> tiny_sites(std::size_t n) {
-  std::vector<workload::SiteProfile> sites;
-  for (std::size_t i = 0; i < n; ++i) {
-    workload::SiteProfile s;
-    s.name = "tiny" + std::to_string(i);
-    s.html_mu = 8.5 + 0.3 * static_cast<double>(i);
-    s.objects_mean = 3.0 + static_cast<double>(i);
-    s.object_mu = 8.0;
-    s.parallel_connections = 2;
-    sites.push_back(s);
-  }
-  return sites;
-}
+using tiny::make_grid;
+using tiny::tiny_sites;
+using tiny::worker_opts;
 
 /// Read a (nonblocking) parent-side pipe to EOF after the child exited.
 std::string drain_to_eof(int fd) {
@@ -64,10 +56,10 @@ std::string drain_to_eof(int fd) {
 
 // -------------------------------------------------------------- subprocess
 
-TEST(Subprocess, CallbackModeShipsResultFrame) {
-  util::Subprocess::Options opts;
-  opts.child_fn = [](int fd) { return util::write_frame(fd, "hello from child") ? 0 : 1; };
-  util::Subprocess child = util::Subprocess::spawn(opts);
+TEST(Subprocess, ExecModeShipsResultFrame) {
+  // The child writes a frame (magic, LE length 16, payload) to fd 3.
+  util::Subprocess child = util::Subprocess::spawn(
+      {"/bin/sh", "-c", "printf 'SF01\\020\\000\\000\\000hello from child' >&3"});
   const util::ExitStatus st = child.wait();  // child exit closes the pipe
   EXPECT_TRUE(st.clean());
   const auto payload = util::parse_frame(drain_to_eof(child.result_fd()));
@@ -76,21 +68,15 @@ TEST(Subprocess, CallbackModeShipsResultFrame) {
 }
 
 TEST(Subprocess, ExecModeReportsExitStatus) {
-  util::Subprocess::Options ok;
-  ok.argv = {"/bin/true"};
-  EXPECT_TRUE(util::Subprocess::spawn(ok).wait().clean());
+  EXPECT_TRUE(util::Subprocess::spawn({"/bin/true"}).wait().clean());
 
-  util::Subprocess::Options fail;
-  fail.argv = {"/bin/false"};
-  const util::ExitStatus st = util::Subprocess::spawn(fail).wait();
+  const util::ExitStatus st = util::Subprocess::spawn({"/bin/false"}).wait();
   EXPECT_TRUE(st.exited);
   EXPECT_NE(st.exit_code, 0);
 }
 
 TEST(Subprocess, ExecFailureIs127WithStderrMessage) {
-  util::Subprocess::Options opts;
-  opts.argv = {"/no/such/binary/anywhere"};
-  util::Subprocess child = util::Subprocess::spawn(opts);
+  util::Subprocess child = util::Subprocess::spawn({"/no/such/binary/anywhere"});
   const util::ExitStatus st = child.wait();
   EXPECT_TRUE(st.exited);
   EXPECT_EQ(st.exit_code, 127);
@@ -98,23 +84,66 @@ TEST(Subprocess, ExecFailureIs127WithStderrMessage) {
 }
 
 TEST(Subprocess, SignalDeathIsDecoded) {
-  util::Subprocess::Options opts;
-  opts.child_fn = [](int) {
-    ::raise(SIGKILL);
-    return 0;
-  };
-  const util::ExitStatus st = util::Subprocess::spawn(opts).wait();
+  const util::ExitStatus st = util::Subprocess::spawn({"/bin/sh", "-c", "kill -9 $$"}).wait();
   EXPECT_TRUE(st.signaled);
   EXPECT_EQ(st.term_signal, SIGKILL);
   EXPECT_FALSE(st.clean());
 }
 
-TEST(Subprocess, ThrowingChildFnExits125) {
-  util::Subprocess::Options opts;
-  opts.child_fn = [](int) -> int { throw std::runtime_error("boom"); };
-  const util::ExitStatus st = util::Subprocess::spawn(opts).wait();
-  EXPECT_TRUE(st.exited);
-  EXPECT_EQ(st.exit_code, 125);
+/// Nonblocking: drain what the pipe `fd` holds and report whether every
+/// holder of its write end has closed it.
+bool at_eof(int fd) {
+  char tmp[256];
+  for (;;) {
+    const ssize_t n = util::read_some(fd, tmp, sizeof(tmp));
+    if (n == 0) return true;
+    if (n < 0) return false;  // EAGAIN: a writer is still open
+  }
+}
+
+TEST(Subprocess, ConcurrentSpawnsNeverHoldBackASiblingsEof) {
+  // Two threads spawn in lockstep rounds: in each, one thread spawns a
+  // `sleep 1` child and then a fast child, the other the reverse, so every
+  // fast child's pipes exist while the other thread forks a sleep. Had
+  // that fork carried the fast child's pipe write ends across exec (pipes
+  // created without O_CLOEXEC), the sleep would hold the fast child's EOF
+  // back until it exits. So each fast child's pipes must reach EOF while
+  // its slow sibling from the other thread still runs.
+  constexpr int kRounds = 50;
+  std::vector<util::Subprocess> slow(2 * kRounds);  // all live to the end
+  std::atomic<int> arrived{0};
+  std::atomic<int> late{0};
+  const auto sync = [&arrived](int phase) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2 * phase) std::this_thread::yield();
+  };
+  const auto spawner = [&](int t) {
+    for (int k = 0; k < kRounds; ++k) {
+      sync(2 * k + 1);
+      util::Subprocess fast;
+      if (t == 0) {
+        slow[2 * k] = util::Subprocess::spawn({"/bin/sleep", "1"});
+        fast = util::Subprocess::spawn({"/bin/true"});
+      } else {
+        fast = util::Subprocess::spawn({"/bin/true"});
+        slow[2 * k + 1] = util::Subprocess::spawn({"/bin/sleep", "1"});
+      }
+      pollfd fds[2] = {{fast.result_fd(), POLLIN, 0}, {fast.stderr_fd(), POLLIN, 0}};
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+      while (!(at_eof(fds[0].fd) && at_eof(fds[1].fd)) &&
+             std::chrono::steady_clock::now() < deadline) {
+        ::poll(fds, 2, 10);
+      }
+      fast.wait();
+      sync(2 * k + 2);  // the sibling has been spawned by now
+      if (at_eof(slow[2 * k + 1 - t].stderr_fd())) late += 1;  // it exited first
+    }
+  };  // ~Subprocess SIGKILLs and reaps the sleeps
+  std::thread a(spawner, 0);
+  std::thread b(spawner, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(late.load(), 0);
 }
 
 TEST(ResultFrame, RoundTripAndTornDetection) {
@@ -328,28 +357,20 @@ TEST(CellDigest, ChangesWithAnyCellShapingInput) {
   EXPECT_NE(cell_digest(grid, 3, o2), base);
 }
 
-// ------------------------------------------------------ supervisor (fork)
-
-/// Fork-mode options: no exec, workers run `run_cell` in the forked child.
-ProcOptions fork_opts(std::size_t workers) {
-  ProcOptions proc;
-  proc.workers = workers;
-  proc.job_timeout = Duration::seconds(30);
-  proc.backoff_base = Duration::millis(1);  // keep retry tests fast
-  proc.backoff_cap = Duration::millis(8);
-  return proc;
-}
-
-std::string digest_of(std::size_t i) { return "digest-" + std::to_string(i); }
-std::string payload_of(std::size_t i) { return "payload-" + std::to_string(i); }
+// ------------------------------------------- proc executor via run_grid
 
 TEST(ProcRunner, PayloadsArriveInIndexOrder) {
+  tiny::TinyGrid t = make_grid("cache");
+  const std::vector<JobResult> in_process = run_grid(t.grid, t.opts);
+  RunOptions run = t.opts;
+  run.proc = worker_opts(3, "cache");
   ProcReport report;
-  const auto payloads = run_cells(8, fork_opts(3), digest_of, payload_of, &report);
-  ASSERT_EQ(payloads.size(), 8u);
+  run.proc_report = &report;
+  const std::vector<JobResult> results = run_grid(t.grid, run);
+  ASSERT_EQ(results.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(payloads[i].has_value());
-    EXPECT_EQ(*payloads[i], payload_of(i));
+    EXPECT_EQ(results[i].spec.index, i);
+    EXPECT_TRUE(results_identical(in_process[i], results[i])) << "job " << i;
   }
   EXPECT_EQ(report.cells, 8u);
   EXPECT_EQ(report.ran, 8u);
@@ -357,20 +378,18 @@ TEST(ProcRunner, PayloadsArriveInIndexOrder) {
   EXPECT_EQ(report.quarantined, 0u);
 }
 
-TEST(ProcRunner, RejectsZeroWorkers) {
-  EXPECT_THROW(run_cells(1, ProcOptions{}, digest_of, payload_of, nullptr),
-               std::runtime_error);
-}
-
 TEST(ProcRunner, InjectedCrashesAreRetriedToConvergence) {
-  ProcOptions proc = fork_opts(2);
-  proc.fault_spec = "crash:0.5";
-  proc.retries = 3;
+  tiny::TinyGrid t = make_grid("cache");
+  const std::vector<JobResult> in_process = run_grid(t.grid, t.opts);
+  RunOptions run = t.opts;
+  run.proc = worker_opts(2, "cache");
+  run.proc.fault_spec = "crash:0.5";
+  run.proc.retries = 3;
   ProcReport report;
-  const auto payloads = run_cells(8, proc, digest_of, payload_of, &report);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(payloads[i].has_value());
-    EXPECT_EQ(*payloads[i], payload_of(i));  // byte-identical to fault-free
+  run.proc_report = &report;
+  const std::vector<JobResult> results = run_grid(t.grid, run);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results_identical(in_process[i], results[i])) << "job " << i;
   }
   EXPECT_GT(report.injected_faults, 0u);
   EXPECT_EQ(report.retries, report.injected_faults);  // every fault recovered
@@ -378,41 +397,67 @@ TEST(ProcRunner, InjectedCrashesAreRetriedToConvergence) {
 }
 
 TEST(ProcRunner, CellFailingAllAttemptsIsQuarantined) {
-  ProcOptions proc = fork_opts(2);
-  proc.fault_spec = "exit:1";  // rate 1: final attempts fault too
-  proc.retries = 1;
+  tiny::TinyGrid t = make_grid("resume");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(2, "resume");
+  run.proc.fault_spec = "exit:1";  // rate 1: final attempts fault too
+  run.proc.retries = 1;
   ProcReport report;
-  const auto payloads = run_cells(3, proc, digest_of, payload_of, &report);
-  for (const auto& p : payloads) EXPECT_FALSE(p.has_value());
-  EXPECT_EQ(report.quarantined, 3u);
+  run.proc_report = &report;
+  run_grid(t.grid, run);
+  EXPECT_EQ(report.quarantined, 4u);
   EXPECT_EQ(report.ran, 0u);
-  ASSERT_EQ(report.failures.size(), 3u);
+  ASSERT_EQ(report.failures.size(), 4u);
   for (const CrashRecord& f : report.failures) {
     EXPECT_EQ(f.outcome, "exit");
     EXPECT_EQ(f.exit_code, 3);  // execute_worker_fault's exit code
     EXPECT_EQ(f.attempts, 2u);
+    EXPECT_EQ(f.digest, cell_digest(t.grid, f.job, t.opts));
   }
 }
 
-TEST(ProcRunner, SignalDeathIsReportedAsSignal) {
-  ProcOptions proc = fork_opts(1);
-  proc.fault_spec = "crash:1";
-  proc.retries = 0;
+TEST(ProcRunner, CrashesAreReportedInJobOrder) {
+  // Three threads finish their cells in a timing-dependent order; the
+  // report (and so print_proc_summary) lists them by job index anyway.
+  tiny::TinyGrid t = make_grid("five");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(3, "five");
+  run.proc.fault_spec = "exit:1";
+  run.proc.retries = 0;
   ProcReport report;
-  run_cells(1, proc, digest_of, payload_of, &report);
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].outcome, "signal");
-  EXPECT_EQ(report.failures[0].signal_no, SIGKILL);
+  run.proc_report = &report;
+  run_grid(t.grid, run);
+  ASSERT_EQ(report.failures.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(report.failures[i].job, i);
+}
+
+TEST(ProcRunner, SignalDeathIsReportedAsSignal) {
+  tiny::TinyGrid t = make_grid("seed3");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(1, "seed3");
+  run.proc.fault_spec = "crash:1";
+  run.proc.retries = 0;
+  ProcReport report;
+  run.proc_report = &report;
+  run_grid(t.grid, run);
+  ASSERT_EQ(report.failures.size(), 2u);
+  for (const CrashRecord& f : report.failures) {
+    EXPECT_EQ(f.outcome, "signal");
+    EXPECT_EQ(f.signal_no, SIGKILL);
+  }
 }
 
 TEST(ProcRunner, WatchdogKillsHangs) {
-  ProcOptions proc = fork_opts(2);
-  proc.fault_spec = "hang:1";
-  proc.retries = 0;
-  proc.job_timeout = Duration::millis(200);
+  tiny::TinyGrid t = make_grid("seed3");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(2, "seed3");
+  run.proc.fault_spec = "hang:1";
+  run.proc.retries = 0;
+  run.proc.job_timeout = Duration::millis(200);
   ProcReport report;
-  const auto payloads = run_cells(2, proc, digest_of, payload_of, &report);
-  EXPECT_FALSE(payloads[0].has_value());
+  run.proc_report = &report;
+  const std::vector<JobResult> results = run_grid(t.grid, run);
+  EXPECT_FALSE(results[0].completed);
   ASSERT_EQ(report.failures.size(), 2u);
   for (const CrashRecord& f : report.failures) {
     EXPECT_EQ(f.outcome, "timeout");
@@ -421,84 +466,69 @@ TEST(ProcRunner, WatchdogKillsHangs) {
 }
 
 TEST(ProcRunner, WorkerStderrTailLandsInCrashReport) {
-  ProcOptions proc = fork_opts(1);
-  proc.retries = 0;
+  // The split cells (1 and 3) throw in the worker, which reports the job on
+  // stderr and exits 1.
+  tiny::TinyGrid t = make_grid("resume");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(1, "resume", {"--fail-split"});
+  run.proc.retries = 0;
   ProcReport report;
-  run_cells(
-      1, proc, digest_of,
-      [](std::size_t) -> std::string {
-        std::fprintf(stderr, "worker about to die: reason=%d\n", 42);
-        std::fflush(stderr);
-        throw std::runtime_error("cell exploded");
-      },
-      &report);
-  ASSERT_EQ(report.failures.size(), 1u);
+  run.proc_report = &report;
+  run_grid(t.grid, run);
+  ASSERT_EQ(report.failures.size(), 2u);
+  EXPECT_EQ(report.failures[0].job, 1u);
   EXPECT_EQ(report.failures[0].outcome, "exit");
-  EXPECT_EQ(report.failures[0].exit_code, 125);  // Subprocess's child_fn-threw code
-  EXPECT_NE(report.failures[0].stderr_tail.find("reason=42"), std::string::npos);
+  EXPECT_EQ(report.failures[0].exit_code, 1);
+  EXPECT_NE(report.failures[0].stderr_tail.find("worker: job 1 threw: transient failure"),
+            std::string::npos);
 
   // The tail reaches the user on the cell's crash line, escaped so the
-  // worker's newline cannot split it: one summary line plus one crash line.
+  // worker's newline cannot split it: one summary line plus one crash line
+  // per quarantined cell.
   testing::internal::CaptureStderr();
   print_proc_summary("tool", report);
   const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("quarantined cell 0"), std::string::npos);
-  EXPECT_NE(err.find("reason=42\\n"), std::string::npos);
-  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2);
+  EXPECT_NE(err.find("quarantined cell 1"), std::string::npos);
+  EXPECT_NE(err.find("job 3 threw: transient failure\\n"), std::string::npos);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 3);
 }
 
 // ----------------------------------------- run_grid: proc == in-process
 
 TEST(RunGridProc, ByteIdenticalToInProcessAtAnyWorkerCount) {
-  ExperimentGrid grid;
-  grid.sites = tiny_sites(2);
-  grid.samples = 2;
-  const auto split = defenses::make_policy_defense("split");
-  grid.defenses = {{"none", nullptr}, {"split", split.get()}};
-  grid.base_seed = 20260808;
-
-  RunOptions opts;
-  opts.jobs = 2;
-  opts.collect_metrics = true;
-  opts.trace_capacity = 4096;
-  opts.check_invariants = true;
-  const std::vector<JobResult> in_process = run_grid(grid, opts);
+  tiny::TinyGrid t = make_grid("split");
+  const std::vector<JobResult> in_process = run_grid(t.grid, t.opts);
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    RunOptions proc_opts = opts;
-    proc_opts.proc = fork_opts(workers);
+    RunOptions proc_opts = t.opts;
+    proc_opts.proc = worker_opts(workers, "split");
     ProcReport report;
     proc_opts.proc_report = &report;
-    const std::vector<JobResult> out_of_process = run_grid(grid, proc_opts);
+    const std::vector<JobResult> out_of_process = run_grid(t.grid, proc_opts);
     ASSERT_EQ(out_of_process.size(), in_process.size());
     for (std::size_t i = 0; i < in_process.size(); ++i) {
       EXPECT_TRUE(results_identical(in_process[i], out_of_process[i]))
           << "job " << i << " differs at workers=" << workers;
       // The seed a worker process derived equals the in-process one: seeds
       // are keyed by job index, never by worker or process identity.
-      EXPECT_EQ(out_of_process[i].spec.seed, job_seed(grid.base_seed, i));
+      EXPECT_EQ(out_of_process[i].spec.seed, job_seed(t.grid.base_seed, i));
     }
-    EXPECT_EQ(report.ran, grid.job_count());
+    EXPECT_EQ(report.ran, t.grid.job_count());
     EXPECT_EQ(report.quarantined, 0u);
   }
 }
 
 TEST(RunGridProc, InjectedFaultsDoNotChangeResults) {
-  ExperimentGrid grid;
-  grid.sites = tiny_sites(2);
-  grid.samples = 1;
-  grid.base_seed = 7;
-  RunOptions opts;
-  opts.jobs = 1;
-  const std::vector<JobResult> in_process = run_grid(grid, opts);
+  tiny::TinyGrid t = make_grid("seed7");
+  const std::vector<JobResult> in_process = run_grid(t.grid, t.opts);
 
-  RunOptions faulted = opts;
-  faulted.proc = fork_opts(2);
+  RunOptions faulted = t.opts;
+  faulted.proc = worker_opts(2, "seed7");
   faulted.proc.fault_spec = "crash:0.5";
   faulted.proc.retries = 3;
   ProcReport report;
   faulted.proc_report = &report;
-  const std::vector<JobResult> out = run_grid(grid, faulted);
+  const std::vector<JobResult> out = run_grid(t.grid, faulted);
   for (std::size_t i = 0; i < in_process.size(); ++i) {
     EXPECT_TRUE(results_identical(in_process[i], out[i])) << "job " << i;
   }
@@ -506,34 +536,39 @@ TEST(RunGridProc, InjectedFaultsDoNotChangeResults) {
 }
 
 TEST(RunGridProc, CheckDeterminismPassesInProcMode) {
-  ExperimentGrid grid;
-  grid.sites = tiny_sites(1);
-  grid.samples = 2;
-  grid.base_seed = 3;
-  RunOptions opts;
-  opts.jobs = 2;
-  opts.check_determinism = true;  // compares against a serial in-process run
-  opts.proc = fork_opts(2);
-  EXPECT_NO_THROW(run_grid(grid, opts));
+  tiny::TinyGrid t = make_grid("seed3");
+  RunOptions run = t.opts;
+  run.check_determinism = true;  // compares against a serial in-process run
+  run.proc = worker_opts(2, "seed3");
+  EXPECT_NO_THROW(run_grid(t.grid, run));
 }
 
 TEST(RunGridProc, QuarantinedCellsYieldPlaceholders) {
-  ExperimentGrid grid;
-  grid.sites = tiny_sites(1);
-  grid.samples = 2;
-  grid.base_seed = 3;
-  RunOptions opts;
-  opts.proc = fork_opts(2);
-  opts.proc.fault_spec = "exit:1";
-  opts.proc.retries = 0;
+  tiny::TinyGrid t = make_grid("seed3");
+  RunOptions run = t.opts;
+  run.proc = worker_opts(2, "seed3");
+  run.proc.fault_spec = "exit:1";
+  run.proc.retries = 0;
   ProcReport report;
-  opts.proc_report = &report;
-  const std::vector<JobResult> results = run_grid(grid, opts);
+  run.proc_report = &report;
+  const std::vector<JobResult> results = run_grid(t.grid, run);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(report.quarantined, 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].completed);
     EXPECT_EQ(results[i].spec.index, i);  // placeholder still carries coords
+  }
+}
+
+TEST(RunGridProc, RejectsProcModeWithoutWorkerCommand) {
+  tiny::TinyGrid t = make_grid("seed3");
+  RunOptions run = t.opts;
+  run.proc.workers = 2;  // worker_argv left empty
+  try {
+    run_grid(t.grid, run);
+    FAIL() << "proc mode without a worker command must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("worker_argv"), std::string::npos) << e.what();
   }
 }
 
@@ -548,24 +583,29 @@ TEST(ProcCli, FlagsMapOntoProcOptions) {
   EXPECT_EQ(proc.job_timeout.ns(), Duration::millis(2500).ns());
   EXPECT_EQ(proc.retries, 5u);
   EXPECT_EQ(proc.fault_spec, "crash:0.25");
-  ASSERT_FALSE(proc.worker_argv.empty());
-  EXPECT_EQ(proc.worker_argv.size(), std::size(argv));  // verbatim re-exec base
-  EXPECT_EQ(proc.worker_argv[0], "tool");
+  // The re-exec base is argv with argv[0] resolved to this executable.
+  ASSERT_EQ(proc.worker_argv.size(), std::size(argv));
+  EXPECT_EQ(proc.worker_argv[0], util::self_exe_path("tool"));
+  EXPECT_NE(proc.worker_argv[0], "tool");
+  for (std::size_t i = 1; i < std::size(argv); ++i) EXPECT_EQ(proc.worker_argv[i], argv[i]);
   EXPECT_FALSE(proc.worker_job.has_value());
 }
 
 TEST(ProcCli, WorkerFlagsSelectWorkerMode) {
-  const char* argv[] = {"tool", "--proc-workers",       "2", "--worker-job",
-                        "17",   "--worker-fd",          "5", "--worker-fault",
-                        "hang", "--worker-prof-domain", "987654321"};
+  const char* argv[] = {"tool",         "--proc-workers", "2",
+                        "--worker-job", "17",             "--worker-fault",
+                        "hang",         "--worker-prof-domain", "987654321"};
   const Cli cli = parse_cli(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
   const ProcOptions proc = proc_options_from_cli(cli);
   ASSERT_TRUE(proc.worker_job.has_value());
   EXPECT_EQ(*proc.worker_job, 17u);
-  EXPECT_EQ(proc.worker_fd, 5);
   EXPECT_EQ(proc.worker_fault, "hang");
   EXPECT_TRUE(proc.worker_profile);
   EXPECT_EQ(proc.worker_prof_domain, 987654321u);
+
+  // The worker always writes its frame to util::kResultFd: no flag for it.
+  const char* old_flag[] = {"tool", "--worker-fd", "3"};
+  EXPECT_THROW(parse_cli(3, const_cast<char**>(old_flag)), std::invalid_argument);
 }
 
 TEST(ProcCli, MalformedFaultSpecIsHardError) {
