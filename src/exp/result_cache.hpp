@@ -39,10 +39,13 @@
 
 namespace stob::exp {
 
-/// Entry format version: the first header line of every cache entry. Bump
-/// when the entry layout changes — old caches then quarantine-and-recompute
-/// loudly instead of misreading (pinned by a golden test in test_cache).
-inline constexpr std::uint32_t kCacheEntryVersion = 1;
+/// Entry format version: the first header line of every cache entry, and
+/// part of every key. Bump when the entry layout changes — old caches then
+/// quarantine-and-recompute loudly instead of misreading (pinned by a golden
+/// test in test_cache) — or when the same cell would now record different
+/// contents. Version 2: the simulator's heap high-water gauge in a cell's
+/// metrics snapshot fell once pipes kept one arrival event each.
+inline constexpr std::uint32_t kCacheEntryVersion = 2;
 
 class ResultCache {
  public:

@@ -122,7 +122,7 @@ void FaultInjector::schedule_oscillation() {
   });
 }
 
-void FaultInjector::on_transmitted(net::Pipe& pipe, net::Packet p) {
+void FaultInjector::on_transmitted(net::Pipe& pipe, net::Packet&& p) {
   ++stats_.inspected;
   const TimePoint now = sim_.now();
 

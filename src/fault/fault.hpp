@@ -174,7 +174,7 @@ class FaultInjector final : public net::FaultModel {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  void on_transmitted(net::Pipe& pipe, net::Packet p) override;
+  void on_transmitted(net::Pipe& pipe, net::Packet&& p) override;
 
   const Profile& profile() const { return profile_; }
   const Stats& stats() const { return stats_; }

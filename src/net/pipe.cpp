@@ -11,7 +11,7 @@ namespace stob::net {
 
 Pipe::Pipe(sim::Simulator& sim, Config cfg) : sim_(sim), cfg_(cfg) {}
 
-void Pipe::send(Packet p) {
+void Pipe::send(Packet&& p) {
   const Bytes size = p.wire_size();
   if (cfg_.queue_capacity.count() > 0 && queued_bytes_ + size > cfg_.queue_capacity &&
       !queue_.empty()) {
@@ -68,11 +68,30 @@ void Pipe::on_transmitted() {
   deliver(std::move(p));
 }
 
-void Pipe::deliver(Packet p, Duration extra) {
+void Pipe::deliver(Packet&& p, Duration extra) {
   ++delivered_packets_;
   delivered_bytes_ += p.wire_size();
   const InFlight::Index slot = in_flight_.put(std::move(p));
-  sim_.schedule_after(cfg_.delay + extra, [this, slot] { arrive(slot); });
+  // The key is reserved now either way, so the arrival fires exactly where
+  // a plain schedule here would have put it.
+  const sim::Ticket key = sim_.reserve_after(cfg_.delay + extra);
+  if (lane_.empty()) {
+    lane_.push_back({key, slot});
+    sim_.schedule_at(key, [this] { arrive_head(); });
+  } else if (key.when() >= lane_.back().key.when()) {
+    lane_.push_back({key, slot});  // keys rise along the lane: seq always does
+  } else {
+    sim_.schedule_at(key, [this, slot] { arrive(slot); });  // overtakes the lane
+  }
+}
+
+void Pipe::arrive_head() {
+  const InFlight::Index slot = lane_.front().slot;
+  lane_.pop_front();
+  // The next key orders after the one firing now, so it can still be
+  // scheduled at exactly its reserved place.
+  if (!lane_.empty()) sim_.schedule_at(lane_.front().key, [this] { arrive_head(); });
+  arrive(slot);
 }
 
 void Pipe::arrive(InFlight::Index slot) {

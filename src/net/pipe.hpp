@@ -2,6 +2,15 @@
 // with fixed rate and propagation delay, plus an optional i.i.d. loss model.
 // Two pipes back-to-back form a DuplexPath (see path.hpp). Pipes carry both
 // data and ACK traffic, so TCP's ACK clock emerges naturally.
+//
+// Packets in propagation wait in a slab, and their arrivals in an arrival
+// lane: a FIFO of reserved simulator keys of which only the head is in the
+// event heap, however many packets are in flight. A delivery that would
+// overtake the lane's tail (a fault model's reorder hold, duplicate or
+// jitter) takes its own event instead (DESIGN.md §11).
+//
+// Packets are handed over by rvalue reference: each layer moves the packet
+// once into storage it owns (queue, slab) and passes it on by reference.
 #pragma once
 
 #include <functional>
@@ -28,7 +37,7 @@ class Pipe;
 class FaultModel {
  public:
   virtual ~FaultModel() = default;
-  virtual void on_transmitted(Pipe& pipe, Packet p) = 0;
+  virtual void on_transmitted(Pipe& pipe, Packet&& p) = 0;
 };
 
 class Pipe {
@@ -43,7 +52,7 @@ class Pipe {
     double loss_rate = 0.0;
   };
 
-  using Sink = std::function<void(Packet)>;
+  using Sink = std::function<void(Packet&&)>;
   /// Tap signature: the packet and the time it was observed.
   using Tap = std::function<void(const Packet&, TimePoint)>;
 
@@ -67,7 +76,7 @@ class Pipe {
   void set_tx_complete(TxComplete cb) { tx_complete_ = std::move(cb); }
 
   /// Offer a packet to the pipe. Drops (drop-tail) if the queue is full.
-  void send(Packet p);
+  void send(Packet&& p);
 
   /// Install (or, with nullptr, remove) a fault model. Non-owning: the
   /// model must outlive the pipe or detach itself first. With a model
@@ -78,7 +87,7 @@ class Pipe {
   /// Deliver `p` to the sink after the pipe's propagation delay plus
   /// `extra`. Fault models use this to re-inject (possibly duplicated,
   /// corrupted or jittered) packets; counts as a delivered packet.
-  void deliver(Packet p, Duration extra = Duration());
+  void deliver(Packet&& p, Duration extra = Duration());
 
   /// Account a packet discarded in flight (loss model / fault layer).
   void count_lost(const Packet& p);
@@ -107,6 +116,7 @@ class Pipe {
 
   void start_transmission();
   void on_transmitted();
+  void arrive_head();
   void arrive(InFlight::Index slot);
 
   sim::Simulator& sim_;
@@ -120,10 +130,17 @@ class Pipe {
 
   util::RingDeque<Packet> queue_;
   // The packet being serialised (valid while busy_) and the packets in
-  // propagation: pipe events capture `this` and a slot index, never a
-  // packet, so they stay inline in the scheduler's node (DESIGN.md §11).
+  // propagation: pipe events capture `this` and at most a slot index, never
+  // a packet, so they stay inline in the scheduler's node (DESIGN.md §11).
   Packet in_service_;
   InFlight in_flight_;
+  // The arrival lane: in-flight packets whose arrival keys are in FIFO
+  // order. Only the front's key is scheduled; its event schedules the next.
+  struct Arrival {
+    sim::Ticket key;
+    InFlight::Index slot;
+  };
+  util::RingDeque<Arrival> lane_;
   bool busy_ = false;
   Bytes queued_bytes_;
   Bytes max_queued_bytes_;

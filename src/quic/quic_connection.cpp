@@ -76,7 +76,7 @@ void QuicConnection::finish_stream(std::uint64_t stream_id) {
 
 // ------------------------------------------------------------------ receive
 
-void QuicConnection::on_packet(net::Packet p) {
+void QuicConnection::on_packet(net::Packet&& p) {
   if (!p.is_quic()) return;
   const net::QuicHeader& h = p.quic();
 
@@ -491,12 +491,12 @@ void QuicConnection::on_pto_fire() {
 QuicListener::QuicListener(stack::Host& host, net::Port port, QuicConnection::Config conn_cfg)
     : host_(host), port_(port), conn_cfg_(conn_cfg) {
   host_.bind_listener(port_, net::Proto::Udp,
-                      [this](net::Packet p) { on_packet(std::move(p)); });
+                      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 QuicListener::~QuicListener() { host_.unbind_listener(port_, net::Proto::Udp); }
 
-void QuicListener::on_packet(net::Packet p) {
+void QuicListener::on_packet(net::Packet&& p) {
   if (!p.is_quic()) return;
   auto conn = std::make_unique<QuicConnection>(host_, conn_cfg_);
   QuicConnection& ref = *conn;

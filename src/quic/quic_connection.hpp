@@ -117,7 +117,7 @@ class QuicConnection : private stack::FlowEndpoint {
   };
 
   void open_common(net::HostId dst, net::Port dst_port, net::Port src_port);
-  void on_packet(net::Packet p) override;  // stack::FlowEndpoint: ingress
+  void on_packet(net::Packet&& p) override;  // stack::FlowEndpoint: ingress
   void process_ack(const net::QuicAckFrame& ack);
   void process_stream_frame(const net::QuicStreamFrame& frame);
   void detect_losses(std::uint64_t largest_acked, TimePoint now);
@@ -175,7 +175,7 @@ class QuicListener {
   std::size_t connection_count() const { return conns_.size(); }
 
  private:
-  void on_packet(net::Packet p);
+  void on_packet(net::Packet&& p);
 
   stack::Host& host_;
   net::Port port_;

@@ -1,12 +1,13 @@
 // Discrete-event simulation core.
 //
 // The whole network stack runs on top of this: every asynchronous activity
-// (link serialisation, qdisc dequeue, TCP timers, application think time) is
-// an event scheduled at an absolute TimePoint. Events at the same time fire
-// in scheduling order (FIFO tie-break), which keeps runs deterministic.
+// (link serialisation, packet arrival, qdisc dequeue, TCP timers,
+// application think time) fires as an event at an absolute TimePoint. Events
+// at the same time fire in scheduling order (FIFO tie-break), which keeps
+// runs deterministic.
 //
 // Hot-path design (see DESIGN.md §11): the ready queue is an indexed 4-ary
-// min-heap of 24-byte slots ordered on (when, seq). Callbacks live in a
+// min-heap of 16-byte slots ordered on (when, seq). Callbacks live in a
 // stable node pool beside the heap; each heap slot carries its node index
 // and a dense side-array maps nodes back to heap positions, so cancel() is
 // a true O(log n) heap removal — no tombstone set, no lazy-skip
@@ -17,6 +18,14 @@
 // optimised) constructed in place in their node, so the common
 // schedule/fire cycle performs zero heap allocations and moves each
 // capture exactly once.
+//
+// A caller that knows an event's time before it wants the event in the
+// heap can reserve its key: reserve_at()/reserve_after() hand out a Ticket
+// holding (when, seq) and consume the sequence number right then, and
+// schedule_at(ticket, cb) later pushes the event at exactly that key. The
+// event fires where a plain schedule at reservation time would have put
+// it. net::Pipe uses this to keep only the head of each FIFO of packets in
+// propagation in the heap (DESIGN.md §11).
 #pragma once
 
 #include <cassert>
@@ -47,6 +56,22 @@ class EventId {
   std::uint32_t gen_ = 0;   // must match the node's generation to act
 };
 
+/// A reserved firing key (when, seq): see Simulator::reserve_at. Opaque
+/// apart from its time; schedule it at most once, and no later than the
+/// clock reaching its time (the event that schedules it must order before
+/// it).
+class Ticket {
+ public:
+  Ticket() = default;
+  TimePoint when() const { return TimePoint(when_ns_); }
+
+ private:
+  friend class Simulator;
+  Ticket(std::int64_t when_ns, std::uint64_t seq) : when_ns_(when_ns), seq_(seq) {}
+  std::int64_t when_ns_ = 0;
+  std::uint64_t seq_ = 0;  // 0 = never reserved
+};
+
 class Simulator {
  public:
   using Callback = Event;
@@ -65,7 +90,27 @@ class Simulator {
   template <typename F,
             typename = std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_at(TimePoint when, F&& cb) {
+    return schedule_at(reserve_at(when), std::forward<F>(cb));
+  }
+
+  /// Reserve the key a schedule_at(when, ...) made now would get: `when`
+  /// clamped to now, and the next sequence number, which is consumed here.
+  /// Nothing is queued until the ticket is scheduled.
+  Ticket reserve_at(TimePoint when) {
     if (when < now_) when = now_;  // never schedule into the past
+    return Ticket(when.ns(), next_seq_++);
+  }
+
+  Ticket reserve_after(Duration delay) { return reserve_at(now_ + delay); }
+
+  /// Schedule `cb` at a reserved key. It fires exactly where a plain
+  /// schedule at reservation time would have: before every event scheduled
+  /// after the reservation for the same time.
+  template <typename F,
+            typename = std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  EventId schedule_at(const Ticket& key, F&& cb) {
+    assert(key.seq_ != 0 && "ticket was never reserved");
+    assert(key.when_ns_ >= now_.ns() && "ticket scheduled after its time");
     const std::uint32_t node = acquire_node();
     if constexpr (std::is_same_v<std::decay_t<F>, Event>) {
       assert(cb);
@@ -73,7 +118,7 @@ class Simulator {
     } else {
       cb_ref(node).emplace(std::forward<F>(cb));
     }
-    const Slot slot{when.ns(), (next_seq_++ << kNodeBits) | node};
+    const Slot slot{key.when_ns_, (key.seq_ << kNodeBits) | node};
     heap_.push_back(slot);  // placeholder; sift_up assigns the final position
     if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
     sift_up(heap_.size() - 1, slot);

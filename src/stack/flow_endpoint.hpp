@@ -14,7 +14,8 @@ namespace stob::stack {
 class FlowEndpoint {
  public:
   /// Ingress: a packet whose FlowKey matched this endpoint's registration.
-  virtual void on_packet(net::Packet p) = 0;
+  /// Handed over by reference: an endpoint that keeps it moves it out.
+  virtual void on_packet(net::Packet&& p) = 0;
 
   /// TSQ: `wire_bytes` of this flow finished serialising onto the wire.
   virtual void on_tx_complete(Bytes wire_bytes) { (void)wire_bytes; }

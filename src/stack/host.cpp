@@ -18,7 +18,7 @@ Host::Host(sim::Simulator& sim, net::HostId id, Config cfg)
       cpu_(cfg.cpu),
       nic_(sim, cfg.make_qdisc ? cfg.make_qdisc() : default_qdisc(), cfg.nic) {}
 
-void Host::receive(net::Packet p) {
+void Host::receive(net::Packet&& p) {
   // Checksum validation: a payload damaged in transit (fault layer) never
   // reaches the transport — it surfaces there as loss, while the wire trace
   // still shows the delivery.

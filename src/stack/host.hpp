@@ -18,7 +18,7 @@ namespace stob::stack {
 
 class Host {
  public:
-  using PacketHandler = std::function<void(net::Packet)>;
+  using PacketHandler = std::function<void(net::Packet&&)>;
 
   struct Config {
     Nic::Config nic;
@@ -39,7 +39,7 @@ class Host {
   void attach_egress(net::Pipe& pipe) { nic_.attach_egress(pipe); }
 
   /// Ingress entry point; typically installed as the sink of the peer pipe.
-  void receive(net::Packet p);
+  void receive(net::Packet&& p);
 
   /// Deliver packets whose FlowKey equals `incoming` exactly (i.e. the
   /// connection's own key reversed) to `endpoint`, which must stay alive

@@ -24,8 +24,8 @@ class HostPair {
       : path_(sim_, cfg.path), client_(sim_, 1, cfg.client), server_(sim_, 2, cfg.server) {
     client_.attach_egress(path_.forward());
     server_.attach_egress(path_.backward());
-    path_.forward().set_sink([this](net::Packet p) { server_.receive(std::move(p)); });
-    path_.backward().set_sink([this](net::Packet p) { client_.receive(std::move(p)); });
+    path_.forward().set_sink([this](net::Packet&& p) { server_.receive(std::move(p)); });
+    path_.backward().set_sink([this](net::Packet&& p) { client_.receive(std::move(p)); });
   }
 
   sim::Simulator& sim() { return sim_; }

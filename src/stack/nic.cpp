@@ -22,7 +22,7 @@ void Nic::attach_egress(net::Pipe& pipe) {
   pipe.set_tx_complete([this](const net::Packet& p) { on_wire_complete(p); });
 }
 
-void Nic::transmit(net::Packet p) {
+void Nic::transmit(net::Packet&& p) {
   p.enqueued_at = sim_.now();
   qdisc_->enqueue(std::move(p));
   pump();
@@ -69,7 +69,7 @@ void Nic::pump() {
   }
 }
 
-void Nic::push_to_wire(net::Packet p) {
+void Nic::push_to_wire(net::Packet&& p) {
   const std::int64_t payload = p.payload.count();
   if (p.tso_mss > 0 && payload > p.tso_mss) {
     // Hardware segmentation: equal-size packets at line rate, the last one
@@ -79,16 +79,18 @@ void Nic::push_to_wire(net::Packet p) {
     obs::sample("nic.split_factor",
                 static_cast<double>((payload + p.tso_mss - 1) / p.tso_mss));
     const std::int64_t mss = p.tso_mss;
+    const std::uint64_t first_seq = p.is_tcp() ? p.tcp().seq : 0;
     std::int64_t offset = 0;
     std::int64_t pushed = 0;
     while (offset < payload) {
       const std::int64_t chunk = std::min(mss, payload - offset);
-      net::Packet wire = p;
+      // Every chunk but the last is a copy; the last takes the packet.
+      net::Packet wire = offset + chunk < payload ? net::Packet(p) : std::move(p);
       wire.id = net::next_packet_id();
       wire.payload = Bytes(chunk);
       wire.tso_mss = 0;
       if (wire.is_tcp()) {
-        wire.tcp().seq = p.tcp().seq + static_cast<std::uint64_t>(offset);
+        wire.tcp().seq = first_seq + static_cast<std::uint64_t>(offset);
         // FIN applies to the last byte only.
         if (offset + chunk < payload) wire.tcp().flags &= static_cast<std::uint8_t>(~net::kTcpFin);
       }

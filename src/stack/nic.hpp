@@ -34,7 +34,7 @@ class Nic {
   const Qdisc& qdisc() const { return *qdisc_; }
 
   /// Hand a packet to the qdisc and try to make progress.
-  void transmit(net::Packet p);
+  void transmit(net::Packet&& p);
 
   /// Register/unregister the endpoint whose on_tx_complete() hears when the
   /// flow's wire packets finish serialising (the TSQ wakeup).
@@ -51,7 +51,7 @@ class Nic {
   /// Move eligible packets from the qdisc into the pipe while ring space
   /// remains; arms a wakeup timer when the head packet is paced out.
   void pump();
-  void push_to_wire(net::Packet p);
+  void push_to_wire(net::Packet&& p);
   void on_wire_complete(const net::Packet& p);
 
   sim::Simulator& sim_;

@@ -57,7 +57,7 @@ bool capacity_drop(Bytes capacity, Bytes backlog, Bytes size) {
 
 // ---------------------------------------------------------------- FifoQdisc
 
-void FifoQdisc::enqueue(net::Packet p) {
+void FifoQdisc::enqueue(net::Packet&& p) {
   const Bytes size = p.wire_size();
   if (capacity_drop(capacity_, backlog_, size)) {
     ++dropped_;
@@ -71,8 +71,11 @@ void FifoQdisc::enqueue(net::Packet p) {
 }
 
 std::optional<net::Packet> FifoQdisc::dequeue(TimePoint now) {
-  if (queue_.empty()) return std::nullopt;
-  net::Packet p = std::move(queue_.front());
+  // Every path returns `out`, so it is built in the caller's storage and
+  // the packet is moved once, out of the queue.
+  std::optional<net::Packet> out;
+  if (queue_.empty()) return out;
+  const net::Packet& p = out.emplace(std::move(queue_.front()));
   queue_.pop_front();
   const Bytes size = p.wire_size();
   backlog_ -= size;
@@ -81,7 +84,7 @@ std::optional<net::Packet> FifoQdisc::dequeue(TimePoint now) {
     if (*bytes <= 0) per_flow_bytes_.erase(p.flow);
   }
   note_dequeue(p, now);
-  return p;
+  return out;
 }
 
 TimePoint FifoQdisc::next_ready(TimePoint now) const {
@@ -97,7 +100,7 @@ Bytes FifoQdisc::flow_backlog(const net::FlowKey& flow) const {
 
 FqQdisc::FqQdisc() : FqQdisc(Config{}) {}
 
-void FqQdisc::enqueue(net::Packet p) {
+void FqQdisc::enqueue(net::Packet&& p) {
   const Bytes size = p.wire_size();
   if (capacity_drop(cfg_.capacity, backlog_, size)) {
     ++dropped_;
@@ -118,6 +121,9 @@ void FqQdisc::enqueue(net::Packet p) {
 }
 
 std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
+  // Every path returns `out`, so it is built in the caller's storage and
+  // the packet is moved once, out of its flow's queue.
+  std::optional<net::Packet> out;
   std::size_t ineligible_streak = 0;
   while (!round_.empty()) {
     const net::FlowKey key = round_.front();
@@ -130,7 +136,7 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
       // across flows; within the flow order is preserved).
       round_.pop_front();
       round_.push_back(key);
-      if (++ineligible_streak >= round_.size()) return std::nullopt;
+      if (++ineligible_streak >= round_.size()) return out;
       continue;
     }
     ineligible_streak = 0;
@@ -143,7 +149,7 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
       round_.push_back(key);
       continue;
     }
-    net::Packet p = std::move(fq.packets.front());
+    out.emplace(std::move(fq.packets.front()));
     fq.packets.pop_front();
     fq.deficit -= size;
     fq.bytes -= size;
@@ -152,10 +158,10 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
       round_.pop_front();
       flows_.erase(key);
     }
-    note_dequeue(p, now);
-    return p;
+    note_dequeue(*out, now);
+    return out;
   }
-  return std::nullopt;
+  return out;
 }
 
 TimePoint FqQdisc::next_ready(TimePoint now) const {

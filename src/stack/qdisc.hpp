@@ -28,7 +28,7 @@ class Qdisc {
   virtual ~Qdisc() = default;
 
   /// Add a packet. May drop (counted) if an internal limit is exceeded.
-  virtual void enqueue(net::Packet p) = 0;
+  virtual void enqueue(net::Packet&& p) = 0;
 
   /// Remove and return the next packet eligible at `now`, or nullopt if none
   /// is eligible yet (queue empty or all packets paced into the future).
@@ -52,7 +52,7 @@ class FifoQdisc final : public Qdisc {
  public:
   explicit FifoQdisc(Bytes capacity = Bytes::mebi(64)) : capacity_(capacity) {}
 
-  void enqueue(net::Packet p) override;
+  void enqueue(net::Packet&& p) override;
   std::optional<net::Packet> dequeue(TimePoint now) override;
   TimePoint next_ready(TimePoint now) const override;
   bool empty() const override { return queue_.empty(); }
@@ -90,7 +90,7 @@ class FqQdisc final : public Qdisc {
   FqQdisc();  // default Config
   explicit FqQdisc(Config cfg) : cfg_(cfg) {}
 
-  void enqueue(net::Packet p) override;
+  void enqueue(net::Packet&& p) override;
   std::optional<net::Packet> dequeue(TimePoint now) override;
   TimePoint next_ready(TimePoint now) const override;
   bool empty() const override { return backlog_.count() == 0; }

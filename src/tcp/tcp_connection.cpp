@@ -93,7 +93,7 @@ void TcpConnection::on_tx_complete(Bytes) {
 
 // --------------------------------------------------------------- RX demux
 
-void TcpConnection::on_packet(net::Packet p) {
+void TcpConnection::on_packet(net::Packet&& p) {
   if (!p.is_tcp()) return;
   switch (state_) {
     case State::Closed:
@@ -477,7 +477,7 @@ std::int64_t TcpConnection::emit_segment(std::uint64_t seq, std::int64_t len, bo
   pkt.payload = Bytes(seg_len);
   pkt.not_before = std::max(departure, cpu_done);
   if (seg_len > wire_mss) pkt.tso_mss = wire_mss;
-  net::TcpHeader h;
+  net::TcpHeader& h = pkt.tcp();  // l4 starts out as a TcpHeader
   h.seq = seq;
   h.ack = rcv_nxt_;
   h.flags = net::kTcpAck;
@@ -485,7 +485,6 @@ std::int64_t TcpConnection::emit_segment(std::uint64_t seq, std::int64_t len, bo
   for (auto it = ooo_.rbegin(); it != ooo_.rend() && h.sack.size() < 3; ++it) {
     h.sack.emplace_back(it->first, it->second);
   }
-  pkt.l4 = h;
 
   ++stats_.segments_sent;
   stats_.bytes_sent += Bytes(seg_len);
@@ -524,14 +523,15 @@ std::int64_t TcpConnection::emit_segment(std::uint64_t seq, std::int64_t len, bo
     // The CPU is busy until cpu_done; the segment reaches the qdisc then,
     // and further segmentation work is deferred as well.
     cpu_continuation_pending_ = true;
-    sim_.schedule_at(cpu_done, [this, pkt, alive = std::weak_ptr<int>(alive_)]() {
+    sim_.schedule_at(cpu_done, [this, pkt = std::move(pkt),
+                                alive = std::weak_ptr<int>(alive_)]() mutable {
       if (alive.expired()) return;
-      host_.nic().transmit(pkt);
+      host_.nic().transmit(std::move(pkt));
       cpu_continuation_pending_ = false;
       send_more();
     });
   } else {
-    host_.nic().transmit(pkt);
+    host_.nic().transmit(std::move(pkt));
   }
   return seg_len;
 }
@@ -651,7 +651,7 @@ void TcpConnection::send_control(std::uint8_t flags) {
   pkt.flow = key_;
   pkt.header = Bytes(net::kEthIpTcpHeader);
   pkt.payload = Bytes(0);
-  net::TcpHeader h;
+  net::TcpHeader& h = pkt.tcp();  // l4 starts out as a TcpHeader
   h.flags = flags;
   h.rwnd = advertised_window().count();
   if (flags & net::kTcpAck) {
@@ -664,9 +664,8 @@ void TcpConnection::send_control(std::uint8_t flags) {
     }
   }
   if (flags & net::kTcpFin) h.seq = fin_seq_;
-  pkt.l4 = h;
   if ((flags & net::kTcpAck) && !(flags & (net::kTcpSyn | net::kTcpFin))) ++stats_.acks_sent;
-  host_.nic().transmit(pkt);
+  host_.nic().transmit(std::move(pkt));
 }
 
 void TcpConnection::send_ack_now() {
@@ -805,12 +804,12 @@ void TcpConnection::on_persist_fire() {
 TcpListener::TcpListener(stack::Host& host, net::Port port, TcpConnection::Config conn_cfg)
     : host_(host), port_(port), conn_cfg_(conn_cfg) {
   host_.bind_listener(port_, net::Proto::Tcp,
-                      [this](net::Packet p) { on_packet(std::move(p)); });
+                      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 TcpListener::~TcpListener() { host_.unbind_listener(port_, net::Proto::Tcp); }
 
-void TcpListener::on_packet(net::Packet p) {
+void TcpListener::on_packet(net::Packet&& p) {
   if (!p.is_tcp() || !p.tcp().has(net::kTcpSyn) || p.tcp().has(net::kTcpAck)) return;
   // Reap finished connections before accepting new ones.
   std::erase_if(conns_, [](const std::unique_ptr<TcpConnection>& c) {

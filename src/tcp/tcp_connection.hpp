@@ -146,7 +146,7 @@ class TcpConnection : private stack::FlowEndpoint {
 
   void open_common(net::HostId dst, net::Port dst_port, net::Port src_port);
   // stack::FlowEndpoint: ingress from the host, TSQ wakeups from the NIC.
-  void on_packet(net::Packet p) override;
+  void on_packet(net::Packet&& p) override;
   void on_tx_complete(Bytes wire_bytes) override;
   void handle_handshake(const net::Packet& p);
   void process_ack(const net::TcpHeader& h, bool has_payload);
@@ -246,7 +246,7 @@ class TcpListener {
   std::size_t connection_count() const { return conns_.size(); }
 
  private:
-  void on_packet(net::Packet p);
+  void on_packet(net::Packet&& p);
 
   stack::Host& host_;
   net::Port port_;

@@ -9,7 +9,7 @@
 // queue traffic costs an index increment and a move.
 //
 // Only the FIFO surface the queues need: push_back/emplace_back, front,
-// pop_front, size/empty, clear. Move-only (the queues own their packets).
+// back, pop_front, size/empty, clear. Move-only (the queues own their packets).
 #pragma once
 
 #include <cassert>
@@ -60,6 +60,11 @@ class RingDeque {
   const T& front() const {
     assert(size_ > 0);
     return buf_[head_];
+  }
+
+  const T& back() const {
+    assert(size_ > 0);
+    return buf_[(head_ + size_ - 1) & (cap_ - 1)];
   }
 
   void push_back(T&& v) { emplace_back(std::move(v)); }

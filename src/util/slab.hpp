@@ -1,9 +1,9 @@
 // Pool-backed slab of reusable slots, addressed by index.
 //
-// A pipe keeps every packet in propagation here, so the delivery event
-// captures a 4-byte slot index instead of a whole ~288-byte packet (which
-// would spill the event capture to the pool and relocate the packet on
-// every hop). Freed slots are reused through an intrusive free list before
+// A pipe keeps every packet in propagation here, so its arrival lane and
+// arrival events hold a 4-byte slot index instead of a whole ~288-byte
+// packet (which would spill the event capture to the pool and relocate
+// the packet on every hop). Freed slots are reused through an intrusive free list before
 // the slab grows, so the number of slots ever created equals the peak
 // number of live elements. It grows only while the free list is empty,
 // i.e. while every slot is live, which makes growth a plain move of all

@@ -4,10 +4,14 @@
 // (first catalogue site, TLS records, seed 0xBE7C4) under the same counting
 // operator new, with cubic and with bbr. Event counts are deterministic, so
 // they are gated exactly; a change to the simulated traffic shows up here
-// first. Allocations are capped at the measured counts: the steady-state
-// packet path (host demux, qdisc, NIC, pipe, scheduler, congestion control)
-// never reaches malloc, so one new allocation per packet fails these
-// tests. The third serves a whole grid from a warm result cache and
+// first. So are the scheduler's heap high-water mark and cancel count,
+// read from a second, identical load with a metrics registry installed:
+// the first moves with how many events wait in the heap at once (one per
+// pipe's arrival lane, not one per packet in flight), the second with how
+// often transport timers are re-armed. Allocations are capped at the
+// measured counts: the steady-state packet path (host demux, qdisc, NIC,
+// pipe, scheduler, congestion control) never reaches malloc, so one new
+// allocation per packet fails these tests. The third serves a whole grid from a warm result cache and
 // bounds the allocations per cell: key derivation, one buffer per entry
 // read, in-place header strip, payload decode. The fourth replays synthetic
 // traces through the combined policy and gates the allocations exactly:
@@ -29,6 +33,7 @@
 #include "exp/job_codec.hpp"
 #include "exp/result_cache.hpp"
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
 #include "wf/trace.hpp"
@@ -41,6 +46,8 @@ namespace {
 struct PageLoadCount {
   std::uint64_t events = 0;
   std::uint64_t allocations = 0;
+  std::uint64_t heap_high_water = 0;
+  std::uint64_t cancelled = 0;
 };
 
 /// One smoke page load under congestion control `cca` at both ends.
@@ -58,11 +65,28 @@ PageLoadCount smoke_page_load(const char* cca) {
   const std::uint64_t allocs = util::allocations() - before;
 
   EXPECT_TRUE(r.completed) << cca;
+
+  // The registry allocates on its own, so the scheduler gauges come from a
+  // second run of the same load.
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetrics install(registry);
+    net::PacketIdScope again;
+    Rng rerun(0xBE7C4ull);
+    workload::run_page_load(site, rerun, options);
+  }
+  EXPECT_EQ(registry.gauge("sim.events_executed"), static_cast<double>(r.sim_events)) << cca;
+  const auto high_water = static_cast<std::uint64_t>(registry.gauge("sim.heap_high_water"));
+  const auto cancelled = static_cast<std::uint64_t>(registry.gauge("sim.events_cancelled"));
+
   const double per_event = static_cast<double>(allocs) / static_cast<double>(r.sim_events);
-  std::printf("page load (%s): %llu events, %llu allocations (%.4f per event)\n", cca,
-              static_cast<unsigned long long>(r.sim_events),
-              static_cast<unsigned long long>(allocs), per_event);
-  return {r.sim_events, allocs};
+  std::printf(
+      "page load (%s): %llu events, %llu allocations (%.4f per event), heap high water %llu, "
+      "%llu cancelled\n",
+      cca, static_cast<unsigned long long>(r.sim_events), static_cast<unsigned long long>(allocs),
+      per_event, static_cast<unsigned long long>(high_water),
+      static_cast<unsigned long long>(cancelled));
+  return {r.sim_events, allocs, high_water, cancelled};
 }
 
 // The caps are the counts measured with libstdc++ 12: 230 (cubic) and 220
@@ -73,12 +97,16 @@ TEST(AllocGate, PageLoadPacketPathStaysOffMalloc) {
   EXPECT_EQ(c.events, 5313u);
   EXPECT_LT(static_cast<double>(c.allocations) / static_cast<double>(c.events), 0.05);
   EXPECT_LE(c.allocations, 230u);
+  EXPECT_EQ(c.heap_high_water, 16u);  // 112 with one heap event per packet in flight
+  EXPECT_EQ(c.cancelled, 1524u);
 }
 
 TEST(AllocGate, BbrPageLoadPacketPathStaysOffMalloc) {
   const PageLoadCount c = smoke_page_load("bbr");
   EXPECT_EQ(c.events, 4262u);
   EXPECT_LE(c.allocations, 220u);
+  EXPECT_EQ(c.heap_high_water, 16u);  // 80 with one heap event per packet in flight
+  EXPECT_EQ(c.cancelled, 1259u);
 }
 
 TEST(AllocGate, WarmCacheGridAllocationsPerCell) {

@@ -38,6 +38,7 @@
 #include "helpers/tiny_grids.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
+#include "util/sha256.hpp"
 #include "util/subprocess.hpp"
 
 namespace stob::exp {
@@ -166,7 +167,7 @@ TEST(EntryFormatGolden, EncodedBytesArePinned) {
   const ResultCache cache(dir.path, 7);
   const std::string key = key_of('a');
   const std::string expected =
-      "stobcache 1\n"
+      "stobcache 2\n"
       "key aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\n"
       "codec 7\n"
       "len 5\n"
@@ -174,7 +175,7 @@ TEST(EntryFormatGolden, EncodedBytesArePinned) {
       "\n"
       "hello";
   EXPECT_EQ(cache.encode_entry(key, "hello"), expected);
-  EXPECT_EQ(kCacheEntryVersion, 1u);
+  EXPECT_EQ(kCacheEntryVersion, 2u);
 }
 
 TEST(EntryFormat, RoundTripsEveryByteValue) {
@@ -210,7 +211,7 @@ TEST(EntryFormat, EveryCorruptionIsRejectedWithItsReason) {
   EXPECT_EQ(reason("garbage\n" + good, key), "magic");
   {
     std::string v = good;
-    v[10] = '2';  // "stobcache 1" -> "stobcache 2"
+    v[10] = '1';  // "stobcache 2" -> "stobcache 1", the previous version
     EXPECT_EQ(reason(v, key), "version");
   }
   EXPECT_EQ(reason(good, key_of('d')), "key");  // wrong cell's entry
@@ -312,6 +313,45 @@ TEST(StoreLoad, TruncatedEntryIsQuarantined) {
   EXPECT_FALSE(cache.load(key).has_value());
   EXPECT_EQ(cache.stats().quarantined, 1u);
   EXPECT_FALSE(fs::exists(path));
+}
+
+// A cell cached by the previous entry version is never served: its key was
+// derived under the old version, so the current key misses, and an
+// old-version entry found under a current key is quarantined.
+TEST(StoreLoad, PreviousVersionEntryIsAMiss) {
+  TempDir dir("oldversion");
+  ResultCache cache(dir.path, kWorkerPayloadVersion);
+  const std::string salt_sha = ResultCache::salt_hash("salt");
+  const auto key_at = [&](std::uint32_t version) {
+    return util::sha256_hex("stobcache:" + std::to_string(version) +
+                            "|digest=cell|prof=0|salt=" + salt_sha);
+  };
+  const std::string key = ResultCache::entry_key("cell", false, "salt");
+  ASSERT_EQ(key, key_at(kCacheEntryVersion));  // the preimage above is the real one
+  const std::string old_key = key_at(kCacheEntryVersion - 1);
+  ASSERT_NE(old_key, key);
+
+  // An entry exactly as the previous version wrote it, under its key.
+  const auto old_entry = [&](const std::string& k) {
+    std::string bytes = cache.encode_entry(k, "old-payload");
+    const std::string header = "stobcache " + std::to_string(kCacheEntryVersion) + "\n";
+    EXPECT_EQ(bytes.rfind(header, 0), 0u);
+    return bytes.replace(0, header.size(),
+                         "stobcache " + std::to_string(kCacheEntryVersion - 1) + "\n");
+  };
+  const auto plant = [&](const std::string& k) {
+    fs::create_directories(cache.entry_path(k).parent_path());
+    std::ofstream(cache.entry_path(k), std::ios::binary) << old_entry(k);
+  };
+  plant(old_key);
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_EQ(cache.stats().quarantined, 0u);  // a plain miss: nothing at this key
+
+  plant(key);
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_EQ(cache.stats().quarantined, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(StoreLoad, CodecSkewedEntryIsQuarantinedNotMisread) {

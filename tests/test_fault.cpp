@@ -684,7 +684,7 @@ TEST(InvariantChecker, AggressivePolicyCannotOutrunPacerThroughRealStack) {
 /// than were ever transmitted plus the (empty) duplication budget.
 class RogueDuplicator final : public net::FaultModel {
  public:
-  void on_transmitted(net::Pipe& pipe, net::Packet p) override {
+  void on_transmitted(net::Pipe& pipe, net::Packet&& p) override {
     net::Packet copy = p;
     pipe.deliver(std::move(p));
     pipe.deliver(std::move(copy), Duration::micros(1));

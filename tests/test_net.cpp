@@ -93,6 +93,47 @@ TEST(Pipe, PreservesOrder) {
   EXPECT_EQ(ids, sent);
 }
 
+// The arrival lane: however many packets a constant-delay pipe has in
+// propagation, only the oldest one's arrival is an event in the heap.
+TEST(Pipe, ConstantDelayPipeHoldsOneArrivalEvent) {
+  sim::Simulator s;
+  const Duration delay = Duration::millis(10);
+  Pipe pipe(s, {DataRate::gbps(1), delay, Bytes(0), 0.0});
+  const Duration tx = DataRate::gbps(1).transmit_time(make_packet(100).wire_size());
+  std::vector<std::uint64_t> ids;
+  pipe.set_sink([&](Packet&& p) {
+    ids.push_back(p.id);
+    EXPECT_EQ(s.now(), p.sent_at + tx + delay);
+  });
+  std::vector<std::uint64_t> sent;
+  for (int i = 0; i < 50; ++i) {
+    Packet p = make_packet(100);
+    sent.push_back(p.id);
+    pipe.send(std::move(p));
+  }
+  // Mid-serialisation: the serialiser's event plus the lane head.
+  s.run(TimePoint(tx.ns() * 10 + 1));
+  EXPECT_EQ(pipe.in_flight_packets(), 10u);
+  EXPECT_EQ(s.pending(), 2u);
+  // All 50 serialised, none arrived: one pending event.
+  s.run(TimePoint(Duration::millis(1).ns()));
+  EXPECT_EQ(pipe.in_flight_packets(), 50u);
+  EXPECT_EQ(s.pending(), 1u);
+  // Direct deliveries join the same lane.
+  for (int i = 0; i < 5; ++i) {
+    Packet p = make_packet(100);
+    p.sent_at = s.now() - tx;
+    sent.push_back(p.id);
+    pipe.deliver(std::move(p));
+  }
+  EXPECT_EQ(pipe.in_flight_packets(), 55u);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(ids, sent);
+  EXPECT_EQ(pipe.in_flight_packets(), 0u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(Pipe, DropTailWhenFull) {
   sim::Simulator s;
   // Tiny queue: 2 full packets' worth.
@@ -189,7 +230,7 @@ class ScramblingFault final : public FaultModel {
  public:
   explicit ScramblingFault(sim::Simulator& sim) : sim_(sim) {}
 
-  void on_transmitted(Pipe& pipe, Packet p) override {
+  void on_transmitted(Pipe& pipe, Packet&& p) override {
     const int k = seen_++;
     if (k % 5 == 4) {
       pipe.count_lost(p);

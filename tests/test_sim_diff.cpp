@@ -5,8 +5,9 @@
 // Both schedulers are driven through identical seeded op scripts (schedule,
 // schedule_after, past-time clamping, same-tick bursts, cancellation —
 // including cancel-after-fire and cancel/schedule from inside a firing
-// callback) and must produce the identical firing log, clock, and pending
-// count at every step. Any event-loop replacement has to pass this before
+// callback — and keys reserved now and scheduled later, also from inside a
+// firing callback) and must produce the identical firing log, clock, and
+// pending count at every step. Any event-loop replacement has to pass this before
 // the golden-trace corpus even gets a say.
 #include <gtest/gtest.h>
 
@@ -27,6 +28,12 @@ class ReferenceScheduler {
   struct Id {
     std::uint64_t seq = 0;  // 0 = invalid
   };
+  /// The key is assigned at reservation, exactly as schedule_at would.
+  struct Ticket {
+    TimePoint at;
+    std::uint64_t seq = 0;
+    TimePoint when() const { return at; }
+  };
 
   TimePoint now() const { return now_; }
 
@@ -38,6 +45,18 @@ class ReferenceScheduler {
 
   Id schedule_after(Duration delay, std::function<void()> cb) {
     return schedule_at(now_ + delay, std::move(cb));
+  }
+
+  Ticket reserve_at(TimePoint when) {
+    if (when < now_) when = now_;
+    return Ticket{when, next_seq_++};
+  }
+
+  Ticket reserve_after(Duration delay) { return reserve_at(now_ + delay); }
+
+  Id schedule_at(const Ticket& key, std::function<void()> cb) {
+    entries_.push_back(Entry{key.at, key.seq, std::move(cb)});
+    return Id{key.seq};
   }
 
   void cancel(Id id) {
@@ -94,9 +113,14 @@ class ReferenceScheduler {
 //
 // One deterministic op script drives both schedulers. Every scheduled
 // event carries a token; firing appends (token, now) to the log, and the
-// token also decides a nested in-callback action (schedule a child, cancel
-// a tracked id, or nothing) so re-entrant behaviour is exercised from
-// inside the dispatch path itself.
+// token also decides nested in-callback actions (schedule a child, cancel
+// a tracked id, reserve a key, schedule a reserved key, or nothing) so
+// re-entrant behaviour is exercised from inside the dispatch path itself.
+//
+// Reserved keys wait in `tickets` until an op schedules one. A key whose
+// time the clock has passed can no longer be scheduled (the simulator
+// asserts it), so such keys are dropped unscheduled, as an owner that
+// gave up on them would.
 
 constexpr std::uint64_t mix(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -105,7 +129,7 @@ constexpr std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-template <typename Sched, typename Id>
+template <typename Sched, typename Id, typename Ticket>
 class Harness {
  public:
   std::vector<std::pair<std::uint64_t, std::int64_t>> log;  // (token, fire time)
@@ -113,7 +137,7 @@ class Harness {
   std::vector<std::size_t> pending_probe;                   // pending() after each op
 
   void apply(std::uint64_t op_rand, std::uint64_t token) {
-    switch (op_rand % 10) {
+    switch (op_rand % 13) {
       case 0:  // absolute schedule, possibly into the past (clamped to now)
         track(sched.schedule_at(TimePoint(sched.now().ns() + delta(op_rand) - 300),
                                 make_cb(token)));
@@ -141,8 +165,17 @@ class Harness {
       case 8:  // single step
         sched.step();
         break;
-      default:  // drain everything currently scheduled
+      case 9:  // drain everything currently scheduled
         sched.run();
+        break;
+      case 10:  // reserve a key now (delta may be 0: a same-tick key)
+        tickets.push_back(sched.reserve_after(Duration(delta(op_rand) % 400)));
+        break;
+      case 11:  // reserve into the same tick the burst op uses: ties on `when`
+        tickets.push_back(sched.reserve_at(TimePoint(sched.now().ns() + 97)));
+        break;
+      default:  // schedule a reserved key, oldest first (an arrival lane)
+        schedule_reserved(0, token);
         break;
     }
     clock_probe.push_back(sched.now().ns());
@@ -155,10 +188,22 @@ class Harness {
 
  private:
   std::vector<Id> ids;
+  std::vector<Ticket> tickets;
 
   static std::int64_t delta(std::uint64_t r) { return static_cast<std::int64_t>(mix(r) % 1500); }
 
   void track(Id id) { ids.push_back(id); }
+
+  /// Schedule the reserved key at `pick` (mod the count) after dropping
+  /// the keys whose time has passed.
+  void schedule_reserved(std::uint64_t pick, std::uint64_t token) {
+    std::erase_if(tickets, [&](const Ticket& t) { return t.when() < sched.now(); });
+    if (tickets.empty()) return;
+    const auto at = tickets.begin() + static_cast<std::ptrdiff_t>(pick % tickets.size());
+    const Ticket key = *at;
+    tickets.erase(at);
+    track(sched.schedule_at(key, make_cb(token ^ 0x7E7Eull)));
+  }
 
   std::function<void()> make_cb(std::uint64_t token) {
     return [this, token] {
@@ -176,13 +221,21 @@ class Harness {
         // after already-queued same-tick events (FIFO by seq).
         track(sched.schedule_at(sched.now(), make_cb(token ^ 0x5A5Aull)));
       }
+      // Independently: reserve a key from inside the dispatch (often for
+      // this very tick), or schedule one reserved earlier.
+      const std::uint64_t g = mix(h) % 7;
+      if (g == 0 && log.size() < 60000) {
+        tickets.push_back(sched.reserve_after(Duration(static_cast<std::int64_t>(h % 3) * 50)));
+      } else if (g == 1 && log.size() < 60000) {
+        schedule_reserved(h >> 7, token);
+      }
     };
   }
 };
 
 void run_differential(std::uint64_t seed, int ops) {
-  Harness<Simulator, EventId> fast;
-  Harness<ReferenceScheduler, ReferenceScheduler::Id> ref;
+  Harness<Simulator, EventId, Ticket> fast;
+  Harness<ReferenceScheduler, ReferenceScheduler::Id, ReferenceScheduler::Ticket> ref;
   std::uint64_t r = seed;
   for (int i = 0; i < ops; ++i) {
     r = mix(r ^ static_cast<std::uint64_t>(i));
@@ -243,6 +296,79 @@ TEST(SimulatorDifferential, CancelWhileDispatchingSameTick) {
     ASSERT_EQ(fast_log, ref_log) << "victim " << victim;
     ASSERT_EQ(fast.pending(), ref.pending());
   }
+}
+
+// Directed scenario: a key reserved before plain same-tick schedules fires
+// before them, even when it is scheduled last — and a key reserved inside a
+// callback for the current tick fires in this tick, after the events that
+// were already queued for it.
+TEST(SimulatorDifferential, ReservedKeysKeepTheirPlaceInSameTickTies) {
+  Simulator fast;
+  ReferenceScheduler ref;
+  std::vector<int> fast_log, ref_log;
+  const TimePoint at(5000);
+
+  const Ticket fast_key = fast.reserve_at(at);
+  const ReferenceScheduler::Ticket ref_key = ref.reserve_at(at);
+  Ticket fast_inner;
+  ReferenceScheduler::Ticket ref_inner;
+  fast.schedule_at(at, [&] {
+    fast_log.push_back(1);
+    fast_inner = fast.reserve_after(Duration());
+  });
+  ref.schedule_at(at, [&] {
+    ref_log.push_back(1);
+    ref_inner = ref.reserve_after(Duration());
+  });
+  fast.schedule_at(at, [&] {
+    fast_log.push_back(2);
+    fast.schedule_at(fast_inner, [&] { fast_log.push_back(4); });
+  });
+  ref.schedule_at(at, [&] {
+    ref_log.push_back(2);
+    ref.schedule_at(ref_inner, [&] { ref_log.push_back(4); });
+  });
+  fast.schedule_at(at, [&] { fast_log.push_back(3); });
+  ref.schedule_at(at, [&] { ref_log.push_back(3); });
+  fast.schedule_at(fast_key, [&] { fast_log.push_back(0); });
+  ref.schedule_at(ref_key, [&] { ref_log.push_back(0); });
+  EXPECT_EQ(fast.pending(), 4u);
+
+  fast.run();
+  ref.run();
+  EXPECT_EQ(fast_log, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(fast_log, ref_log);
+  EXPECT_EQ(fast.now(), at);
+  EXPECT_EQ(fast.executed(), ref.executed());
+}
+
+// Directed scenario: the arrival-lane pattern. Keys are reserved in rising
+// order; only the oldest is ever scheduled, and its callback schedules the
+// next. Plain events interleave at the same times, and the firing order
+// must equal the one where every key was scheduled when reserved.
+TEST(SimulatorDifferential, ChainedReservedKeysMatchEagerSchedules) {
+  Simulator lane;
+  Simulator eager;
+  std::vector<int> lane_log, eager_log;
+  std::vector<Ticket> keys;
+  std::size_t next = 0;
+  std::function<void()> fire_head = [&] {
+    lane_log.push_back(static_cast<int>(next));
+    if (++next < keys.size()) lane.schedule_at(keys[next], fire_head);
+  };
+  for (int i = 0; i < 12; ++i) {
+    const TimePoint when(100 * (i / 3));  // three keys per tick
+    keys.push_back(lane.reserve_at(when));
+    eager.schedule_at(when, [&, i] { eager_log.push_back(i); });
+    lane.schedule_at(when, [&, i] { lane_log.push_back(100 + i); });
+    eager.schedule_at(when, [&, i] { eager_log.push_back(100 + i); });
+  }
+  lane.schedule_at(keys[0], fire_head);
+  EXPECT_EQ(lane.pending(), 13u);
+  lane.run();
+  eager.run();
+  EXPECT_EQ(lane_log, eager_log);
+  EXPECT_EQ(lane.executed(), eager.executed());
 }
 
 }  // namespace

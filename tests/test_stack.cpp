@@ -21,7 +21,7 @@ namespace {
 struct FnEndpoint final : FlowEndpoint {
   std::function<void(net::Packet)> packet = [](net::Packet) {};
   std::function<void(Bytes)> complete = [](Bytes) {};
-  void on_packet(net::Packet p) override { packet(std::move(p)); }
+  void on_packet(net::Packet&& p) override { packet(std::move(p)); }
   void on_tx_complete(Bytes wire_bytes) override { complete(wire_bytes); }
 };
 
