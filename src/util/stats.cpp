@@ -17,9 +17,10 @@ double mean(std::span<const double> xs) {
   return sum(xs) / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
+double variance(std::span<const double> xs) { return variance(xs, mean(xs)); }
+
+double variance(std::span<const double> xs, double m) {
   if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
   double acc = 0.0;
   for (double x : xs) acc += (x - m) * (x - m);
   return acc / static_cast<double>(xs.size() - 1);

@@ -35,12 +35,14 @@ const std::vector<std::string>& kfp_feature_names();
 std::vector<double> kfp_features(const Trace& trace);
 
 /// Same extraction, writing into caller-owned storage of exactly
-/// kfp_feature_count() entries (e.g. a FeatureMatrix row).
+/// kfp_feature_count() entries (e.g. a FeatureMatrix row); any other size
+/// throws std::invalid_argument.
 void kfp_features_into(const Trace& trace, std::span<double> out);
 
 /// Extract features for rows traces into one contiguous row-major matrix:
-/// row r holds trace_at(r)'s features. Blocks of rows fill on `jobs`
-/// workers (0 = exp::default_jobs()); every jobs value gives the same bytes.
+/// row r holds trace_at(r)'s features. Blocks of rows of about equal packet
+/// count fill on `jobs` workers (0 = exp::default_jobs()); every jobs value
+/// gives the same bytes.
 FeatureMatrix kfp_features(std::size_t rows,
                            const std::function<const Trace&(std::size_t)>& trace_at,
                            std::size_t jobs);

@@ -4,13 +4,28 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 
-#include "exp/worker_pool.hpp"
 #include "obs/prof.hpp"
 #include "util/stats.hpp"
 #include "wf/leaf_knn.hpp"
 
 namespace stob::wf {
+
+namespace {
+
+/// Class ids index the forest's class counts and the confusion matrix, so
+/// a negative one (Dataset::load_csv takes any integer) is refused.
+void require_class_ids(const std::vector<int>& labels, const char* where) {
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] < 0) {
+      throw std::invalid_argument(std::string(where) + ": row " + std::to_string(i) +
+                                  " has negative label " + std::to_string(labels[i]));
+    }
+  }
+}
+
+}  // namespace
 
 void KFingerprint::fit(const Dataset& train) {
   fit(kfp_features(train), train.labels());
@@ -20,6 +35,7 @@ void KFingerprint::fit(const FeatureMatrix& x, const std::vector<int>& labels) {
   if (x.rows() != labels.size() || x.empty()) {
     throw std::invalid_argument("KFingerprint::fit: rows/labels mismatch or empty");
   }
+  require_class_ids(labels, "KFingerprint::fit");
   obs::ProfSpan span("wf.fit");
   num_classes_ = *std::max_element(labels.begin(), labels.end()) + 1;
   TrainView view{&x, labels, num_classes_};
@@ -131,6 +147,7 @@ EvalResult cross_validate(const FeatureMatrix& x, const std::vector<int>& labels
     throw std::invalid_argument("cross_validate: rows/labels mismatch or empty");
   }
   if (folds < 2) throw std::invalid_argument("cross_validate: need >= 2 folds");
+  require_class_ids(labels, "cross_validate");
   obs::ProfSpan span("wf.cross_validate");
   const int num_classes = *std::max_element(labels.begin(), labels.end()) + 1;
 
@@ -147,47 +164,36 @@ EvalResult cross_validate(const FeatureMatrix& x, const std::vector<int>& labels
     for (std::size_t j = 0; j < idx.size(); ++j) fold_of[idx[j]] = j % folds;
   }
 
-  // Folds are independent given the assignment (each fold's forest seed
-  // depends only on (seed, f)), so they can run in parallel; the ordered
-  // reduction below keeps merge order — and therefore every result byte —
-  // identical to the serial loop.
-  struct FoldOutcome {
-    ConfusionMatrix cm{0};
-    bool valid = false;
-  };
-  const std::vector<FoldOutcome> outcomes =
-      exp::run_ordered<FoldOutcome>(folds, jobs, [&](std::size_t f) {
-        std::vector<std::size_t> train_idx, test_idx;
-        for (std::size_t i = 0; i < n; ++i) {
-          (fold_of[i] == f ? test_idx : train_idx).push_back(i);
-        }
-        FoldOutcome out;
-        if (test_idx.empty() || train_idx.empty()) return out;
-
-        std::vector<int> train_labels;
-        train_labels.reserve(train_idx.size());
-        for (std::size_t i : train_idx) train_labels.push_back(labels[i]);
-
-        KFingerprint::Config fold_cfg = cfg;
-        fold_cfg.forest.seed = seed ^ (0x9E3779B97F4A7C15ull * (f + 1));
-        KFingerprint clf(fold_cfg);
-        clf.fit(x.gathered(train_idx), train_labels);
-
-        const std::vector<int> predicted = clf.predict_batch(x.gathered(test_idx));
-        out.cm = ConfusionMatrix(static_cast<std::size_t>(num_classes));
-        for (std::size_t j = 0; j < test_idx.size(); ++j) {
-          out.cm.add(labels[test_idx[j]], predicted[j]);
-        }
-        out.valid = true;
-        return out;
-      });
-
+  // Folds run one after another, and each fold's forest trains its trees
+  // on the `jobs` workers: trees are many and of similar cost where folds
+  // are few (five folds on two workers leave one idle for a third of the
+  // run), and tree seeds are forked serially, so the model is the same at
+  // any worker count. Merging in fold order keeps every result byte that
+  // of the serial loop.
   EvalResult result;
   result.confusion = ConfusionMatrix(static_cast<std::size_t>(num_classes));
-  for (const FoldOutcome& out : outcomes) {
-    if (!out.valid) continue;
-    result.fold_accuracies.push_back(out.cm.accuracy());
-    result.confusion.merge(out.cm);
+  std::vector<std::size_t> train_idx, test_idx;
+  std::vector<int> train_labels;
+  for (std::size_t f = 0; f < folds; ++f) {
+    train_idx.clear();
+    test_idx.clear();
+    for (std::size_t i = 0; i < n; ++i) (fold_of[i] == f ? test_idx : train_idx).push_back(i);
+    if (test_idx.empty() || train_idx.empty()) continue;
+
+    train_labels.clear();
+    for (std::size_t i : train_idx) train_labels.push_back(labels[i]);
+
+    KFingerprint::Config fold_cfg = cfg;
+    fold_cfg.forest.seed = seed ^ (0x9E3779B97F4A7C15ull * (f + 1));
+    fold_cfg.forest.fit_jobs = jobs;
+    KFingerprint clf(fold_cfg);
+    clf.fit(x.gathered(train_idx), train_labels);
+
+    const std::vector<int> predicted = clf.predict_batch(x.gathered(test_idx));
+    ConfusionMatrix cm(static_cast<std::size_t>(num_classes));
+    for (std::size_t j = 0; j < test_idx.size(); ++j) cm.add(labels[test_idx[j]], predicted[j]);
+    result.fold_accuracies.push_back(cm.accuracy());
+    result.confusion.merge(cm);
   }
   result.mean_accuracy = stats::mean(result.fold_accuracies);
   result.std_accuracy = stats::stddev(result.fold_accuracies);

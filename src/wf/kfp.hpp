@@ -39,6 +39,7 @@ class KFingerprint {
   void fit(const Dataset& train);
 
   /// Train on pre-extracted features (row i is labels[i]'s feature vector).
+  /// Labels are class ids >= 0; a negative one throws std::invalid_argument.
   void fit(const FeatureMatrix& x, const std::vector<int>& labels);
 
   int predict(const Trace& trace) const;
@@ -98,8 +99,11 @@ struct EvalResult {
 };
 
 /// Stratified k-fold cross-validation of k-FP on `data` (closed world).
-/// Deterministic for a given seed; `jobs` parallelises feature extraction
-/// and the folds without changing any result byte.
+/// Deterministic for a given seed. Folds run in order; `jobs` workers
+/// extract features and train each fold's trees (it overrides
+/// cfg.forest.fit_jobs) without changing any result byte. Labels are class
+/// ids >= 0; a negative one throws std::invalid_argument, as it does in
+/// KFingerprint::fit.
 EvalResult cross_validate(const Dataset& data, const KFingerprint::Config& cfg,
                           std::size_t folds = 5, std::uint64_t seed = 0x5EEDull,
                           std::size_t jobs = 1);

@@ -220,6 +220,10 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
     case 11:                                         // every time NaN or -inf
       for (int i = 0; i < 40; ++i) t.add(i % 4 ? kNan : -kInf, i % 2 ? -1 : 1, 900);
       break;
+    case 12:                                         // t in (-1, 0), last < -1
+      t.add(-0.5, +1, 66);
+      t.add(-5.0, -1, 1514);
+      break;
     default:                                         // random soup
       for (int i = 0; i < 500; ++i) {
         t.add(rng.uniform(0, 10), rng.chance(0.5) ? 1 : -1, rng.uniform_int(1, 65536));
@@ -243,11 +247,12 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
   EXPECT_EQ(kfp[static_cast<std::size_t>(it - names.begin())],
             static_cast<double>(t.packets().size()));
   // The hostile-time contract: a NaN leaves its list's quantiles undefined
-  // (0), and only times in (-1, 120) s are counted per second (kind 9: only
-  // t = -0.5; kind 10: t = 0 and t = 3).
+  // (0), and only times in (-1, 120) s are counted per second, in buckets
+  // up to the last packet's (kind 9: only t = -0.5; kind 10: t = 0 and
+  // t = 3; kind 12: none, as the last time leaves no bucket).
   const std::map<int, std::pair<const char*, double>> pinned = {
       {8, {"time_q50_all", 0.0}}, {9, {"pps_sum", 1.0}}, {10, {"pps_sum", 2.0}},
-      {11, {"pps_sum", 0.0}}};
+      {11, {"pps_sum", 0.0}},     {12, {"pps_sum", 0.0}}};
   if (const auto p = pinned.find(kind); p != pinned.end()) {
     const auto slot = std::find(names.begin(), names.end(), p->second.first);
     EXPECT_EQ(kfp.at(static_cast<std::size_t>(slot - names.begin())), p->second.second) << kind;
@@ -257,7 +262,7 @@ TEST_P(FeatureTotality, FiniteFixedWidthOnAdversarialTraces) {
   for (double v : cumul) ASSERT_TRUE(std::isfinite(v)) << kind;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, FeatureTotality, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Sweep, FeatureTotality, ::testing::Range(0, 13));
 
 }  // namespace
 }  // namespace stob

@@ -294,6 +294,18 @@ TEST(Features, EmptyTraceIsFiniteZeros) {
   for (double v : f) EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(Features, IntoRejectsSpanOfAnyOtherSize) {
+  // A short span would silently lose the tail features, a long one keep
+  // stale values past the last.
+  const std::size_t n = kfp_feature_count();
+  std::vector<double> shorter(n - 1, 7.0), longer(n + 1, 7.0), exact(n, 7.0);
+  EXPECT_THROW(kfp_features_into(simple_trace(), shorter), std::invalid_argument);
+  EXPECT_THROW(kfp_features_into(simple_trace(), longer), std::invalid_argument);
+  EXPECT_THROW(kfp_features_into(simple_trace(), std::span<double>{}), std::invalid_argument);
+  kfp_features_into(simple_trace(), exact);
+  EXPECT_EQ(exact, kfp_features(simple_trace()));
+}
+
 TEST(Features, DeterministicForSameTrace) {
   EXPECT_EQ(kfp_features(simple_trace()), kfp_features(simple_trace()));
 }
@@ -547,6 +559,35 @@ TEST(CrossValidate, AggregatesFoldAccuracies) {
   EXPECT_EQ(total, data.size());
   EXPECT_NEAR(res.confusion.accuracy(), diag / static_cast<double>(total), 1e-12);
   EXPECT_NEAR(res.confusion.accuracy(), res.mean_accuracy, 1e-12);
+}
+
+TEST(CrossValidate, NegativeLabelIsRejected) {
+  // Dataset::load_csv takes any integer label. A -1 row is dealt to no fold,
+  // so it would stay in fold 0's test set and index the confusion matrix
+  // (and the forest's class counts) out of bounds.
+  FeatureMatrix x(40, 3);
+  std::vector<int> labels;
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t f = 0; f < x.cols(); ++f) x.at(r, f) = static_cast<double>(r % 4 + f);
+    labels.push_back(static_cast<int>(r % 4));
+  }
+  labels[17] = -1;
+  KFingerprint::Config cfg;
+  cfg.forest.num_trees = 4;
+  try {
+    cross_validate(x, labels, cfg, 5);
+    ADD_FAILURE() << "cross_validate accepted label -1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 17"), std::string::npos) << e.what();
+  }
+  KFingerprint clf(cfg);
+  EXPECT_THROW(clf.fit(x, labels), std::invalid_argument);
+  EXPECT_FALSE(clf.forest().trained());
+
+  Dataset data = synthetic_sites(2, 6, 3);
+  data.add(simple_trace(), -5);
+  EXPECT_THROW(cross_validate(data, cfg, 3), std::invalid_argument);
+  EXPECT_THROW(clf.fit(data), std::invalid_argument);
 }
 
 TEST(ConfusionMatrix, AccuracyAndMerge) {

@@ -13,18 +13,23 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 #include "util/stats.hpp"
 #include "wf/feature_matrix.hpp"
 #include "wf/features.hpp"
 #include "wf/kfp.hpp"
 #include "wf/leaf_knn.hpp"
 #include "wf/random_forest.hpp"
+#include "wf/synth_traces.hpp"
 
 namespace stob::wf {
 namespace {
@@ -248,8 +253,8 @@ TEST(KfpParity, EmptyTraceRowsSurviveThePipeline) {
 
 // ------------------------------------------------- feature extraction
 
-/// Traces of every awkward shape, in a count (103) that is not a multiple
-/// of the extractor's 32-row block: empty, 1- and 2-packet, one-direction,
+/// Traces of every awkward shape, 103 of them (a prime, so no block of
+/// rows divides them evenly): empty, 1- and 2-packet, one-direction,
 /// duplicate timestamps, unnormalized (time-shuffled) and plain random.
 Dataset awkward_corpus() {
   Rng rng(0xF00Dull);
@@ -341,6 +346,207 @@ TEST(KfpFeatureParity, SelectionStatisticsMatchSortFormula) {
       const double got = f.at(feature_index(name));
       const double want = stats::percentile(times, p);
       EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << name << " trial=" << trial;
+    }
+  }
+}
+
+// ------------------------------------------- feature bytes at full size
+
+/// Traces the size of a page load (2,000-8,000 packets) with every awkward
+/// trait at once: heavy duplicates (a few size and time levels), directions
+/// from {+1, -1, 0}, times at -0.0 and +0.0 (so gaps come out -0.0), and,
+/// when `shuffled`, times out of order (negative gaps, sorted quantiles).
+Trace hostile_long_trace(Rng& rng, bool shuffled) {
+  Trace t;
+  const int n = static_cast<int>(rng.uniform_int(2000, 8000));
+  double time = 0.0;
+  for (int k = 0; k < n; ++k) {
+    const int dir = rng.chance(0.05) ? 0 : rng.chance(0.35) ? +1 : -1;
+    const std::int64_t size = rng.chance(0.6) ? 1514 : 66 * rng.uniform_int(1, 4);
+    const double at = time < 0.01 && rng.chance(0.5) ? -0.0 : time;
+    t.add(at, dir, size);
+    if (rng.chance(0.4)) time += 0.001 * static_cast<double>(rng.uniform_int(1, 3));
+  }
+  if (shuffled) std::shuffle(t.packets().begin(), t.packets().end(), rng);
+  return t;
+}
+
+/// The seeded corpus the feature golden hashes: four instances of each of
+/// nine synthetic sites, undefended and under `combined`; twenty instances
+/// of each site played back to back (2-6k packets), both ways; the first-30
+/// prefix of every one of those; and eight hostile_long_trace()s.
+std::vector<Trace> golden_feature_corpus() {
+  std::vector<Trace> plain;
+  for (int site = 0; site < 9; ++site) {
+    for (std::uint64_t i = 0; i < 4; ++i) plain.push_back(synth_site_trace(0x601Dull, site, i));
+    Trace joined;
+    double offset = 0.0;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      const Trace part = synth_site_trace(0x601Dull, site, 100 + i);
+      for (const PacketRecord& p : part.packets()) {
+        joined.add(offset + p.time, p.direction, p.size);
+      }
+      offset += part.duration() + 0.25;
+    }
+    plain.push_back(std::move(joined));
+  }
+  std::vector<Trace> corpus;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    const std::unique_ptr<defenses::Policy> policy = defenses::make_policy("combined");
+    Rng rng(0xDEF0ull + i);
+    corpus.push_back(plain[i]);
+    corpus.push_back(defenses::run_policy(*policy, plain[i], rng));
+  }
+  for (std::size_t i = 0, whole = corpus.size(); i < whole; ++i) {
+    corpus.push_back(corpus[i].truncated(30));
+  }
+  Rng rng(0xB16ull);
+  for (int i = 0; i < 8; ++i) corpus.push_back(hostile_long_trace(rng, i % 2 == 1));
+  return corpus;
+}
+
+TEST(KfpFeatureGolden, SeededCorpusDigest) {
+  // SHA-256 over every feature byte of golden_feature_corpus(), recorded
+  // before the extractor was restructured into fewer passes. Any change to
+  // a feature value (the sign of a zero included) moves it; a deliberate
+  // change to the feature set must re-record it and say why.
+  util::Sha256 sha;
+  std::size_t packets = 0;
+  for (const Trace& t : golden_feature_corpus()) {
+    const std::vector<double> f = kfp_features(t);
+    sha.update(f.data(), f.size() * sizeof(double));
+    packets += t.size();
+  }
+  EXPECT_GT(packets, 100'000u);  // the corpus reaches page-load sizes
+  EXPECT_EQ(sha.hex_digest(),
+            "c382fe99bfc91338451a357cbecc087166647377e53689a627478c4f76e542eb");
+}
+
+/// The straightforward reading of an add_stats bundle: mean and stddev by
+/// stats::, the order statistics from a full sort.
+std::array<double, 6> reference_stats(std::vector<double> xs) {
+  const double mean = stats::mean(xs);
+  const double sd = stats::stddev(xs);
+  const std::array<double, 4> order = sorted_stats(std::move(xs));
+  return {mean, sd, order[0], order[1], order[2], order[3]};
+}
+
+TEST(KfpFeatureParity, PageLoadSizedTracesMatchReference) {
+  // The extractor against a one-list-at-a-time reference on full-size
+  // hostile traces. Values compare with ==, not memcmp: with -0.0 and +0.0
+  // in one list, which zero a sort and a selection leave at a rank is
+  // unspecified (KfpFeatureGolden pins the bytes).
+  Rng rng(0x1A26Eull);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Trace t = hostile_long_trace(rng, trial % 3 == 2);
+    const auto& pkts = t.packets();
+    std::vector<double> in_sizes, out_sizes, times, in_times, out_times, bursts, in_bursts;
+    std::int64_t bytes_in = 0, bytes_out = 0;
+    double out_run = 0, in_run = 0;
+    for (const PacketRecord& p : pkts) {
+      times.push_back(p.time);
+      (p.direction > 0 ? out_sizes : in_sizes).push_back(static_cast<double>(p.size));
+      (p.direction > 0 ? out_times : in_times).push_back(p.time);
+      if (p.direction < 0) bytes_in += p.size;
+      if (p.direction > 0) bytes_out += p.size;
+      if (p.direction > 0) {
+        out_run += 1;
+      } else if (out_run > 0) {
+        bursts.push_back(std::exchange(out_run, 0));
+      }
+      if (p.direction < 0) {
+        in_run += 1;
+      } else if (in_run > 0) {
+        in_bursts.push_back(std::exchange(in_run, 0));
+      }
+    }
+    if (out_run > 0) bursts.push_back(out_run);
+    if (in_run > 0) in_bursts.push_back(in_run);
+    const auto gaps = [](const std::vector<double>& ts) {
+      std::vector<double> g;
+      for (std::size_t i = 1; i < ts.size(); ++i) g.push_back(ts[i] - ts[i - 1]);
+      return g;
+    };
+    const std::vector<double> f = kfp_features(t);
+    const auto expect = [&](const std::string& name, double want) {
+      EXPECT_EQ(f.at(feature_index(name)), want) << name << " trial=" << trial;
+    };
+    for (const auto& [prefix, list] :
+         {std::pair{"size_in", in_sizes}, std::pair{"size_out", out_sizes},
+          std::pair{"iat_all", gaps(times)}, std::pair{"iat_in", gaps(in_times)},
+          std::pair{"iat_out", gaps(out_times)}, std::pair{"burst_len", bursts},
+          std::pair{"in_burst_len", in_bursts}}) {
+      const std::array<double, 6> want = reference_stats(list);
+      const std::array<const char*, 6> suffix = {"_mean", "_std",    "_min",
+                                                 "_max",  "_median", "_p75"};
+      for (std::size_t i = 0; i < 6; ++i) expect(std::string(prefix) + suffix[i], want[i]);
+    }
+    expect("count_out", static_cast<double>(out_sizes.size()));
+    expect("count_in", static_cast<double>(in_sizes.size()));
+    expect("burst_count", static_cast<double>(bursts.size()));
+    expect("in_burst_count", static_cast<double>(in_bursts.size()));
+    expect("burst_gt5", static_cast<double>(std::count_if(
+                            bursts.begin(), bursts.end(), [](double b) { return b > 5; })));
+    expect("bytes_in", static_cast<double>(bytes_in));
+    expect("bytes_out", static_cast<double>(bytes_out));
+    expect("bytes_total", static_cast<double>(t.total_bytes()));
+    for (const auto& [name, ts, p] : {std::tuple{"time_q25_all", &times, 25.0},
+                                      std::tuple{"time_q50_in", &in_times, 50.0},
+                                      std::tuple{"time_q75_out", &out_times, 75.0}}) {
+      expect(name, stats::percentile(*ts, p));
+    }
+    // Byte milestones: the first incoming packet whose running total
+    // reaches each fraction of the incoming bytes.
+    for (const auto& [name, frac] : {std::pair{"time_to_in_frac_25", 0.25},
+                                     std::pair{"time_to_in_frac_50", 0.5},
+                                     std::pair{"time_to_in_frac_75", 0.75}}) {
+      double acc = 0.0, reached = 0.0;
+      for (const PacketRecord& p : pkts) {
+        if (p.direction >= 0) continue;
+        acc += static_cast<double>(p.size);
+        if (acc >= frac * static_cast<double>(bytes_in)) {
+          reached = p.time;
+          break;
+        }
+      }
+      expect(name, reached);
+    }
+  }
+}
+
+TEST(KfpFeatureParity, UnevenTraceLengthsSameBytesAtAnyJobs) {
+  // Rows ordered by site as a collected dataset is, with trace lengths
+  // 100-4,000 packets (40x) and a few empty traces between them: however
+  // rows are cut into blocks for the workers, every row's bytes are those
+  // of extracting its trace alone.
+  Rng rng(0x40Full);
+  Dataset d;
+  for (int site = 0; site < 6; ++site) {
+    const int len = std::array{100, 4000, 250, 1200, 3000, 600}[static_cast<std::size_t>(site)];
+    for (int s = 0; s < 9; ++s) {
+      Trace t;
+      if (s != 4) {
+        double time = 0.0;
+        for (int k = 0; k < len; ++k) {
+          t.add(time, rng.chance(0.3) ? +1 : -1, rng.uniform_int(60, 1514));
+          time += rng.uniform(0.0, 0.002);
+        }
+      }
+      d.add(std::move(t), site);
+    }
+  }
+  const std::size_t bytes = kfp_feature_count() * sizeof(double);
+  const FeatureMatrix serial = kfp_features(d, 1);
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    const std::vector<double> want = kfp_features(d.trace(r));
+    ASSERT_EQ(std::memcmp(serial.row(r).data(), want.data(), bytes), 0) << "row=" << r;
+  }
+  for (std::size_t jobs : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    const FeatureMatrix m = kfp_features(d, jobs);
+    ASSERT_EQ(m.rows(), d.size());
+    for (std::size_t r = 0; r < d.size(); ++r) {
+      EXPECT_EQ(std::memcmp(m.row(r).data(), serial.row(r).data(), bytes), 0)
+          << "jobs=" << jobs << " row=" << r;
     }
   }
 }
