@@ -27,6 +27,23 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// Short git revision of the working tree (STOB_GIT_REV overrides; falls
+/// back to `git rev-parse`, then "unknown").
+std::string git_rev() {
+  if (const char* env = std::getenv("STOB_GIT_REV")) return env;
+  std::string rev = "unknown";
+  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64] = {0};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+      rev.assign(buf);
+      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) rev.pop_back();
+      if (rev.empty()) rev = "unknown";
+    }
+    pclose(p);
+  }
+  return rev;
+}
+
 }  // namespace
 
 std::vector<PhaseRollup> rollup_phases(const std::vector<ProfRecord>& records) {
@@ -143,7 +160,7 @@ RunManifest build_manifest(std::string tool, const Profiler& prof,
                            std::uint64_t base_seed) {
   RunManifest m;
   m.tool = std::move(tool);
-  m.git_rev = obs::git_rev();
+  m.git_rev = git_rev();
   m.jobs = jobs;
   m.base_seed = base_seed;
   m.phases = rollup_phases(prof.records());
@@ -166,21 +183,6 @@ RunManifest build_manifest(std::string tool, const Profiler& prof,
   harness.set("mem.pool_cached", static_cast<double>(pool.cached));
   m.harness_metrics = harness.snapshot();
   return m;
-}
-
-std::string git_rev() {
-  if (const char* env = std::getenv("STOB_GIT_REV")) return env;
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64] = {0};
-    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) rev.pop_back();
-      if (rev.empty()) rev = "unknown";
-    }
-    pclose(p);
-  }
-  return rev;
 }
 
 }  // namespace stob::obs

@@ -59,7 +59,7 @@ class CellSpecHash {
 
 class RunManifest {
  public:
-  std::string tool;     ///< bench driver name ("table2_kfp", "perf_suite", ...)
+  std::string tool;     ///< bench driver name ("table2_kfp", "chaos_sweep", ...)
   std::string git_rev;  ///< short HEAD rev, or "unknown"
   std::uint64_t base_seed = 0;
   std::size_t jobs = 0;  ///< worker count (harness detail, not cell spec)
@@ -98,10 +98,5 @@ class RunManifest {
 RunManifest build_manifest(std::string tool, const Profiler& prof,
                            const MetricsRegistry* metrics, std::size_t jobs,
                            std::uint64_t base_seed);
-
-/// Short git revision of the working tree (STOB_GIT_REV overrides; falls
-/// back to `git rev-parse`, then "unknown"). Shared by manifests and the
-/// perf trajectory (bench/perf_suite).
-std::string git_rev();
 
 }  // namespace stob::obs

@@ -14,13 +14,16 @@ namespace stob::wf {
 
 namespace {
 
-/// Class ids index the forest's class counts and the confusion matrix, so
-/// a negative one (Dataset::load_csv takes any integer) is refused.
+/// Class ids index the forest's class counts and the confusion matrix,
+/// which holds classes x classes counters, so each must lie in [0, rows):
+/// then `max + 1` cannot overflow and the matrix stays at most rows x rows.
+/// Dataset::load_csv takes any integer, so out-of-range ids are refused.
 void require_class_ids(const std::vector<int>& labels, const char* where) {
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] < 0) {
+    if (labels[i] < 0 || static_cast<std::size_t>(labels[i]) >= labels.size()) {
       throw std::invalid_argument(std::string(where) + ": row " + std::to_string(i) +
-                                  " has negative label " + std::to_string(labels[i]));
+                                  " has label " + std::to_string(labels[i]) +
+                                  ", outside [0, " + std::to_string(labels.size()) + ")");
     }
   }
 }

@@ -70,26 +70,28 @@ Trace Trace::truncated(std::size_t n) const {
                                          packets_.begin() + static_cast<std::ptrdiff_t>(n)));
 }
 
+// The sums wrap in uint64_t, as the k-FP extractor's do: a hostile CSV's
+// int64 sizes would overflow a signed sum.
 std::int64_t Trace::total_bytes() const {
-  std::int64_t s = 0;
-  for (const auto& p : packets_) s += p.size;
-  return s;
+  std::uint64_t s = 0;
+  for (const auto& p : packets_) s += static_cast<std::uint64_t>(p.size);
+  return static_cast<std::int64_t>(s);
 }
 
 std::int64_t Trace::incoming_bytes() const {
-  std::int64_t s = 0;
+  std::uint64_t s = 0;
   for (const auto& p : packets_) {
-    if (p.direction < 0) s += p.size;
+    if (p.direction < 0) s += static_cast<std::uint64_t>(p.size);
   }
-  return s;
+  return static_cast<std::int64_t>(s);
 }
 
 std::int64_t Trace::outgoing_bytes() const {
-  std::int64_t s = 0;
+  std::uint64_t s = 0;
   for (const auto& p : packets_) {
-    if (p.direction > 0) s += p.size;
+    if (p.direction > 0) s += static_cast<std::uint64_t>(p.size);
   }
-  return s;
+  return static_cast<std::int64_t>(s);
 }
 
 std::size_t Trace::incoming_count() const {

@@ -55,8 +55,9 @@ struct PageLoadResult {
   std::int64_t response_bytes = 0;
   std::size_t objects_fetched = 0;
   bool completed = false;
-  /// Simulator events executed for this load — the denominator perf
-  /// harnesses (bench/perf_suite) use to report end-to-end events/sec.
+  /// Simulator events executed for this load: the denominator of the
+  /// pipeline benchmark's events per CPU second, and a count
+  /// tests/test_alloc.cpp pins exactly.
   std::uint64_t sim_events = 0;
 };
 

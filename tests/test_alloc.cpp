@@ -1,37 +1,47 @@
-// Allocation gates for the packet path and the warm-cache read path.
+// Exact-count gates for the packet path, the collection grid and the
+// warm-cache read path. Event counts are deterministic, so they are gated
+// exactly; a change to the simulated traffic shows up here first.
+// Allocations come from a counting operator new and are capped at the
+// measured counts. Timing is judged elsewhere, by interleaved A/B runs of
+// the pipeline benchmark (README, "Measuring performance").
 //
-// The first two run the e2e.page_load smoke scenario of bench/perf_suite
-// (first catalogue site, TLS records, seed 0xBE7C4) under the same counting
-// operator new, with cubic and with bbr. Event counts are deterministic, so
-// they are gated exactly; a change to the simulated traffic shows up here
-// first. So are the scheduler's heap high-water mark and cancel count,
-// read from a second, identical load with a metrics registry installed:
-// the first moves with how many events wait in the heap at once (one per
-// pipe's arrival lane, not one per packet in flight), the second with how
-// often transport timers are re-armed. Allocations are capped at the
-// measured counts: the steady-state packet path (host demux, qdisc, NIC,
-// pipe, scheduler, congestion control) never reaches malloc, so one new
-// allocation per packet fails these tests. The third serves a whole grid from a warm result cache and
-// bounds the allocations per cell: key derivation, one buffer per entry
-// read, in-place header strip, payload decode. The fourth replays synthetic
-// traces through the combined policy and gates the allocations exactly:
-// the chain's stages share one emission buffer and one record buffer, which
-// becomes the defended trace, so a per-stage trace or buffer shows here.
+// The first two run one smoke page load (first catalogue site, TLS records,
+// seed 0xBE7C4) with cubic and with bbr. The scheduler's heap high-water
+// mark and cancel count are gated exactly too, read from a second,
+// identical load with a metrics registry installed: the first moves with
+// how many events wait in the heap at once (one per pipe's arrival lane,
+// not one per packet in flight), the second with how often transport
+// timers are re-armed. The steady-state packet path (host demux, qdisc,
+// NIC, pipe, scheduler, congestion control) never reaches malloc, so one
+// new allocation per packet fails these tests. The third serves a whole
+// grid from a warm result cache and bounds the allocations per cell: key
+// derivation, one buffer per entry read, in-place header strip, payload
+// decode. The next two run the Table 1 collection grid cold (3 sites x 4
+// samples x {reno, cubic, bbr}), once on a clean path and once under the
+// adverse-mix fault profile, and pin its events, completed loads, deepest
+// heap and cancels; the event total must not move at 2 jobs. The last
+// replays synthetic traces through the combined policy and gates the
+// allocations exactly: the chain's stages share one emission buffer and
+// one record buffer, which becomes the defended trace, so a per-stage
+// trace or buffer shows here.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "defenses/policy.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/result_cache.hpp"
+#include "fault/fault.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_probe.hpp"
@@ -146,6 +156,94 @@ TEST(AllocGate, WarmCacheGridAllocationsPerCell) {
   EXPECT_LE(per_cell, 6.5) << allocs << " allocations for " << results.size() << " cells";
   std::printf("warm grid: %zu cells, %llu allocations (%.1f per cell)\n", results.size(),
               static_cast<unsigned long long>(allocs), per_cell);
+}
+
+struct GridCount {
+  std::uint64_t events = 0;
+  std::size_t completed = 0;
+  std::size_t cells = 0;
+  std::uint64_t allocations = 0;
+  std::uint64_t heap_high_water = 0;  ///< the deepest heap of any cell
+  std::uint64_t cancelled = 0;        ///< summed over the cells
+};
+
+/// The Table 1 collection grid: the first three catalogue sites x 4 samples
+/// x {reno, cubic, bbr}, TLS records on, with an optional fault axis.
+GridCount grid_counts(const char* name, std::vector<fault::PathProfile> faults) {
+  exp::ExperimentGrid grid;
+  const auto& all = workload::nine_sites();
+  grid.sites.assign(all.begin(), all.begin() + 3);
+  grid.samples = 4;
+  grid.ccas = {"reno", "cubic", "bbr"};
+  grid.faults = std::move(faults);
+  grid.base_seed = 0x57AB1E5EEDull;
+  exp::RunOptions opts;
+  opts.page.tls_records = true;
+  opts.jobs = 1;
+
+  GridCount c;
+  const std::uint64_t before = util::allocations();
+  const std::vector<exp::JobResult> results = exp::run_grid(grid, opts);
+  c.allocations = util::allocations() - before;
+  c.cells = results.size();
+  for (const exp::JobResult& r : results) {
+    c.events += r.sim_events;
+    c.completed += r.completed ? 1 : 0;
+  }
+
+  opts.jobs = 2;
+  std::uint64_t parallel_events = 0;
+  for (const exp::JobResult& r : exp::run_grid(grid, opts)) parallel_events += r.sim_events;
+  EXPECT_EQ(parallel_events, c.events) << name << " at 2 jobs";
+
+  // The scheduler gauges come from a second run, one registry per cell.
+  opts.jobs = 1;
+  for (const exp::JobSpec& spec : grid.jobs()) {
+    obs::MetricsRegistry registry;
+    {
+      obs::ScopedMetrics install(registry);
+      exp::run_job(grid, spec, opts);
+    }
+    EXPECT_EQ(registry.gauge("sim.events_executed"),
+              static_cast<double>(results[spec.index].sim_events))
+        << name << " cell " << spec.index;
+    c.heap_high_water = std::max(
+        c.heap_high_water, static_cast<std::uint64_t>(registry.gauge("sim.heap_high_water")));
+    c.cancelled += static_cast<std::uint64_t>(registry.gauge("sim.events_cancelled"));
+  }
+
+  std::printf(
+      "%s grid: %zu cells, %llu events, %zu completed, %llu allocations (%.1f per cell), heap "
+      "high water %llu, %llu cancelled\n",
+      name, c.cells, static_cast<unsigned long long>(c.events), c.completed,
+      static_cast<unsigned long long>(c.allocations),
+      static_cast<double>(c.allocations) / static_cast<double>(c.cells),
+      static_cast<unsigned long long>(c.heap_high_water),
+      static_cast<unsigned long long>(c.cancelled));
+  return c;
+}
+
+// Allocations are capped at the counts measured with libstdc++ 12: 10,085
+// (280.1 per cell) cold and 32,895 (913.8 per cell) under the fault
+// profile. Every load completes on both grids.
+TEST(AllocGate, ColdGridCountsAreExact) {
+  const GridCount c = grid_counts("cold", {});
+  ASSERT_EQ(c.cells, 36u);
+  EXPECT_EQ(c.events, 295519u);
+  EXPECT_EQ(c.completed, 36u);
+  EXPECT_LE(c.allocations, 10085u);
+  EXPECT_EQ(c.heap_high_water, 24u);
+  EXPECT_EQ(c.cancelled, 87654u);
+}
+
+TEST(AllocGate, ChaosGridCountsAreExact) {
+  const GridCount c = grid_counts("chaos", {fault::PathProfile::symmetric(fault::adverse_mix())});
+  ASSERT_EQ(c.cells, 36u);
+  EXPECT_EQ(c.events, 357644u);
+  EXPECT_EQ(c.completed, 36u);
+  EXPECT_LE(c.allocations, 32895u);
+  EXPECT_EQ(c.heap_high_water, 49u);
+  EXPECT_EQ(c.cancelled, 74101u);
 }
 
 /// `n` packets in time order, about 70 % incoming (a third of those large

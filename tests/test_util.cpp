@@ -6,10 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "util/bench_json.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
@@ -453,135 +451,6 @@ TEST(Stats, WelfordMergeMatchesSingleStream) {
   EXPECT_NEAR(copy.mean(), whole.mean(), 1e-12);
   empty.merge(whole);
   EXPECT_NEAR(empty.variance(), whole.variance(), 1e-12);
-}
-
-// ---------------------------------------------------------------- bench json
-
-namespace {
-
-std::string snapshot_json(bool smoke, const std::vector<std::pair<std::string, double>>& rows,
-                          bool with_nested_baseline = false) {
-  std::string s = "{\n  \"schema\": \"stob-bench-v1\",\n  \"git_rev\": \"abc1234\",\n";
-  s += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    s += "    {\"name\": \"" + rows[i].first +
-         "\", \"wall_ms\": 10.0, \"cpu_ms\": 9.0, \"events\": 1000, "
-         "\"events_per_sec\": " +
-         std::to_string(rows[i].second) + ", \"allocs\": 5, \"iters\": 3}";
-    s += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  s += "  ]";
-  if (with_nested_baseline) {
-    s += ",\n  \"baseline\": {\"benchmarks\": [\n"
-         "    {\"name\": \"stale.entry\", \"events_per_sec\": 1.0}\n  ]}";
-  }
-  s += "\n}\n";
-  return s;
-}
-
-}  // namespace
-
-TEST(BenchJson, ParsesEntriesAndStopsAtNestedBaseline) {
-  const std::string json = snapshot_json(
-      false, {{"sim.page_load", 2000.0}, {"wf.kfp.speedup_vs_baseline", 1.5}, {"wf.kfp", 500.0}},
-      /*with_nested_baseline=*/true);
-  const bench::BenchSnapshot snap = bench::parse_snapshot(json);
-  EXPECT_EQ(snap.git_rev, "abc1234");
-  EXPECT_FALSE(snap.smoke);
-  ASSERT_EQ(snap.entries.size(), 2u);  // synthetic row skipped, nested ignored
-  EXPECT_EQ(snap.entries[0].name, "sim.page_load");
-  EXPECT_DOUBLE_EQ(snap.entries[0].events_per_sec, 2000.0);
-  EXPECT_EQ(snap.entries[0].events, 1000u);
-  EXPECT_EQ(snap.entries[0].iters, 3);
-  EXPECT_EQ(snap.entries[1].name, "wf.kfp");
-  EXPECT_EQ(snap.find("wf.kfp"), &snap.entries[1]);
-  EXPECT_EQ(snap.find("stale.entry"), nullptr);
-  EXPECT_EQ(snap.find("missing"), nullptr);
-  EXPECT_THROW(bench::parse_snapshot("{\"not\": \"ours\"}"), std::runtime_error);
-}
-
-TEST(BenchJson, GatePassesOnNoRegression) {
-  const bench::BenchSnapshot base =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}, {"b", 200.0}}));
-  const bench::BenchSnapshot fresh =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 95.0}, {"b", 240.0}}));
-  const bench::GateResult result = bench::gate(base, fresh);
-  EXPECT_TRUE(result.ok);
-  EXPECT_TRUE(result.missing.empty());
-  EXPECT_TRUE(result.regressions.empty());
-  EXPECT_FALSE(result.ratios_skipped);
-}
-
-TEST(BenchJson, GateFailsOnInjectedRegression) {
-  // Synthetic regression: benchmark "b" drops to half its baseline
-  // throughput, well past the 25% tolerance.
-  const bench::BenchSnapshot base =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}, {"b", 200.0}}));
-  const bench::BenchSnapshot fresh =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}, {"b", 100.0}}));
-  const bench::GateResult result = bench::gate(base, fresh);
-  EXPECT_FALSE(result.ok);
-  ASSERT_EQ(result.regressions.size(), 1u);
-  EXPECT_EQ(result.regressions[0].name, "b");
-  EXPECT_DOUBLE_EQ(result.regressions[0].ratio, 0.5);
-  // A tighter threshold catches smaller slips too.
-  bench::GateOptions tight;
-  tight.max_regression = 0.05;
-  const bench::BenchSnapshot slip =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 90.0}, {"b", 200.0}}));
-  EXPECT_FALSE(bench::gate(base, slip, tight).ok);
-}
-
-TEST(BenchJson, GateFlagsMissingBenchmarks) {
-  const bench::BenchSnapshot base =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}, {"b", 200.0}}));
-  const bench::BenchSnapshot fresh = bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}}));
-  const bench::GateResult result = bench::gate(base, fresh);
-  EXPECT_FALSE(result.ok);  // coverage gate: every baseline benchmark must run
-  ASSERT_EQ(result.missing.size(), 1u);
-  EXPECT_EQ(result.missing[0], "b");
-}
-
-TEST(BenchJson, SmokeMismatchSkipsThroughputGateOnly) {
-  // Full-run baseline vs smoke fresh: throughput ratios are meaningless, so
-  // the ratio gate is skipped — but coverage is still enforced.
-  const bench::BenchSnapshot base =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 1000.0}}));
-  const bench::BenchSnapshot fresh = bench::parse_snapshot(snapshot_json(true, {{"a", 10.0}}));
-  const bench::GateResult skipped = bench::gate(base, fresh);
-  EXPECT_TRUE(skipped.ok);
-  EXPECT_TRUE(skipped.ratios_skipped);
-  EXPECT_TRUE(skipped.regressions.empty());
-  bench::GateOptions force;
-  force.ignore_smoke_mismatch = true;
-  const bench::GateResult forced = bench::gate(base, fresh, force);
-  EXPECT_FALSE(forced.ok);
-  EXPECT_FALSE(forced.ratios_skipped);
-  ASSERT_EQ(forced.regressions.size(), 1u);
-}
-
-TEST(BenchJson, NewBenchmarksAreInformationalNotGated) {
-  // A suite gaining coverage (fresh-only benchmark "c") must never fail
-  // the gate: the candidate rides along in compare() after the baseline
-  // rows, and gate() reports it under `added` instead of `regressions`.
-  const bench::BenchSnapshot base =
-      bench::parse_snapshot(snapshot_json(false, {{"a", 100.0}, {"b", 200.0}}));
-  const bench::BenchSnapshot fresh = bench::parse_snapshot(
-      snapshot_json(false, {{"a", 100.0}, {"b", 200.0}, {"c", 1.0}}));
-
-  const std::vector<bench::Comparison> rows = bench::compare(base, fresh);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[2].name, "c");  // fresh-only rows follow baseline order
-  EXPECT_EQ(rows[2].baseline_eps, 0.0);
-  EXPECT_EQ(rows[2].fresh_eps, 1.0);
-  EXPECT_EQ(rows[2].ratio, 0.0);  // ratio 0 must NOT count as a regression
-
-  const bench::GateResult result = bench::gate(base, fresh);
-  EXPECT_TRUE(result.ok);
-  EXPECT_TRUE(result.regressions.empty());
-  EXPECT_TRUE(result.missing.empty());
-  ASSERT_EQ(result.added.size(), 1u);
-  EXPECT_EQ(result.added[0], "c");
 }
 
 // --------------------------------------------------------------- buffer pool

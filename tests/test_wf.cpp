@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -45,6 +46,25 @@ TEST(Trace, Accounting) {
   EXPECT_EQ(t.outgoing_bytes(), 1200);
   EXPECT_EQ(t.total_bytes(), t.incoming_bytes() + t.outgoing_bytes());
   EXPECT_NEAR(t.duration(), 0.15, 1e-12);
+}
+
+TEST(Trace, ByteSumsWrapInsteadOfOverflowing) {
+  // A hostile CSV reaches these sums through sanitized_by_download_size;
+  // two such packets overflowed the signed sums.
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 2 + 10;
+  const auto wrapped = static_cast<std::int64_t>(2 * static_cast<std::uint64_t>(big));
+  Trace t;
+  t.add(0.0, -1, big);
+  t.add(0.1, -1, big);
+  t.add(0.2, +1, big);
+  t.add(0.3, +1, big);
+  EXPECT_EQ(t.incoming_bytes(), wrapped);
+  EXPECT_EQ(t.outgoing_bytes(), wrapped);
+  EXPECT_EQ(t.total_bytes(), static_cast<std::int64_t>(4 * static_cast<std::uint64_t>(big)));
+
+  Dataset d;
+  for (int i = 0; i < 4; ++i) d.add(t, 0);
+  EXPECT_EQ(d.sanitized_by_download_size().size(), 4u);
 }
 
 TEST(Trace, NormalizeShiftsAndSorts) {
@@ -561,28 +581,35 @@ TEST(CrossValidate, AggregatesFoldAccuracies) {
   EXPECT_NEAR(res.confusion.accuracy(), res.mean_accuracy, 1e-12);
 }
 
-TEST(CrossValidate, NegativeLabelIsRejected) {
+TEST(CrossValidate, OutOfRangeLabelIsRejected) {
   // Dataset::load_csv takes any integer label. A -1 row is dealt to no fold,
   // so it would stay in fold 0's test set and index the confusion matrix
-  // (and the forest's class counts) out of bounds.
+  // (and the forest's class counts) out of bounds. INT_MAX made
+  // `max + 1` overflow, and any label far above the row count sized a
+  // classes x classes confusion matrix for it. 40 rows take labels 0..39.
   FeatureMatrix x(40, 3);
   std::vector<int> labels;
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t f = 0; f < x.cols(); ++f) x.at(r, f) = static_cast<double>(r % 4 + f);
     labels.push_back(static_cast<int>(r % 4));
   }
-  labels[17] = -1;
   KFingerprint::Config cfg;
   cfg.forest.num_trees = 4;
-  try {
-    cross_validate(x, labels, cfg, 5);
-    ADD_FAILURE() << "cross_validate accepted label -1";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("row 17"), std::string::npos) << e.what();
+  for (const int bad : {-1, 40, std::numeric_limits<int>::max()}) {
+    labels[17] = bad;
+    try {
+      cross_validate(x, labels, cfg, 5);
+      ADD_FAILURE() << "cross_validate accepted label " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 17"), std::string::npos) << e.what();
+    }
+    KFingerprint clf(cfg);
+    EXPECT_THROW(clf.fit(x, labels), std::invalid_argument) << bad;
+    EXPECT_FALSE(clf.forest().trained());
   }
+  labels[17] = 39;
   KFingerprint clf(cfg);
-  EXPECT_THROW(clf.fit(x, labels), std::invalid_argument);
-  EXPECT_FALSE(clf.forest().trained());
+  EXPECT_NO_THROW(clf.fit(x, labels));
 
   Dataset data = synthetic_sites(2, 6, 3);
   data.add(simple_trace(), -5);
