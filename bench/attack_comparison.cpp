@@ -13,7 +13,6 @@
 #include <cstdlib>
 
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "wf/cumul.hpp"
 #include "wf/kfp.hpp"
 #include "workload/page_load.hpp"
@@ -43,18 +42,15 @@ int main() {
       workload::collect_dataset(workload::nine_sites(), samples, seed, options)
           .sanitized_by_download_size(0.75);
 
-  const auto split = defenses::make_policy_defense("split");
-  const auto delay = defenses::make_policy_defense("delay");
-  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
-    const defenses::TraceDefense* defense;
+    const defenses::PolicyInfo* defense;
   };
   const Variant variants[] = {
       {"Original", nullptr},
-      {"Split", split.get()},
-      {"Delayed", delay.get()},
-      {"Combined", combined.get()}};
+      {"Split", &defenses::policy_info("split")},
+      {"Delayed", &defenses::policy_info("delay")},
+      {"Combined", &defenses::policy_info("combined")}};
 
   wf::KFingerprint::Config forest_cfg;
   forest_cfg.forest.num_trees = trees;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
 #include "wf/kfp.hpp"
@@ -67,18 +66,15 @@ int main(int argc, char** argv) {
   }
   cache.finish("censorship_curve");
 
-  const auto split = defenses::make_policy_defense("split");
-  const auto delay = defenses::make_policy_defense("delay");
-  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
-    const defenses::TraceDefense* defense;
+    const defenses::PolicyInfo* defense;
   };
   const std::vector<Variant> variants{
       {"Original", nullptr},
-      {"Split", split.get()},
-      {"Delayed", delay.get()},
-      {"Combined", combined.get()}};
+      {"Split", &defenses::policy_info("split")},
+      {"Delayed", &defenses::policy_info("delay")},
+      {"Combined", &defenses::policy_info("combined")}};
   const std::vector<std::size_t> prefixes{5, 10, 15, 20, 30, 45, 60, 90, 150, 0};
 
   wf::KFingerprint::Config kfp_cfg;

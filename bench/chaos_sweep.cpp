@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "defenses/baselines.hpp"
+#include "defenses/policy.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
 #include "fault/fault.hpp"
@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
   grid.faults = fault::all_scenarios();
   grid.base_seed = seed;
 
-  const std::vector<std::unique_ptr<defenses::TraceDefense>> zoo = defenses::all_defenses();
   grid.defenses.push_back({"none", nullptr});
-  for (const auto& d : zoo) grid.defenses.push_back({d->name(), d.get()});
+  for (const defenses::PolicyInfo& d : defenses::all_defenses()) {
+    grid.defenses.push_back({d.name, &d});
+  }
 
   std::printf("=== Chaos sweep: fault scenarios x CCAs x defenses, invariants armed ===\n");
   std::printf("grid: %zu scenarios x %zu sites x %zu samples x %zu defenses x %zu ccas = %zu jobs\n\n",

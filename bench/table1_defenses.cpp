@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "defenses/baselines.hpp"
+#include "defenses/policy.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
 #include "fault/fault.hpp"
@@ -64,11 +64,27 @@ struct DefenseRow {
   wf::EvalResult eval;
 };
 
-struct ParetoCell {
-  std::string defense, target, strategy, manipulation, cca, fault;
-  defenses::Overhead overhead;
-  wf::EvalResult eval;
+struct ParetoCell : DefenseRow {
+  std::string cca, fault;
 };
+
+/// Fills `row` for `defense` on `data`: its Table 1 metadata, its mean
+/// overhead and k-FP's accuracy on the defended copy. Both replays draw from
+/// a fresh Rng seeded with `replay_seed`.
+void evaluate_defense(const defenses::PolicyInfo& defense, const wf::Dataset& data,
+                      std::uint64_t replay_seed, const wf::KFingerprint::Config& kfp,
+                      std::size_t folds, std::uint64_t cv_seed, DefenseRow& row) {
+  row.name = defense.name;
+  row.target = defense.meta.target;
+  row.strategy = defense.meta.strategy;
+  row.manipulation = defense.meta.manipulations.describe();
+  Rng rng(replay_seed);
+  row.overhead = defenses::measure_overhead(data, defense, rng);
+  Rng rng2(replay_seed);
+  const wf::Dataset defended = data.transformed(
+      [&](const wf::Trace& t) { return defenses::run_policy(defense, t, rng2); });
+  row.eval = wf::cross_validate(defended, kfp, folds, cv_seed);
+}
 
 std::string fmt(double v) {
   char buf[32];
@@ -192,7 +208,7 @@ int run_pareto(const exp::Cli& cli, std::size_t samples, std::size_t trees,
   wf::KFingerprint::Config kfp_cfg;
   kfp_cfg.forest.num_trees = trees;
 
-  const std::vector<std::unique_ptr<defenses::TraceDefense>> zoo = defenses::all_defenses();
+  const std::vector<defenses::PolicyInfo>& zoo = defenses::all_defenses();
   const std::size_t D = zoo.size() + 1;  // index 0 = undefended
   const std::vector<ParetoCell> cells = [&] {
     obs::ProfSpan span("evaluate");
@@ -205,21 +221,12 @@ int run_pareto(const exp::Cli& cli, std::size_t samples, std::size_t trees,
       cell.cca = ccas[c];
       cell.fault = faults[f].name;
       if (d == 0) {
-        cell.defense = "(none)";
+        cell.name = "(none)";
         cell.eval = wf::cross_validate(base, kfp_cfg, folds, exp::job_seed(seed, i));
         return cell;
       }
-      const defenses::TraceDefense& defense = *zoo[d - 1];
-      cell.defense = defense.name();
-      cell.target = defense.target();
-      cell.strategy = defense.strategy();
-      cell.manipulation = defense.manipulations().describe();
-      Rng rng(exp::job_seed(seed ^ 0xD3F3ull, i));
-      cell.overhead = defenses::measure_overhead(base, defense, rng);
-      Rng rng2(exp::job_seed(seed ^ 0xD3F3ull, i));
-      const wf::Dataset defended =
-          base.transformed([&](const wf::Trace& t) { return defense.apply(t, rng2); });
-      cell.eval = wf::cross_validate(defended, kfp_cfg, folds, exp::job_seed(seed, i));
+      evaluate_defense(zoo[d - 1], base, exp::job_seed(seed ^ 0xD3F3ull, i), kfp_cfg, folds,
+                       exp::job_seed(seed, i), cell);
       return cell;
     });
   }();
@@ -229,7 +236,7 @@ int run_pareto(const exp::Cli& cli, std::size_t samples, std::size_t trees,
   rows.push_back({"defense", "target", "strategy", "manipulation", "cca", "fault",
                   "bw_overhead", "lat_overhead", "kfp_accuracy", "kfp_std"});
   for (const ParetoCell& cell : cells) {
-    rows.push_back({cell.defense, cell.target, cell.strategy, cell.manipulation, cell.cca,
+    rows.push_back({cell.name, cell.target, cell.strategy, cell.manipulation, cell.cca,
                     cell.fault, fmt(cell.overhead.bandwidth), fmt(cell.overhead.latency),
                     fmt(cell.eval.mean_accuracy), fmt(cell.eval.std_accuracy)});
   }
@@ -247,7 +254,7 @@ int run_pareto(const exp::Cli& cli, std::size_t samples, std::size_t trees,
   };
   std::vector<Agg> aggs(D);
   for (std::size_t d = 0; d < D; ++d) {
-    aggs[d].name = d == 0 ? "(none)" : zoo[d - 1]->name();
+    aggs[d].name = d == 0 ? "(none)" : zoo[d - 1].name;
     for (std::size_t cf = 0; cf < C * F; ++cf) {
       const ParetoCell& cell = cells[d * C * F + cf];
       aggs[d].bw += cell.overhead.bandwidth;
@@ -355,7 +362,7 @@ int main(int argc, char** argv) {
 
   // One evaluation job per defense (index 0 = undefended baseline); each is
   // seeded exactly as the serial loop was, so the numbers match any --jobs.
-  const std::vector<std::unique_ptr<defenses::TraceDefense>> all = defenses::all_defenses();
+  const std::vector<defenses::PolicyInfo>& all = defenses::all_defenses();
   const std::vector<DefenseRow> rows = [&] {
     obs::ProfSpan span("evaluate");
     return exp::run_ordered<DefenseRow>(
@@ -366,17 +373,7 @@ int main(int argc, char** argv) {
           row.eval = wf::cross_validate(data, kfp_cfg, folds, seed);
           return row;
         }
-        const defenses::TraceDefense& defense = *all[i - 1];
-        row.name = defense.name();
-        row.target = defense.target();
-        row.strategy = defense.strategy();
-        row.manipulation = defense.manipulations().describe();
-        Rng rng(seed ^ 0xD3F3ull);
-        row.overhead = defenses::measure_overhead(data, defense, rng);
-        Rng rng2(seed ^ 0xD3F3ull);
-        const wf::Dataset defended =
-            data.transformed([&](const wf::Trace& t) { return defense.apply(t, rng2); });
-        row.eval = wf::cross_validate(defended, kfp_cfg, folds, seed);
+        evaluate_defense(all[i - 1], data, seed ^ 0xD3F3ull, kfp_cfg, folds, seed, row);
         return row;
       });
   }();

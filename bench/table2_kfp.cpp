@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
 #include "obs/manifest.hpp"
@@ -55,7 +54,7 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
 
 struct Variant {
   std::string name;
-  const defenses::TraceDefense* defense;  // nullptr = Original
+  const defenses::PolicyInfo* defense;  // nullptr = Original
 };
 
 }  // namespace
@@ -159,14 +158,11 @@ int main(int argc, char** argv) {
   std::printf("sanitised to %zu traces (%zu per site)\n\n", data.size(), min_per_class);
 
   // 3. The four countermeasure variants of §3.
-  const auto split = defenses::make_policy_defense("split");
-  const auto delay = defenses::make_policy_defense("delay");
-  const auto combined = defenses::make_policy_defense("combined");
   const std::vector<Variant> variants{
       {"Original", nullptr},
-      {"Split", split.get()},
-      {"Delayed", delay.get()},
-      {"Combined", combined.get()}};
+      {"Split", &defenses::policy_info("split")},
+      {"Delayed", &defenses::policy_info("delay")},
+      {"Combined", &defenses::policy_info("combined")}};
   const std::vector<std::size_t> scopes{15, 30, 45, 0};  // 0 = whole trace
 
   wf::KFingerprint::Config kfp_cfg;

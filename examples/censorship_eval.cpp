@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "wf/kfp.hpp"
 #include "workload/page_load.hpp"
 
@@ -33,7 +32,8 @@ int main() {
   wf::KFingerprint::Config attack;
   attack.forest.num_trees = 60;
 
-  const auto defense = defenses::make_policy_defense("combined");  // split + delay, server-side
+  // split + delay, server-side
+  const defenses::PolicyInfo& defense = defenses::policy_info("combined");
 
   std::printf("%-10s %-14s %-14s\n", "prefix N", "undefended", "defended");
   for (std::size_t n : {10, 20, 40, 80, 0}) {
@@ -41,7 +41,7 @@ int main() {
         data.transformed([&](const wf::Trace& t) { return n ? t.truncated(n) : t; });
     Rng rng(99);
     const wf::Dataset defended = data.transformed([&](const wf::Trace& t) {
-      wf::Trace d = defenses::apply_to_prefix(*defense, t, n, rng);
+      wf::Trace d = defenses::apply_to_prefix(defense, t, n, rng);
       return n ? d.truncated(n) : d;
     });
     const double acc_plain = wf::cross_validate(plain, attack, 4).mean_accuracy;

@@ -1,6 +1,6 @@
 // Defense comparison: protection vs cost across the defense zoo.
 //
-// Applies each implemented defense (the whole-trace Table 1 baselines, then
+// Applies each implemented defense (the Table 1 literature baselines, then
 // the streaming policy zoo: the paper's §3 primitives, RegulaTor and
 // WTF-PAD) to the same simulated website traces and prints the trade-off
 // every deployment conversation is about:
@@ -15,7 +15,7 @@
 // Build & run:   ./build/examples/defense_comparison
 #include <cstdio>
 
-#include "defenses/baselines.hpp"
+#include "defenses/policy.hpp"
 #include "wf/kfp.hpp"
 #include "workload/page_load.hpp"
 
@@ -35,15 +35,15 @@ int main() {
   std::printf("%-12s %-15s %10s %10s %10s\n", "defense", "strategy", "kFP-acc", "BW-ovh",
               "Lat-ovh");
   std::printf("%-12s %-15s %10.3f %10s %10s\n", "(none)", "-", base_acc, "0%", "0%");
-  for (const auto& d : defenses::all_defenses()) {
+  for (const defenses::PolicyInfo& d : defenses::all_defenses()) {
     Rng rng(5);
-    const defenses::Overhead ovh = defenses::measure_overhead(data, *d, rng);
+    const defenses::Overhead ovh = defenses::measure_overhead(data, d, rng);
     Rng rng2(5);
     const wf::Dataset defended =
-        data.transformed([&](const wf::Trace& t) { return d->apply(t, rng2); });
+        data.transformed([&](const wf::Trace& t) { return defenses::run_policy(d, t, rng2); });
     const double acc = wf::cross_validate(defended, attack, 4).mean_accuracy;
-    std::printf("%-12s %-15s %10.3f %9.0f%% %9.0f%%\n", d->name().c_str(),
-                d->strategy().c_str(), acc, ovh.bandwidth * 100, ovh.latency * 100);
+    std::printf("%-12s %-15s %10.3f %9.0f%% %9.0f%%\n", d.name.c_str(),
+                d.meta.strategy.c_str(), acc, ovh.bandwidth * 100, ovh.latency * 100);
   }
   std::printf("\n(4 sites, small samples: treat numbers as illustrative; bench/table1_defenses\n");
   std::printf("runs the full version.)\n");

@@ -4,8 +4,6 @@ namespace stob::defenses {
 
 // -------------------------------------------------------- SplitStreamPolicy
 
-void SplitStreamPolicy::begin(Rng& /*rng*/) {}
-
 void SplitStreamPolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) {
   const bool in_scope = !cfg_.incoming_only || ev.direction < 0;
   if (in_scope && ev.size > cfg_.threshold) {

@@ -25,7 +25,6 @@ class SplitStreamPolicy final : public Policy {
   explicit SplitStreamPolicy(Config cfg) : cfg_(cfg) {}
 
   std::string name() const override { return "split"; }
-  void begin(Rng& rng) override;
   void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) override;
 
  private:

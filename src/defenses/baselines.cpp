@@ -1,126 +1,127 @@
 #include "defenses/baselines.hpp"
 
 #include <algorithm>
-
-#include "defenses/policy.hpp"
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace stob::defenses {
 
-// ------------------------------------------------------------ FrontDefense
+// ------------------------------------------------------------- FrontPolicy
 
-wf::Trace FrontDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  wf::Trace out = trace;
+void FrontPolicy::begin(Rng& rng) {
+  rng_ = &rng;
+  packets_ = 0;
+  first_time_ = 0.0;
+  last_time_ = 0.0;
+}
+
+void FrontPolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) {
+  if (packets_++ == 0) first_time_ = ev.time;
+  last_time_ = ev.time;
+  out.push_back({ev.time, ev.direction, ev.size, false});
+}
+
+void FrontPolicy::finish(double /*end_time*/, std::vector<PacketOut>& out) {
   // FRONT front-loads dummies on a Rayleigh schedule whose window was tuned
   // for Tor page loads (seconds). Our direct page loads finish in hundreds
   // of milliseconds, so the sampled window is scaled into the page duration
-  // — keeping the *shape* (dense early cover, thinning tail) while padding
-  // only while there is traffic to hide; stragglers past the page end are
-  // dropped rather than extending the connection.
-  const double page_end = std::max(trace.duration(), 0.05);
+  // (first to last packet, 0 below two packets) — keeping the *shape* (dense
+  // early cover, thinning tail) while padding only while there is traffic
+  // to hide; stragglers past the page end are dropped rather than extending
+  // the connection.
+  const double duration = packets_ < 2 ? 0.0 : last_time_ - first_time_;
+  const double page_end = std::max(duration, 0.05);
   const double scale = page_end / cfg_.window_max;
   auto inject = [&](int direction, int max_dummies) {
-    const auto n = static_cast<int>(rng.uniform_int(1, max_dummies));
-    const double window = rng.uniform(cfg_.window_min, cfg_.window_max) * scale;
+    const auto n = static_cast<int>(rng_->uniform_int(1, max_dummies));
+    const double window = rng_->uniform(cfg_.window_min, cfg_.window_max) * scale;
     for (int i = 0; i < n; ++i) {
-      const double t = rng.rayleigh(window / 2.0);
-      if (t <= page_end) out.add(t, direction, cfg_.dummy_size);
+      const double t = rng_->rayleigh(window / 2.0);
+      if (t <= page_end) out.push_back({t, direction, cfg_.dummy_size, true});
     }
   };
   inject(+1, cfg_.client_dummies_max);
   inject(-1, cfg_.server_dummies_max);
-  out.normalize();
-  return out;
 }
 
-// ------------------------------------------------------------ BufloDefense
+// ------------------------------------------------------ SlotSchedulePolicy
 
-wf::Trace BufloDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
-  // Per direction: real packets occupy the next slots of a fixed-interval
-  // schedule; empty slots up to max(data end, min_duration) become dummies.
-  wf::Trace out;
-  for (int dir : {+1, -1}) {
-    std::size_t queued = 0;  // real packets waiting for a slot
-    std::size_t next_real = 0;
-    std::vector<double> real_times;
-    for (const wf::PacketRecord& p : trace.packets()) {
-      if (p.direction == dir) real_times.push_back(p.time);
-    }
-    const double data_end = real_times.empty() ? 0.0 : real_times.back();
-    const double end = std::max(cfg_.min_duration, data_end);
-    for (double t = 0.0; t <= end || next_real < real_times.size(); t += cfg_.interval) {
-      // Count real packets that have arrived by this slot.
-      while (next_real + queued < real_times.size() &&
-             real_times[next_real + queued] <= t) {
-        ++queued;
-      }
-      if (queued > 0) {
-        --queued;
-        ++next_real;
-        out.add(t, dir, cfg_.packet_size);
-      } else {
-        out.add(t, dir, cfg_.packet_size);  // dummy fills the slot
-      }
-      if (t > end + 120.0) break;  // safety against pathological schedules
-    }
+void SlotSchedulePolicy::begin(Rng& /*rng*/) {
+  for (std::vector<double>& t : times_) t.clear();
+  seen_ = 0;
+}
+
+void SlotSchedulePolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>& /*out*/) {
+  if (!std::isfinite(ev.time)) {
+    throw std::invalid_argument(name() + ": packet " + std::to_string(seen_) +
+                                " has a non-finite time");
   }
-  out.normalize();
-  return out;
+  ++seen_;
+  if (ev.direction == +1) times_[0].push_back(ev.time);
+  if (ev.direction == -1) times_[1].push_back(ev.time);
 }
 
-// ---------------------------------------------------------- TamarawDefense
+void SlotSchedulePolicy::finish(double /*end_time*/, std::vector<PacketOut>& out) {
+  schedule(+1, times_[0], out);
+  schedule(-1, times_[1], out);
+}
 
-wf::Trace TamarawDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
-  wf::Trace out;
-  for (int dir : {+1, -1}) {
-    const double interval = dir > 0 ? cfg_.interval_out : cfg_.interval_in;
-    std::vector<double> real_times;
-    for (const wf::PacketRecord& p : trace.packets()) {
-      if (p.direction == dir) real_times.push_back(p.time);
+// ------------------------------------------------------------- BufloPolicy
+
+void BufloPolicy::schedule(int dir, const std::vector<double>& times,
+                           std::vector<PacketOut>& out) const {
+  // Real packets occupy the next slots of a fixed-interval schedule; empty
+  // slots up to max(data end, min_duration) become dummies.
+  std::size_t queued = 0;  // real packets waiting for a slot
+  std::size_t next_real = 0;
+  const double data_end = times.empty() ? 0.0 : times.back();
+  const double end = std::max(cfg_.min_duration, data_end);
+  for (double t = 0.0; t <= end || next_real < times.size(); t += cfg_.interval) {
+    // Count real packets that have arrived by this slot.
+    while (next_real + queued < times.size() && times[next_real + queued] <= t) ++queued;
+    const bool data = queued > 0;
+    if (data) {
+      --queued;
+      ++next_real;
     }
-    // Schedule real packets onto the grid.
-    std::size_t sent = 0;
-    std::size_t count = 0;
-    double t = 0.0;
-    std::size_t arrived = 0;
-    while (sent < real_times.size()) {
-      while (arrived < real_times.size() && real_times[arrived] <= t) ++arrived;
-      out.add(t, dir, cfg_.packet_size);  // slot carries data if any arrived
-      ++count;
-      if (arrived > sent) ++sent;
-      t += interval;
-    }
-    // Pad the per-direction count up to a multiple of L.
-    const auto mult = static_cast<std::size_t>(cfg_.pad_multiple);
-    const std::size_t target = ((count + mult - 1) / mult) * mult;
-    for (; count < target; ++count, t += interval) out.add(t, dir, cfg_.packet_size);
+    out.push_back({t, dir, cfg_.packet_size, !data});
+    if (t > end + 120.0) break;  // safety against pathological schedules
   }
-  out.normalize();
-  return out;
 }
 
-// ---------------------------------------------------- PadToConstantDefense
+// ----------------------------------------------------------- TamarawPolicy
 
-wf::Trace PadToConstantDefense::apply(const wf::Trace& trace, Rng& /*rng*/) const {
-  wf::Trace out;
-  for (const wf::PacketRecord& p : trace.packets()) {
-    std::int64_t size = p.size;
-    if (!cfg_.incoming_only || p.direction < 0) {
-      size = ((size + cfg_.quantum - 1) / cfg_.quantum) * cfg_.quantum;
-    }
-    out.add(p.time, p.direction, size);
+void TamarawPolicy::schedule(int dir, const std::vector<double>& times,
+                             std::vector<PacketOut>& out) const {
+  const double interval = dir > 0 ? cfg_.interval_out : cfg_.interval_in;
+  // Schedule real packets onto the grid.
+  std::size_t sent = 0;
+  std::size_t count = 0;
+  double t = 0.0;
+  std::size_t arrived = 0;
+  while (sent < times.size()) {
+    while (arrived < times.size() && times[arrived] <= t) ++arrived;
+    const bool data = arrived > sent;  // slot carries data if any arrived
+    out.push_back({t, dir, cfg_.packet_size, !data});
+    ++count;
+    if (data) ++sent;
+    t += interval;
   }
-  out.normalize();
-  return out;
+  // Pad the per-direction count up to a multiple of L.
+  const auto mult = static_cast<std::size_t>(cfg_.pad_multiple);
+  const std::size_t target = ((count + mult - 1) / mult) * mult;
+  for (; count < target; ++count, t += interval) out.push_back({t, dir, cfg_.packet_size, true});
 }
 
-std::vector<std::unique_ptr<TraceDefense>> all_defenses() {
-  std::vector<std::unique_ptr<TraceDefense>> v;
-  v.push_back(std::make_unique<FrontDefense>());
-  v.push_back(std::make_unique<BufloDefense>());
-  v.push_back(std::make_unique<TamarawDefense>());
-  v.push_back(std::make_unique<PadToConstantDefense>());
-  for (const PolicyInfo& info : policy_zoo()) v.push_back(make_policy_defense(info.name));
-  return v;
+// ----------------------------------------------------- PadToConstantPolicy
+
+void PadToConstantPolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) {
+  std::int64_t size = ev.size;
+  if (!cfg_.incoming_only || ev.direction < 0) {
+    size = ((size + cfg_.quantum - 1) / cfg_.quantum) * cfg_.quantum;
+  }
+  out.push_back({ev.time, ev.direction, size, false});
 }
 
 }  // namespace stob::defenses

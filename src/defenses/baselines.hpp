@@ -1,6 +1,6 @@
-// Baseline WF defenses from the literature (the rows of Table 1),
-// implemented as trace transforms so their protection/overhead can be
-// compared against stack-level packet-sequence control.
+// Baseline WF defenses from the literature (the first four rows of
+// Table 1), as defenses::Policy state machines so their protection/overhead
+// can be compared against stack-level packet-sequence control.
 //
 // These follow the published algorithms at trace granularity:
 //  * FRONT (Gong & Wang, USENIX Sec'20): Rayleigh-scheduled dummy packets
@@ -12,16 +12,27 @@
 //  * ALPaCA-style (Cherubin et al., PETS'17): server-side object padding —
 //    incoming packet sizes padded up to a multiple of a quantum.
 //
+// ALPaCA-pad rounds each packet as it arrives. FRONT forwards each packet
+// and injects its dummies in finish(); BuFLO and Tamaraw buffer each
+// direction's arrival times and emit their whole slot schedules in
+// finish(), +1 first. Replayed (run_policy), each emits exactly the
+// sequence its former whole-trace transform built, so outputs are byte-
+// identical (tests/test_policy_parity.cpp pins them by hash). Because three
+// of them hold output until finish(), they are not built for the stack
+// mount.
+//
 // WTF-PAD (Juarez et al., ESORICS'16) and RegulaTor (Holland & Hopper,
-// PETS'22) are full streaming state machines instead (wtfpad.hpp,
-// regulator.hpp); they reach Table 1 through the policy zoo.
+// PETS'22) are streaming state machines in the policy zoo (wtfpad.hpp,
+// regulator.hpp).
 #pragma once
 
-#include "defenses/trace_defense.hpp"
+#include <array>
+
+#include "defenses/policy.hpp"
 
 namespace stob::defenses {
 
-class FrontDefense final : public TraceDefense {
+class FrontPolicy final : public Policy {
  public:
   struct Config {
     int client_dummies_max = 600;   // N_c: dummies sampled U(1, max)
@@ -31,20 +42,43 @@ class FrontDefense final : public TraceDefense {
     std::int64_t dummy_size = 1514; // full-size wire packets
   };
 
-  FrontDefense() : FrontDefense(Config{}) {}
-  explicit FrontDefense(Config cfg) : cfg_(cfg) {}
+  FrontPolicy() : FrontPolicy(Config{}) {}
+  explicit FrontPolicy(Config cfg) : cfg_(cfg) {}
 
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
   std::string name() const override { return "FRONT"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Obfuscation"; }
-  Manipulations manipulations() const override { return {.padding = true, .timing = true}; }
+  void begin(Rng& rng) override;
+  void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) override;
+  void finish(double end_time, std::vector<PacketOut>& out) override;
 
  private:
   Config cfg_;
+  Rng* rng_ = nullptr;
+  std::size_t packets_ = 0;
+  double first_time_ = 0.0;
+  double last_time_ = 0.0;
 };
 
-class BufloDefense final : public TraceDefense {
+/// Input side shared by BuFLO and Tamaraw: each direction's arrival times
+/// are buffered, and finish() emits the +1 schedule, then the -1 one.
+/// Packets of any other direction are dropped. A non-finite time is
+/// refused with std::invalid_argument: no slot schedule could reach it.
+class SlotSchedulePolicy : public Policy {
+ public:
+  void begin(Rng& rng) override;
+  void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) override;
+  void finish(double end_time, std::vector<PacketOut>& out) override;
+
+ protected:
+  /// Appends direction `dir`'s schedule for its real arrivals `times`.
+  virtual void schedule(int dir, const std::vector<double>& times,
+                        std::vector<PacketOut>& out) const = 0;
+
+ private:
+  std::array<std::vector<double>, 2> times_;  // +1, -1
+  std::size_t seen_ = 0;
+};
+
+class BufloPolicy final : public SlotSchedulePolicy {
  public:
   struct Config {
     std::int64_t packet_size = 1514;  // d: every packet padded to this
@@ -52,20 +86,19 @@ class BufloDefense final : public TraceDefense {
     double min_duration = 10.0;       // tau: pad at least this long
   };
 
-  BufloDefense() : BufloDefense(Config{}) {}
-  explicit BufloDefense(Config cfg) : cfg_(cfg) {}
+  BufloPolicy() : BufloPolicy(Config{}) {}
+  explicit BufloPolicy(Config cfg) : cfg_(cfg) {}
 
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
   std::string name() const override { return "BuFLO"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Regularization"; }
-  Manipulations manipulations() const override { return {.padding = true, .timing = true}; }
 
  private:
+  void schedule(int dir, const std::vector<double>& times,
+                std::vector<PacketOut>& out) const override;
+
   Config cfg_;
 };
 
-class TamarawDefense final : public TraceDefense {
+class TamarawPolicy final : public SlotSchedulePolicy {
  public:
   struct Config {
     std::int64_t packet_size = 1514;
@@ -74,42 +107,33 @@ class TamarawDefense final : public TraceDefense {
     int pad_multiple = 100;      // L: pad per-direction count to multiple of L
   };
 
-  TamarawDefense() : TamarawDefense(Config{}) {}
-  explicit TamarawDefense(Config cfg) : cfg_(cfg) {}
+  TamarawPolicy() : TamarawPolicy(Config{}) {}
+  explicit TamarawPolicy(Config cfg) : cfg_(cfg) {}
 
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
   std::string name() const override { return "Tamaraw"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Regularization"; }
-  Manipulations manipulations() const override { return {.padding = true, .timing = true}; }
 
  private:
+  void schedule(int dir, const std::vector<double>& times,
+                std::vector<PacketOut>& out) const override;
+
   Config cfg_;
 };
 
-class PadToConstantDefense final : public TraceDefense {
+class PadToConstantPolicy final : public Policy {
  public:
   struct Config {
     std::int64_t quantum = 512;    // sizes padded up to a multiple of this
     bool incoming_only = true;     // server-side object padding
   };
 
-  PadToConstantDefense() : PadToConstantDefense(Config{}) {}
-  explicit PadToConstantDefense(Config cfg) : cfg_(cfg) {}
+  PadToConstantPolicy() : PadToConstantPolicy(Config{}) {}
+  explicit PadToConstantPolicy(Config cfg) : cfg_(cfg) {}
 
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
   std::string name() const override { return "ALPaCA-pad"; }
-  std::string target() const override { return "Tor"; }
-  std::string strategy() const override { return "Regularization"; }
-  Manipulations manipulations() const override { return {.padding = true}; }
+  void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) override;
 
  private:
   Config cfg_;
 };
-
-/// Every Table 1 row, for benches that iterate the whole defense zoo: FRONT,
-/// BuFLO, Tamaraw and ALPaCA-pad, then each policy_zoo() entry once (the
-/// §3 split, delay and combined, RegulaTor, WTF-PAD), in zoo order.
-std::vector<std::unique_ptr<TraceDefense>> all_defenses();
 
 }  // namespace stob::defenses

@@ -1,13 +1,17 @@
 #include "defenses/policy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "defenses/baseline_policies.hpp"
+#include "defenses/baselines.hpp"
 #include "defenses/regulator.hpp"
 #include "defenses/wtfpad.hpp"
 
 namespace stob::defenses {
+
+void Policy::begin(Rng& /*rng*/) {}
 
 void Policy::finish(double /*end_time*/, std::vector<PacketOut>& /*out*/) {}
 
@@ -23,12 +27,15 @@ void feed(Policy& policy, const std::vector<wf::PacketRecord>& in, Rng& rng,
 }
 
 /// Replaces `out`'s packets with `emitted`, normalized. The buffer keeps its
-/// capacity and grows, if it must, to exactly what it holds.
+/// capacity and grows, if it must, to exactly what it holds. The records are
+/// written in place rather than appended, so the loop holds no call to
+/// vector growth whatever the compiler decides to inline.
 void materialize(const std::vector<PacketOut>& emitted, wf::Trace& out) {
   std::vector<wf::PacketRecord>& packets = out.packets();
   packets.clear();
-  packets.reserve(emitted.size());
-  for (const PacketOut& p : emitted) packets.push_back({p.time, p.direction, p.size});
+  packets.resize(emitted.size());
+  wf::PacketRecord* dst = packets.data();
+  for (const PacketOut& p : emitted) *dst++ = {p.time, p.direction, p.size};
   out.normalize();
 }
 
@@ -103,52 +110,64 @@ void ChainPolicy::run_stages(const std::vector<wf::PacketRecord>& input, Rng& rn
   if (cur != &trace_.packets()) trace_.packets() = *cur;  // no stages: output = input
 }
 
-// ------------------------------------------------------------- PolicyDefense
-
-wf::Trace PolicyDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  const std::unique_ptr<Policy> policy = factory_();
-  return run_policy(*policy, trace, rng);
-}
-
 // ------------------------------------------------------------------ registry
 
-const std::vector<PolicyInfo>& policy_zoo() {
-  static const std::vector<PolicyInfo> zoo = [] {
-    std::vector<PolicyInfo> v;
-    v.push_back({"split",
-                 {"TLS", "Obfuscation", {.packet_size = true}},
-                 [] { return std::make_unique<SplitStreamPolicy>(); }});
-    v.push_back({"delay",
-                 {"TLS", "Obfuscation", {.timing = true}},
-                 [] { return std::make_unique<DelayStreamPolicy>(); }});
-    v.push_back({"combined",
-                 {"TLS", "Obfuscation", {.timing = true, .packet_size = true}},
-                 [] {
-                   std::vector<std::unique_ptr<Policy>> stages;
-                   stages.reserve(2);
-                   stages.push_back(std::make_unique<SplitStreamPolicy>());
-                   stages.push_back(std::make_unique<DelayStreamPolicy>());
-                   return std::make_unique<ChainPolicy>(std::move(stages));
-                 }});
-    v.push_back({"regulator",
-                 {"Stob", "Regularization", {.padding = true, .timing = true}},
-                 [] { return std::make_unique<RegulatorPolicy>(); }});
-    v.push_back({"wtfpad",
-                 {"Stob", "Obfuscation", {.padding = true}},
-                 [] { return std::make_unique<WtfPadPolicy>(); }});
-    return v;
-  }();
-  return zoo;
+std::string Manipulations::describe() const {
+  std::string out;
+  auto append = [&out](const char* s) {
+    if (!out.empty()) out += ", ";
+    out += s;
+  };
+  if (padding) append("padding");
+  if (timing) append("timing");
+  if (packet_size) append("packet size");
+  return out.empty() ? "none" : out;
 }
 
 namespace {
 
-const PolicyInfo& find_policy(std::string_view name) {
-  for (const PolicyInfo& info : policy_zoo()) {
+/// Registry row for a policy built with its default config.
+template <typename P>
+PolicyInfo row(std::string name, PolicyInfo::Meta meta) {
+  return {std::move(name), std::move(meta), [] { return std::make_unique<P>(); }};
+}
+
+}  // namespace
+
+const std::vector<PolicyInfo>& all_defenses() {
+  static const std::vector<PolicyInfo> rows{
+      row<FrontPolicy>("FRONT", {"Tor", "Obfuscation", {.padding = true, .timing = true}}),
+      row<BufloPolicy>("BuFLO", {"Tor", "Regularization", {.padding = true, .timing = true}}),
+      row<TamarawPolicy>("Tamaraw", {"Tor", "Regularization", {.padding = true, .timing = true}}),
+      row<PadToConstantPolicy>("ALPaCA-pad", {"Tor", "Regularization", {.padding = true}}),
+      row<SplitStreamPolicy>("split", {"TLS", "Obfuscation", {.packet_size = true}}),
+      row<DelayStreamPolicy>("delay", {"TLS", "Obfuscation", {.timing = true}}),
+      {"combined",
+       {"TLS", "Obfuscation", {.timing = true, .packet_size = true}},
+       [] {
+         std::vector<std::unique_ptr<Policy>> stages;
+         stages.reserve(2);
+         stages.push_back(std::make_unique<SplitStreamPolicy>());
+         stages.push_back(std::make_unique<DelayStreamPolicy>());
+         return std::make_unique<ChainPolicy>(std::move(stages));
+       }},
+      row<RegulatorPolicy>("regulator",
+                           {"Stob", "Regularization", {.padding = true, .timing = true}}),
+      row<WtfPadPolicy>("wtfpad", {"Stob", "Obfuscation", {.padding = true}}),
+  };
+  return rows;
+}
+
+std::span<const PolicyInfo> policy_zoo() {
+  return std::span<const PolicyInfo>(all_defenses()).subspan(4);  // after the baselines
+}
+
+const PolicyInfo& policy_info(std::string_view name) {
+  for (const PolicyInfo& info : all_defenses()) {
     if (info.name == name) return info;
   }
   std::string known;
-  for (const PolicyInfo& info : policy_zoo()) {
+  for (const PolicyInfo& info : all_defenses()) {
     if (!known.empty()) known += ", ";
     known += info.name;
   }
@@ -156,15 +175,66 @@ const PolicyInfo& find_policy(std::string_view name) {
                               "' (known: " + known + ")");
 }
 
-}  // namespace
-
 std::unique_ptr<Policy> make_policy(std::string_view name) {
-  return find_policy(name).factory();
+  return policy_info(name).factory();
 }
 
-std::unique_ptr<TraceDefense> make_policy_defense(std::string_view name) {
-  const PolicyInfo& info = find_policy(name);
-  return std::make_unique<PolicyDefense>(info.name, info.meta, info.factory);
+wf::Trace run_policy(const PolicyInfo& defense, const wf::Trace& in, Rng& rng) {
+  const std::unique_ptr<Policy> policy = defense.factory();
+  return run_policy(*policy, in, rng);
+}
+
+// ------------------------------------------------------ overhead and scoping
+
+Overhead measure_overhead(const wf::Trace& original, const wf::Trace& defended) {
+  Overhead o;
+  const double ob = static_cast<double>(original.total_bytes());
+  const double db = static_cast<double>(defended.total_bytes());
+  if (ob > 0) o.bandwidth = (db - ob) / ob;
+  const double od = original.duration();
+  const double dd = defended.duration();
+  if (od > 0) o.latency = (dd - od) / od;
+  return o;
+}
+
+Overhead measure_overhead(const wf::Dataset& data, const PolicyInfo& defense, Rng& rng) {
+  Overhead acc;
+  if (data.size() == 0) return acc;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const Overhead o = measure_overhead(data.trace(i), run_policy(defense, data.trace(i), rng));
+    acc.bandwidth += o.bandwidth;
+    acc.latency += o.latency;
+  }
+  acc.bandwidth /= static_cast<double>(data.size());
+  acc.latency /= static_cast<double>(data.size());
+  return acc;
+}
+
+wf::Trace apply_to_prefix(const PolicyInfo& defense, const wf::Trace& trace,
+                          std::size_t prefix_packets, Rng& rng) {
+  if (prefix_packets == 0 || prefix_packets >= trace.size()) {
+    return run_policy(defense, trace, rng);
+  }
+  const auto& pkts = trace.packets();
+  wf::Trace prefix(std::vector<wf::PacketRecord>(
+      pkts.begin(), pkts.begin() + static_cast<std::ptrdiff_t>(prefix_packets)));
+  const double prefix_orig_end = pkts[prefix_packets - 1].time;
+  wf::Trace defended_prefix = run_policy(defense, prefix, rng);
+
+  // The unmodified tail shifts by however much the defended prefix stretched.
+  const double defended_end =
+      defended_prefix.empty() ? 0.0 : defended_prefix.packets().back().time;
+  const double shift = std::max(0.0, defended_end - prefix_orig_end);
+
+  // For a time-ordered input the shifted tail starts at defended_end or
+  // later (up to rounding), so normalize() finds the trace in order.
+  wf::Trace out = std::move(defended_prefix);
+  out.packets().reserve(out.size() + (pkts.size() - prefix_packets));
+  for (std::size_t i = prefix_packets; i < pkts.size(); ++i) {
+    out.add(pkts[i].time + shift, pkts[i].direction, pkts[i].size);
+  }
+  out.normalize();
+  return out;
 }
 
 }  // namespace stob::defenses

@@ -1,5 +1,5 @@
-// Modular defense-policy interface: packet events in, schedule/pad/delay
-// decisions out.
+// The defense interface: packet events in, schedule/pad/delay decisions
+// out. Every Table 1 row is one of these.
 //
 // A defenses::Policy is a streaming state machine over one flow's packet
 // sequence — the WFDefProxy shape. A caller (trace replay, or the in-stack
@@ -10,18 +10,24 @@
 // speaks packet events rather than whole traces, the same policy object can
 // be
 //   * replayed over a recorded wf::Trace (run_policy), which is how the
-//     experiment grid's defense axis evaluates it, or
+//     experiment grid's defense axis, the overhead meter and the prefix
+//     scoping below apply every defense, or
 //   * mounted at the in-stack TCP segment hook via defenses::SegmentMount
 //     (stack_mount.hpp), where its delay/size decisions are enforced by the
-//     transport and clamped by core::CcaGuard.
+//     transport and clamped by core::CcaGuard. The policy zoo is built for
+//     this; the literature baselines (baselines.hpp) hold their output until
+//     finish() and are replayed only.
+//
+// The registry (all_defenses) names every row with its Table 1 metadata and
+// a factory; run_policy(PolicyInfo) builds a fresh instance per trace.
 //
 // Determinism contract: all randomness flows through the Rng handed to
 // begin() — the experiment engine passes the job-seeded generator, so a
 // policy's output is a pure function of (job seed, input events). Policies
 // that need stream-order-independent draws fork the generator in begin();
-// the migrated split/delay baselines deliberately draw from the job Rng in
-// event order so their output is byte-identical to the pre-interface trace
-// transforms (the migration gate tests/test_policy_parity.cpp pins).
+// the migrated split/delay/FRONT policies deliberately draw from the job
+// Rng in event order so their output is byte-identical to the whole-trace
+// transforms they replaced (the gate tests/test_policy_parity.cpp pins).
 //
 // Obs taps are untouched by construction: trace replay happens after the
 // simulated stack ran (recorder/metrics sinks already captured the load),
@@ -31,11 +37,11 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "defenses/trace_defense.hpp"
 #include "util/rng.hpp"
 #include "wf/trace.hpp"
 
@@ -69,8 +75,8 @@ class Policy {
   /// Called once before the first event. `rng` is the job-seeded generator
   /// (the experiment engine forks one per job); it outlives the stream, so
   /// policies may keep the reference and draw lazily, or fork it for
-  /// stream-order-independent randomness.
-  virtual void begin(Rng& rng) = 0;
+  /// stream-order-independent randomness. The default does nothing.
+  virtual void begin(Rng& rng);
 
   /// One packet observed; append any output packets to `out`.
   virtual void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) = 0;
@@ -91,8 +97,8 @@ class Policy {
 };
 
 /// Replay a recorded trace through a policy: events in capture order,
-/// emissions collected, normalized into a fresh trace. This is the driver
-/// the TraceDefense adapter and the parity gate use.
+/// emissions collected, normalized into a fresh trace. This is the one way
+/// a defense is applied to a trace.
 wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng);
 
 /// Chain of policies: stage k+1 consumes the normalized output of stage k
@@ -125,57 +131,69 @@ class ChainPolicy final : public Policy {
   Rng* rng_ = nullptr;
 };
 
-/// Adapter: a Policy factory as a TraceDefense, so policy-backed defenses
-/// ride the existing experiment-grid defense axis, zoo benches and overhead
-/// accounting unchanged. apply() builds a fresh policy per call — the grid
-/// shares one TraceDefense across worker threads, and policies are stateful.
-class PolicyDefense final : public TraceDefense {
- public:
-  using Factory = std::function<std::unique_ptr<Policy>()>;
-
-  struct Meta {
-    std::string target = "Stob";
-    std::string strategy = "Obfuscation";
-    Manipulations manipulations;
-  };
-
-  PolicyDefense(std::string name, Meta meta, Factory factory)
-      : name_(std::move(name)), meta_(std::move(meta)), factory_(std::move(factory)) {}
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return name_; }
-  std::string target() const override { return meta_.target; }
-  std::string strategy() const override { return meta_.strategy; }
-  Manipulations manipulations() const override { return meta_.manipulations; }
-
-  /// Build a fresh streaming instance (for stack mounting or custom drivers).
-  std::unique_ptr<Policy> make() const { return factory_(); }
-
- private:
-  std::string name_;
-  Meta meta_;
-  Factory factory_;
-};
-
 // ------------------------------------------------------------- registry
 
-/// Named entry of the policy zoo.
-struct PolicyInfo {
-  std::string name;
-  PolicyDefense::Meta meta;
-  PolicyDefense::Factory factory;
+/// Which traffic manipulation primitives a defense uses (Table 1 columns).
+struct Manipulations {
+  bool padding = false;      // dummy packets / object padding
+  bool timing = false;       // departure-time modification
+  bool packet_size = false;  // per-packet size modification
+
+  std::string describe() const;
 };
 
-/// All registered streaming policies: the migrated §3 baselines (split,
-/// delay, combined) plus the in-stack ports of RegulaTor and full
-/// adaptive-padding WTF-PAD.
-const std::vector<PolicyInfo>& policy_zoo();
+/// Named registry entry: one Table 1 row. `factory` builds a fresh policy;
+/// every trace gets its own instance (run_policy below), so one entry may be
+/// shared by every worker of a grid.
+struct PolicyInfo {
+  struct Meta {
+    std::string target = "Stob";           ///< protocol the original system targeted
+    std::string strategy = "Obfuscation";  ///< or "Regularization"
+    Manipulations manipulations;
+  };
+  using Factory = std::function<std::unique_ptr<Policy>()>;
 
-/// Fresh streaming policy by name; throws std::invalid_argument on unknown
-/// names (listing the known ones).
+  std::string name;
+  Meta meta;
+  Factory factory;
+};
+
+/// Every Table 1 row: the literature baselines FRONT, BuFLO, Tamaraw and
+/// ALPaCA-pad (baselines.hpp), then the policy zoo.
+const std::vector<PolicyInfo>& all_defenses();
+
+/// The policy zoo, the rows the stack mount can enforce: the migrated §3
+/// primitives (split, delay, combined) and the in-stack ports of RegulaTor
+/// and full adaptive-padding WTF-PAD. The last five rows of all_defenses().
+std::span<const PolicyInfo> policy_zoo();
+
+/// Registry row by name; throws std::invalid_argument on unknown names
+/// (listing the known ones).
+const PolicyInfo& policy_info(std::string_view name);
+
+/// Fresh streaming policy by name (same lookup rules as policy_info).
 std::unique_ptr<Policy> make_policy(std::string_view name);
 
-/// Policy wrapped as a TraceDefense (same lookup rules as make_policy).
-std::unique_ptr<TraceDefense> make_policy_defense(std::string_view name);
+/// Replays `in` through a fresh instance of `defense`.
+wf::Trace run_policy(const PolicyInfo& defense, const wf::Trace& in, Rng& rng);
+
+// ------------------------------------------------- overhead and scoping
+
+/// Bandwidth / latency cost of a defended trace relative to the original.
+struct Overhead {
+  double bandwidth = 0.0;  ///< (defended_bytes - original_bytes) / original_bytes
+  double latency = 0.0;    ///< (defended_duration - original_duration) / original_duration
+};
+
+Overhead measure_overhead(const wf::Trace& original, const wf::Trace& defended);
+
+/// Average overhead of a defense over a dataset.
+Overhead measure_overhead(const wf::Dataset& data, const PolicyInfo& defense, Rng& rng);
+
+/// Applies `defense` to the first `prefix_packets` packets only; the rest of
+/// the trace is carried over unmodified (but shifted by any delay the
+/// defended prefix accumulated). prefix_packets = 0 means the whole trace.
+wf::Trace apply_to_prefix(const PolicyInfo& defense, const wf::Trace& trace,
+                          std::size_t prefix_packets, Rng& rng);
 
 }  // namespace stob::defenses

@@ -20,6 +20,12 @@
 // where padding bytes are representable. Obs taps are preserved: the mount
 // sits above the TCP/qdisc/NIC/wire tap points, which record the enforced
 // result.
+//
+// Only decisions made per event act here. A policy that emits nothing until
+// finish() — "combined"'s ChainPolicy, BuFLO and Tamaraw (baselines.hpp) —
+// leaves every segment to the 1 ms queued-payload deferral in on_segment(),
+// and FRONT's dummies, emitted in finish(), never reach the wire.
+// policy_zoo() lists the registry rows built for mounting.
 #pragma once
 
 #include <memory>

@@ -102,7 +102,7 @@ JobResult run_job(const ExperimentGrid& grid, const JobSpec& spec, const RunOpti
     const DefenseAxis& axis = grid.defenses[spec.defense];
     if (axis.defense != nullptr) {
       obs::ProfSpan span("defense");
-      result.trace = axis.defense->apply(result.trace, rng);
+      result.trace = defenses::run_policy(*axis.defense, result.trace, rng);
     }
   }
   if (opts.collect_metrics) result.metrics = registry.snapshot();

@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "defenses/trace_defense.hpp"
+#include "defenses/policy.hpp"
 #include "exp/proc_runner.hpp"
 #include "exp/result_cache.hpp"
 #include "fault/fault.hpp"
@@ -45,10 +45,12 @@ namespace stob::exp {
 /// isolation, and statistically independent across indices.
 std::uint64_t job_seed(std::uint64_t base_seed, std::uint64_t job_index);
 
-/// One point on the defense axis. A null defense means "undefended".
+/// One point on the defense axis. A null defense means "undefended". Each
+/// job replays its trace through a fresh policy from `defense`, so one
+/// registry row can serve every worker.
 struct DefenseAxis {
   std::string name = "none";
-  const defenses::TraceDefense* defense = nullptr;
+  const defenses::PolicyInfo* defense = nullptr;
 };
 
 /// Fully resolved coordinates of one job.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "workload/website.hpp"
 
@@ -32,29 +31,23 @@ inline std::vector<workload::SiteProfile> tiny_sites(std::size_t n) {
   return sites;
 }
 
-/// Split that throws first when `fail` is set: a stand-in for a transient
-/// failure that a later rerun of the sweep no longer hits. It keeps the name
-/// "split", so its cells share cache keys with an unfaulted run's.
-class FaultableSplit final : public defenses::TraceDefense {
- public:
-  bool fail = false;
-
-  wf::Trace apply(const wf::Trace& trace, Rng& rng) const override {
-    if (fail) throw std::runtime_error("transient failure");
-    return split_->apply(trace, rng);
+/// The split row, whose factory throws when `fail` is set: a stand-in for a
+/// transient failure that a later rerun of the sweep no longer hits. It
+/// keeps the name "split", so its cells share cache keys with an unfaulted
+/// run's.
+inline std::unique_ptr<defenses::PolicyInfo> faultable_split(bool fail) {
+  auto split = std::make_unique<defenses::PolicyInfo>(defenses::policy_info("split"));
+  if (fail) {
+    split->factory = []() -> std::unique_ptr<defenses::Policy> {
+      throw std::runtime_error("transient failure");
+    };
   }
-  std::string name() const override { return split_->name(); }
-  std::string target() const override { return split_->target(); }
-  std::string strategy() const override { return split_->strategy(); }
-  defenses::Manipulations manipulations() const override { return split_->manipulations(); }
-
- private:
-  std::unique_ptr<defenses::TraceDefense> split_ = defenses::make_policy_defense("split");
-};
+  return split;
+}
 
 /// A grid, the RunOptions its tests run it with, and the split it points at.
 struct TinyGrid {
-  std::unique_ptr<FaultableSplit> split = std::make_unique<FaultableSplit>();
+  std::unique_ptr<defenses::PolicyInfo> split;
   ExperimentGrid grid;
   RunOptions opts;
 };
@@ -68,7 +61,7 @@ struct TinyGrid {
 ///   five   — 1 site x 5 samples (5 cells)
 inline TinyGrid make_grid(const std::string& name, bool fail_split = false) {
   TinyGrid t;
-  t.split->fail = fail_split;
+  t.split = faultable_split(fail_split);
   ExperimentGrid& g = t.grid;
   RunOptions& o = t.opts;
   const auto arm_sinks = [&o] {

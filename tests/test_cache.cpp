@@ -29,7 +29,6 @@
 #include "core/cca_guard.hpp"
 #include "core/policies.hpp"
 #include "defenses/policy.hpp"
-#include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/proc_runner.hpp"

@@ -1,20 +1,20 @@
-// Tests for trace-level defenses: the §3 emulation primitives (the zoo's
-// split, delay and combined, and prefix scoping), the Table 1 baselines and
-// the streaming RegulaTor and WTF-PAD machines, including the invariants
-// DESIGN.md commits to (byte preservation, monotone timestamps, bounded
-// inflation).
+// Tests for the defense policies replayed over traces: the §3 emulation
+// primitives (the zoo's split, delay and combined, and prefix scoping), the
+// Table 1 baselines and the streaming RegulaTor and WTF-PAD machines,
+// including the invariants DESIGN.md commits to (byte preservation,
+// monotone timestamps, bounded inflation).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "defenses/baselines.hpp"
 #include "defenses/policy.hpp"
 #include "defenses/regulator.hpp"
-#include "defenses/trace_defense.hpp"
 #include "defenses/wtfpad.hpp"
 
 namespace stob::defenses {
@@ -38,21 +38,19 @@ wf::Trace web_like_trace(std::uint64_t seed = 7, std::size_t packets = 200) {
 // ------------------------------------------------------------------ split
 
 TEST(SplitStreamPolicy, PreservesTotalBytes) {
-  const auto d = make_policy_defense("split");
   Rng rng(1);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d->apply(original, rng);
+  const wf::Trace defended = run_policy(policy_info("split"), original, rng);
   EXPECT_EQ(defended.total_bytes(), original.total_bytes());
 }
 
 TEST(SplitStreamPolicy, SplitsOnlyLargeIncoming) {
-  const auto d = make_policy_defense("split");
   Rng rng(1);
   wf::Trace t;
   t.add(0.0, -1, 1500);  // split
   t.add(0.1, -1, 1000);  // below threshold: kept
   t.add(0.2, +1, 1500);  // outgoing: kept (server-side deployment)
-  const wf::Trace out = d->apply(t, rng);
+  const wf::Trace out = run_policy(policy_info("split"), t, rng);
   EXPECT_EQ(out.size(), 4u);
   std::size_t large_incoming = 0;
   for (const auto& p : out.packets()) {
@@ -62,22 +60,21 @@ TEST(SplitStreamPolicy, SplitsOnlyLargeIncoming) {
 }
 
 TEST(SplitStreamPolicy, HalvesRespectMinimumMss) {
-  const auto d = make_policy_defense("split");  // threshold 1200: halves >= 600 > 536
+  const PolicyInfo& d = policy_info("split");  // threshold 1200: halves >= 600 > 536
   Rng rng(1);
   // All incoming packets above the threshold, so every one is split and
   // every resulting fragment must respect the 536 B minimum.
   Rng gen(42);
   wf::Trace t;
   for (int i = 0; i < 50; ++i) t.add(0.01 * i, -1, gen.uniform_int(1201, 1514));
-  const wf::Trace out = d->apply(t, rng);
+  const wf::Trace out = run_policy(d, t, rng);
   EXPECT_EQ(out.size(), 100u);
   for (const auto& p : out.packets()) EXPECT_GE(p.size, 536);
 }
 
 TEST(SplitStreamPolicy, TimestampsMonotone) {
-  const auto d = make_policy_defense("split");
   Rng rng(1);
-  const wf::Trace out = d->apply(web_like_trace(), rng);
+  const wf::Trace out = run_policy(policy_info("split"), web_like_trace(), rng);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out.packets()[i].time, out.packets()[i - 1].time);
   }
@@ -86,10 +83,9 @@ TEST(SplitStreamPolicy, TimestampsMonotone) {
 // ------------------------------------------------------------------ delay
 
 TEST(DelayStreamPolicy, PreservesPacketMultiset) {
-  const auto d = make_policy_defense("delay");
   Rng rng(2);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d->apply(original, rng);
+  const wf::Trace defended = run_policy(policy_info("delay"), original, rng);
   ASSERT_EQ(defended.size(), original.size());
   // Same direction/size sequence (order preserved, only times change).
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -99,10 +95,9 @@ TEST(DelayStreamPolicy, PreservesPacketMultiset) {
 }
 
 TEST(DelayStreamPolicy, OnlyStretchesTime) {
-  const auto d = make_policy_defense("delay");
   Rng rng(3);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d->apply(original, rng);
+  const wf::Trace defended = run_policy(policy_info("delay"), original, rng);
   EXPECT_GT(defended.duration(), original.duration());
   // Inflation bounded: every incoming gap grew by at most 30% cumulative.
   EXPECT_LE(defended.duration(), original.duration() * 1.31);
@@ -112,10 +107,9 @@ TEST(DelayStreamPolicy, OnlyStretchesTime) {
 }
 
 TEST(DelayStreamPolicy, ZeroBandwidthOverhead) {
-  const auto d = make_policy_defense("delay");
   Rng rng(4);
   const wf::Trace original = web_like_trace();
-  const Overhead o = measure_overhead(original, d->apply(original, rng));
+  const Overhead o = measure_overhead(original, run_policy(policy_info("delay"), original, rng));
   EXPECT_DOUBLE_EQ(o.bandwidth, 0.0);
   EXPECT_GT(o.latency, 0.0);
 }
@@ -123,10 +117,9 @@ TEST(DelayStreamPolicy, ZeroBandwidthOverhead) {
 // --------------------------------------------------------------- combined
 
 TEST(CombinedPolicy, SplitsAndDelays) {
-  const auto d = make_policy_defense("combined");
   Rng rng(5);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d->apply(original, rng);
+  const wf::Trace defended = run_policy(policy_info("combined"), original, rng);
   EXPECT_GT(defended.size(), original.size());        // splitting happened
   EXPECT_GT(defended.duration(), original.duration());  // delaying happened
   EXPECT_EQ(defended.total_bytes(), original.total_bytes());
@@ -135,10 +128,9 @@ TEST(CombinedPolicy, SplitsAndDelays) {
 // ------------------------------------------------------------ prefix scope
 
 TEST(PrefixScope, OnlyPrefixModified) {
-  const auto d = make_policy_defense("split");
   Rng rng(6);
   const wf::Trace original = web_like_trace(8, 100);
-  const wf::Trace defended = apply_to_prefix(*d, original, 30, rng);
+  const wf::Trace defended = apply_to_prefix(policy_info("split"), original, 30, rng);
   // Packets after the prefix keep their sizes (split would halve them).
   const auto& orig = original.packets();
   const auto& def = defended.packets();
@@ -151,18 +143,17 @@ TEST(PrefixScope, OnlyPrefixModified) {
 }
 
 TEST(PrefixScope, ZeroMeansWholeTrace) {
-  const auto d = make_policy_defense("split");
+  const PolicyInfo& d = policy_info("split");
   Rng rng(7);
   const wf::Trace original = web_like_trace(9, 50);
   Rng rng2(7);
-  EXPECT_EQ(apply_to_prefix(*d, original, 0, rng).size(), d->apply(original, rng2).size());
+  EXPECT_EQ(apply_to_prefix(d, original, 0, rng).size(), run_policy(d, original, rng2).size());
 }
 
 TEST(PrefixScope, DelayShiftsTail) {
-  const auto d = make_policy_defense("delay");
   Rng rng(8);
   const wf::Trace original = web_like_trace(10, 100);
-  const wf::Trace defended = apply_to_prefix(*d, original, 30, rng);
+  const wf::Trace defended = apply_to_prefix(policy_info("delay"), original, 30, rng);
   ASSERT_EQ(defended.size(), original.size());
   // The tail shifted right but gaps within the tail are unchanged.
   const auto& orig = original.packets();
@@ -173,20 +164,20 @@ TEST(PrefixScope, DelayShiftsTail) {
 
 // ---------------------------------------------------------------- baselines
 
-TEST(FrontDefense, AddsDummiesBothDirections) {
-  FrontDefense d;
+TEST(FrontPolicy, AddsDummiesBothDirections) {
+  FrontPolicy d;
   Rng rng(9);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = run_policy(d, original, rng);
   EXPECT_GT(defended.size(), original.size());
   EXPECT_GT(defended.outgoing_count(), original.outgoing_count());
   EXPECT_GT(defended.incoming_count(), original.incoming_count());
   EXPECT_GT(defended.total_bytes(), original.total_bytes());
 }
 
-TEST(FrontDefense, SubstantialBandwidthOverhead) {
+TEST(FrontPolicy, SubstantialBandwidthOverhead) {
   // FRONT is padding-heavy (the paper cites ~80% bandwidth overhead).
-  FrontDefense d;
+  const PolicyInfo& d = policy_info("FRONT");
   Rng rng(10);
   wf::Dataset data;
   for (int i = 0; i < 10; ++i) data.add(web_like_trace(20 + i), 0);
@@ -194,10 +185,10 @@ TEST(FrontDefense, SubstantialBandwidthOverhead) {
   EXPECT_GT(o.bandwidth, 0.2);
 }
 
-TEST(BufloDefense, ConstantSizeAndInterval) {
-  BufloDefense d;
+TEST(BufloPolicy, ConstantSizeAndInterval) {
+  BufloPolicy d;
   Rng rng(11);
-  const wf::Trace defended = d.apply(web_like_trace(), rng);
+  const wf::Trace defended = run_policy(d, web_like_trace(), rng);
   std::map<double, int> out_times;
   for (const auto& p : defended.packets()) {
     EXPECT_EQ(p.size, 1514);
@@ -213,42 +204,63 @@ TEST(BufloDefense, ConstantSizeAndInterval) {
   }
 }
 
-TEST(BufloDefense, EnforcesMinimumDuration) {
-  BufloDefense::Config cfg;
+TEST(BufloPolicy, EnforcesMinimumDuration) {
+  BufloPolicy::Config cfg;
   cfg.min_duration = 5.0;
-  BufloDefense d(cfg);
+  BufloPolicy d(cfg);
   Rng rng(12);
   wf::Trace tiny;
   tiny.add(0.0, +1, 100);
   tiny.add(0.01, -1, 500);
-  const wf::Trace defended = d.apply(tiny, rng);
+  const wf::Trace defended = run_policy(d, tiny, rng);
   EXPECT_GE(defended.duration(), 5.0 - 0.02);
 }
 
-TEST(TamarawDefense, PadsToMultiple) {
-  TamarawDefense d;
+TEST(TamarawPolicy, PadsToMultiple) {
+  TamarawPolicy d;
   Rng rng(13);
-  const wf::Trace defended = d.apply(web_like_trace(), rng);
+  const wf::Trace defended = run_policy(d, web_like_trace(), rng);
   const std::size_t in_count = defended.incoming_count();
   const std::size_t out_count = defended.outgoing_count();
   EXPECT_EQ(in_count % 100, 0u);
   EXPECT_EQ(out_count % 100, 0u);
 }
 
+// A NaN or infinite time is never reached by a slot schedule, so BuFLO and
+// Tamaraw refuse it, naming the packet, instead of adding slots until the
+// allocator gives up.
+TEST(SlotSchedulePolicy, NonFiniteTimeIsRefused) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* name : {"BuFLO", "Tamaraw"}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      wf::Trace t;  // not normalized, so the bad time stays packet 1
+      t.add(0.0, -1, 100);
+      t.add(bad, -1, 100);
+      Rng rng(1);
+      try {
+        run_policy(policy_info(name), t, rng);
+        ADD_FAILURE() << name << " accepted time " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("packet 1 "), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
 TEST(PadToConstant, SizesQuantised) {
-  PadToConstantDefense d;
+  PadToConstantPolicy d;
   Rng rng(17);
-  const wf::Trace defended = d.apply(web_like_trace(), rng);
+  const wf::Trace defended = run_policy(d, web_like_trace(), rng);
   for (const auto& p : defended.packets()) {
     if (p.direction < 0) EXPECT_EQ(p.size % 512, 0);
   }
 }
 
 TEST(PadToConstant, NeverShrinks) {
-  PadToConstantDefense d;
+  PadToConstantPolicy d;
   Rng rng(18);
   const wf::Trace original = web_like_trace();
-  const wf::Trace defended = d.apply(original, rng);
+  const wf::Trace defended = run_policy(d, original, rng);
   ASSERT_EQ(defended.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_GE(defended.packets()[i].size, original.packets()[i].size);
@@ -256,31 +268,38 @@ TEST(PadToConstant, NeverShrinks) {
 }
 
 TEST(AllDefenses, BaselinesThenEveryZooPolicyOnce) {
-  // Table 1's rows: the four whole-trace baselines, then each streaming
-  // policy of the zoo exactly once, every row under its own name.
-  std::vector<std::string> want{"FRONT", "BuFLO", "Tamaraw", "ALPaCA-pad"};
-  for (const PolicyInfo& info : policy_zoo()) want.push_back(info.name);
+  // Table 1's rows: the four literature baselines, then the policy zoo, in
+  // the order perfbench `defend` mounts it. Each row's policy reports the
+  // row's name (combined reports its chain).
+  const std::vector<std::string> want{"FRONT", "BuFLO",   "Tamaraw",   "ALPaCA-pad", "split",
+                                      "delay", "combined", "regulator", "wtfpad"};
   std::vector<std::string> got;
-  for (const auto& d : all_defenses()) got.push_back(d->name());
+  for (const PolicyInfo& d : all_defenses()) {
+    got.push_back(d.name);
+    if (d.name != "combined") {
+      EXPECT_EQ(make_policy(d.name)->name(), d.name);
+    }
+  }
   EXPECT_EQ(got, want);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+  std::vector<std::string> zoo;
+  for (const PolicyInfo& d : policy_zoo()) zoo.push_back(d.name);
+  EXPECT_EQ(zoo, std::vector<std::string>(want.begin() + 4, want.end()));
 }
 
 TEST(AllDefenses, ApplyCleanlyAndReportMetadata) {
   Rng rng(19);
   const wf::Trace original = web_like_trace();
-  for (const auto& d : all_defenses()) {
-    const wf::Trace defended = d->apply(original, rng);
-    EXPECT_FALSE(defended.empty()) << d->name();
-    EXPECT_FALSE(d->name().empty());
-    EXPECT_FALSE(d->target().empty());
-    EXPECT_TRUE(d->strategy() == "Obfuscation" || d->strategy() == "Regularization")
-        << d->name();
-    EXPECT_NE(d->manipulations().describe(), "none") << d->name();
+  for (const PolicyInfo& d : all_defenses()) {
+    const wf::Trace defended = run_policy(d, original, rng);
+    EXPECT_FALSE(defended.empty()) << d.name;
+    EXPECT_FALSE(d.name.empty());
+    EXPECT_FALSE(d.meta.target.empty());
+    EXPECT_TRUE(d.meta.strategy == "Obfuscation" || d.meta.strategy == "Regularization")
+        << d.name;
+    EXPECT_NE(d.meta.manipulations.describe(), "none") << d.name;
     // Timestamps monotone for every defense.
     for (std::size_t i = 1; i < defended.size(); ++i) {
-      ASSERT_GE(defended.packets()[i].time, defended.packets()[i - 1].time) << d->name();
+      ASSERT_GE(defended.packets()[i].time, defended.packets()[i - 1].time) << d.name;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -177,17 +178,10 @@ TEST(WorkerPool, RunGridNamesTheFailingCell) {
   // run_grid decorates the pool's JobError with the failing cell's grid
   // coordinates, so a crashing sweep names the exact (site, defense, ...)
   // combination instead of just an opaque index.
-  class ThrowingDefense final : public defenses::TraceDefense {
-   public:
-    wf::Trace apply(const wf::Trace&, Rng&) const override {
-      throw std::runtime_error("defense exploded");
-    }
-    std::string name() const override { return "thrower"; }
-    std::string target() const override { return "TLS"; }
-    std::string strategy() const override { return "Obfuscation"; }
-    defenses::Manipulations manipulations() const override { return {}; }
-  };
-  ThrowingDefense thrower;
+  const defenses::PolicyInfo thrower{
+      "thrower", {}, []() -> std::unique_ptr<defenses::Policy> {
+        throw std::runtime_error("defense exploded");
+      }};
   ExperimentGrid grid;
   grid.sites = tiny_sites(2);
   grid.samples = 1;

@@ -22,7 +22,7 @@
 
 #include "core/cca_guard.hpp"
 #include "core/policies.hpp"
-#include "defenses/baselines.hpp"
+#include "defenses/policy.hpp"
 #include "stack/qdisc.hpp"
 #include "wf/cumul.hpp"
 #include "wf/features.hpp"
@@ -83,9 +83,9 @@ class DefenseInvariants : public ::testing::TestWithParam<DefenseParams> {};
 
 TEST_P(DefenseInvariants, WellFormedOutput) {
   const auto& [index, seed] = GetParam();
-  const auto zoo = defenses::all_defenses();
+  const auto& zoo = defenses::all_defenses();
   ASSERT_LT(static_cast<std::size_t>(index), zoo.size());
-  const auto& defense = *zoo[static_cast<std::size_t>(index)];
+  const defenses::PolicyInfo& defense = zoo[static_cast<std::size_t>(index)];
 
   Rng gen(static_cast<std::uint64_t>(seed));
   wf::Trace original;
@@ -97,24 +97,24 @@ TEST_P(DefenseInvariants, WellFormedOutput) {
   original.normalize();
 
   Rng rng(static_cast<std::uint64_t>(seed) * 7919);
-  const wf::Trace defended = defense.apply(original, rng);
+  const wf::Trace defended = defenses::run_policy(defense, original, rng);
 
-  ASSERT_FALSE(defended.empty()) << defense.name();
+  ASSERT_FALSE(defended.empty()) << defense.name;
   for (std::size_t i = 0; i < defended.size(); ++i) {
     const auto& p = defended.packets()[i];
-    EXPECT_GT(p.size, 0) << defense.name();
-    EXPECT_TRUE(p.direction == 1 || p.direction == -1) << defense.name();
-    if (i > 0) EXPECT_GE(p.time, defended.packets()[i - 1].time) << defense.name();
+    EXPECT_GT(p.size, 0) << defense.name;
+    EXPECT_TRUE(p.direction == 1 || p.direction == -1) << defense.name;
+    if (i > 0) EXPECT_GE(p.time, defended.packets()[i - 1].time) << defense.name;
   }
   // Defenses never destroy payload: total bytes never shrink.
-  EXPECT_GE(defended.total_bytes(), original.total_bytes()) << defense.name();
+  EXPECT_GE(defended.total_bytes(), original.total_bytes()) << defense.name;
   // Non-padding defenses preserve bytes exactly.
-  if (!defense.manipulations().padding) {
-    EXPECT_EQ(defended.total_bytes(), original.total_bytes()) << defense.name();
+  if (!defense.meta.manipulations.padding) {
+    EXPECT_EQ(defended.total_bytes(), original.total_bytes()) << defense.name;
   }
   // Determinism: same seed, same output.
   Rng rng2(static_cast<std::uint64_t>(seed) * 7919);
-  EXPECT_EQ(defense.apply(original, rng2), defended) << defense.name();
+  EXPECT_EQ(defenses::run_policy(defense, original, rng2), defended) << defense.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
