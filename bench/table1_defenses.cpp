@@ -69,8 +69,8 @@ struct ParetoCell : DefenseRow {
 };
 
 /// Fills `row` for `defense` on `data`: its Table 1 metadata, its mean
-/// overhead and k-FP's accuracy on the defended copy. Both replays draw from
-/// a fresh Rng seeded with `replay_seed`.
+/// overhead and k-FP's accuracy on the defended copy, which one replay
+/// builds from a fresh Rng seeded with `replay_seed`.
 void evaluate_defense(const defenses::PolicyInfo& defense, const wf::Dataset& data,
                       std::uint64_t replay_seed, const wf::KFingerprint::Config& kfp,
                       std::size_t folds, std::uint64_t cv_seed, DefenseRow& row) {
@@ -79,10 +79,9 @@ void evaluate_defense(const defenses::PolicyInfo& defense, const wf::Dataset& da
   row.strategy = defense.meta.strategy;
   row.manipulation = defense.meta.manipulations.describe();
   Rng rng(replay_seed);
-  row.overhead = defenses::measure_overhead(data, defense, rng);
-  Rng rng2(replay_seed);
   const wf::Dataset defended = data.transformed(
-      [&](const wf::Trace& t) { return defenses::run_policy(defense, t, rng2); });
+      [&](const wf::Trace& t) { return defenses::run_policy(defense, t, rng); });
+  row.overhead = defenses::measure_overhead(data, defended);
   row.eval = wf::cross_validate(defended, kfp, folds, cv_seed);
 }
 

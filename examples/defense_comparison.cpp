@@ -37,10 +37,9 @@ int main() {
   std::printf("%-12s %-15s %10.3f %10s %10s\n", "(none)", "-", base_acc, "0%", "0%");
   for (const defenses::PolicyInfo& d : defenses::all_defenses()) {
     Rng rng(5);
-    const defenses::Overhead ovh = defenses::measure_overhead(data, d, rng);
-    Rng rng2(5);
     const wf::Dataset defended =
-        data.transformed([&](const wf::Trace& t) { return defenses::run_policy(d, t, rng2); });
+        data.transformed([&](const wf::Trace& t) { return defenses::run_policy(d, t, rng); });
+    const defenses::Overhead ovh = defenses::measure_overhead(data, defended);
     const double acc = wf::cross_validate(defended, attack, 4).mean_accuracy;
     std::printf("%-12s %-15s %10.3f %9.0f%% %9.0f%%\n", d.name.c_str(),
                 d.meta.strategy.c_str(), acc, ovh.bandwidth * 100, ovh.latency * 100);

@@ -63,6 +63,17 @@ void SlotSchedulePolicy::on_packet(const PacketEvent& ev, std::vector<PacketOut>
 }
 
 void SlotSchedulePolicy::finish(double /*end_time*/, std::vector<PacketOut>& out) {
+  for (const int dir : {+1, -1}) {
+    const std::vector<double>& times = times_[dir > 0 ? 0 : 1];
+    if (times.empty()) continue;
+    const double last = *std::max_element(times.begin(), times.end());
+    if (last / interval(dir) > kMaxSlots) {
+      throw std::invalid_argument(name() + ": direction " + std::to_string(dir) +
+                                  " has an arrival at " + std::to_string(last) +
+                                  " s, past the longest schedule (" +
+                                  std::to_string(static_cast<long long>(kMaxSlots)) + " slots)");
+    }
+  }
   schedule(+1, times_[0], out);
   schedule(-1, times_[1], out);
 }
@@ -94,7 +105,7 @@ void BufloPolicy::schedule(int dir, const std::vector<double>& times,
 
 void TamarawPolicy::schedule(int dir, const std::vector<double>& times,
                              std::vector<PacketOut>& out) const {
-  const double interval = dir > 0 ? cfg_.interval_out : cfg_.interval_in;
+  const double interval = this->interval(dir);
   // Schedule real packets onto the grid.
   std::size_t sent = 0;
   std::size_t count = 0;

@@ -61,9 +61,16 @@ class FrontPolicy final : public Policy {
 /// Input side shared by BuFLO and Tamaraw: each direction's arrival times
 /// are buffered, and finish() emits the +1 schedule, then the -1 one.
 /// Packets of any other direction are dropped. A non-finite time is
-/// refused with std::invalid_argument: no slot schedule could reach it.
+/// refused with std::invalid_argument: no slot schedule could reach it. So
+/// is a finite arrival past kMaxSlots slots of its direction's interval,
+/// before any slot is emitted: the schedule runs from t = 0 to the last
+/// arrival, so one huge time would otherwise exhaust memory.
 class SlotSchedulePolicy : public Policy {
  public:
+  /// Longest schedule, in slots, that one direction may need: over 3 hours
+  /// at a 12 ms interval.
+  static constexpr double kMaxSlots = 1e6;
+
   void begin(Rng& rng) override;
   void on_packet(const PacketEvent& ev, std::vector<PacketOut>& out) override;
   void finish(double end_time, std::vector<PacketOut>& out) override;
@@ -72,6 +79,8 @@ class SlotSchedulePolicy : public Policy {
   /// Appends direction `dir`'s schedule for its real arrivals `times`.
   virtual void schedule(int dir, const std::vector<double>& times,
                         std::vector<PacketOut>& out) const = 0;
+  /// Seconds between direction `dir`'s slots.
+  virtual double interval(int dir) const = 0;
 
  private:
   std::array<std::vector<double>, 2> times_;  // +1, -1
@@ -94,6 +103,7 @@ class BufloPolicy final : public SlotSchedulePolicy {
  private:
   void schedule(int dir, const std::vector<double>& times,
                 std::vector<PacketOut>& out) const override;
+  double interval(int /*dir*/) const override { return cfg_.interval; }
 
   Config cfg_;
 };
@@ -115,6 +125,9 @@ class TamarawPolicy final : public SlotSchedulePolicy {
  private:
   void schedule(int dir, const std::vector<double>& times,
                 std::vector<PacketOut>& out) const override;
+  double interval(int dir) const override {
+    return dir > 0 ? cfg_.interval_out : cfg_.interval_in;
+  }
 
   Config cfg_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "defenses/baseline_policies.hpp"
@@ -197,16 +198,21 @@ Overhead measure_overhead(const wf::Trace& original, const wf::Trace& defended) 
   return o;
 }
 
-Overhead measure_overhead(const wf::Dataset& data, const PolicyInfo& defense, Rng& rng) {
+Overhead measure_overhead(const wf::Dataset& original, const wf::Dataset& defended) {
+  if (original.size() != defended.size()) {
+    throw std::invalid_argument("measure_overhead: " + std::to_string(original.size()) +
+                                " original traces but " + std::to_string(defended.size()) +
+                                " defended ones");
+  }
   Overhead acc;
-  if (data.size() == 0) return acc;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const Overhead o = measure_overhead(data.trace(i), run_policy(defense, data.trace(i), rng));
+  if (original.size() == 0) return acc;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    const Overhead o = measure_overhead(original.trace(i), defended.trace(i));
     acc.bandwidth += o.bandwidth;
     acc.latency += o.latency;
   }
-  acc.bandwidth /= static_cast<double>(data.size());
-  acc.latency /= static_cast<double>(data.size());
+  acc.bandwidth /= static_cast<double>(original.size());
+  acc.latency /= static_cast<double>(original.size());
   return acc;
 }
 

@@ -187,8 +187,11 @@ struct Overhead {
 
 Overhead measure_overhead(const wf::Trace& original, const wf::Trace& defended);
 
-/// Average overhead of a defense over a dataset.
-Overhead measure_overhead(const wf::Dataset& data, const PolicyInfo& defense, Rng& rng);
+/// Mean overhead over (original, defended) pairs: trace i of `defended` is
+/// the defended copy of trace i of `original`, however it was made (a trace
+/// replay, or a second page load). Throws std::invalid_argument when the
+/// sizes differ.
+Overhead measure_overhead(const wf::Dataset& original, const wf::Dataset& defended);
 
 /// Applies `defense` to the first `prefix_packets` packets only; the rest of
 /// the trace is carried over unmodified (but shifted by any delay the

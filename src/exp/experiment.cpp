@@ -2,15 +2,21 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "exp/job_codec.hpp"
@@ -271,6 +277,131 @@ class ProfilerSuppression {
   obs::Profiler* saved_;
 };
 
+/// The commit stage of the cached pipeline: a pool thread prepares its
+/// miss's entry (ResultCache::prepare: the encoding, SHA-256 included) and
+/// goes on to the next cell, while commit threads run ResultCache::commit —
+/// the write, fsync and rename — in FIFO order.
+///
+/// Nothing is allocated and no thread starts before the first push, so a
+/// fully warm grid pays nothing for the stage. The stage has 2 x `threads`
+/// slots, queued or being committed; push blocks while none is free, so
+/// memory stays bounded. A commit thread neither allocates nor frees on
+/// its success path: the push that reuses a slot frees its old buffers,
+/// and the destructor frees the rest. (Under glibc a thread that calls
+/// malloc or free binds a malloc arena of its own, and memory parked in
+/// extra arenas raised the peak RSS.) A commit that fails or throws warns
+/// and drops its entry, like a failed store. drain() commits whatever is
+/// queued and joins the threads; the destructor drains too, so an
+/// unwinding caller keeps every finished cell. push is safe from any
+/// thread; drain and the destructor must not race a push.
+class CommitStage {
+ public:
+  CommitStage(ResultCache& cache, std::size_t threads)
+      : cache_(cache), threads_(std::max<std::size_t>(threads, 1)) {}
+  ~CommitStage() { drain(); }
+  CommitStage(const CommitStage&) = delete;
+  CommitStage& operator=(const CommitStage&) = delete;
+
+  /// Queue `entry` for commit, starting the commit threads on the first
+  /// call.
+  void push(ResultCache::Pending entry) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!started_) {
+      started_ = true;
+      const std::size_t slots = 2 * threads_;
+      slots_.resize(slots);
+      fifo_.resize(slots);
+      free_.reserve(slots);
+      for (std::size_t i = slots; i-- > 0;) free_.push_back(i);
+      workers_.reserve(threads_);
+      for (std::size_t t = 0; t < threads_; ++t) {
+        try {
+          workers_.emplace_back([this] { serve(); });
+        } catch (const std::system_error&) {
+          break;  // commit with the threads that did start
+        }
+      }
+    }
+    if (workers_.empty()) {
+      // No commit thread could start, or the stage is drained: commit here.
+      lock.unlock();
+      commit(entry);
+      return;
+    }
+    freed_.wait(lock, [this] { return !free_.empty(); });
+    const std::size_t slot = free_.back();
+    free_.pop_back();
+    // `entry` takes the slot's last, committed buffers and frees them on
+    // this thread once the lock is released.
+    std::swap(slots_[slot], entry);
+    fifo_[(head_ + queued_) % fifo_.size()] = slot;
+    ++queued_;
+    queued_or_closed_.notify_one();
+  }
+
+  /// Commit every queued entry and join the commit threads. Idempotent.
+  void drain() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    queued_or_closed_.notify_all();
+    for (std::thread& w : workers_) w.join();
+    workers_.clear();
+  }
+
+ private:
+  void serve() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      queued_or_closed_.wait(lock, [this] { return queued_ > 0 || closed_; });
+      if (queued_ == 0) return;  // closed, and nothing left to commit
+      const std::size_t slot = fifo_[head_];
+      head_ = (head_ + 1) % fifo_.size();
+      --queued_;
+      lock.unlock();
+      commit(slots_[slot]);  // no push touches a slot until it is free again
+      lock.lock();
+      free_.push_back(slot);  // within the reserved capacity
+      freed_.notify_one();
+    }
+  }
+
+  void commit(const ResultCache::Pending& entry) {
+    // ResultCache::commit already warns and drops the entry on an I/O
+    // failure; anything it throws is reported the same way, never left to
+    // escape a commit thread (which would terminate the process).
+    try {
+      try {
+        cache_.commit(entry);
+      } catch (const std::exception& e) {
+        STOB_WARN("cache") << "cannot commit " << entry.dest << ": " << e.what()
+                           << "; entry dropped";
+      } catch (...) {
+        STOB_WARN("cache") << "cannot commit " << entry.dest
+                           << ": unknown exception; entry dropped";
+      }
+    } catch (...) {
+      // Not even the warning could be written (out of memory): the entry
+      // is dropped all the same.
+    }
+  }
+
+  ResultCache& cache_;
+  std::size_t threads_;
+  std::mutex mu_;
+  std::condition_variable queued_or_closed_;
+  std::condition_variable freed_;
+  std::vector<ResultCache::Pending> slots_;
+  std::vector<std::size_t> free_;  ///< free slot indices
+  std::vector<std::size_t> fifo_;  ///< queued slot indices, a ring from head_
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
+  bool started_ = false;
+  bool closed_ = false;
+  std::vector<std::thread> workers_;
+};
+
 /// One cell of the pipeline pass: its decoded payload, the decoder's
 /// complaint when the bytes did not decode, or the crash record of a cell
 /// the proc executor quarantined.
@@ -286,11 +417,14 @@ struct PipelineCell {
 
 /// The cached and out-of-process paths of run_grid: one run_ordered pass in
 /// job order. Each job derives its key, loads (the entry is SHA-256
-/// verified there), runs the cell on a miss, commits it and decodes the
-/// payload. Only "run the miss" depends on the mode: in process it calls
-/// run_cell_payload; with proc.workers > 0 each pool thread runs its misses
-/// through the ProcExecutor's attempt loop, which keeps at most that many
-/// worker processes alive at once.
+/// verified there), runs the cell on a miss, hands its encoded entry to the
+/// commit stage and decodes the payload. Only "run the miss" depends on the
+/// mode: in process it calls run_cell_payload; with proc.workers > 0 each
+/// pool thread runs its misses through the ProcExecutor's attempt loop,
+/// which keeps at most that many worker processes alive at once.
+/// The commit stage is drained before the reduction, and on the JobError
+/// path too, so every finished cell is committed when run_grid returns or
+/// throws.
 /// Results, span captures and crash records are then reduced in job order,
 /// so the reduction, the spliced span structure and therefore
 /// stdout/CSV/manifests cannot depend on which cells were cached, on
@@ -318,6 +452,10 @@ std::vector<JobResult> run_pipeline(const ExperimentGrid& grid, const RunOptions
   std::vector<PipelineCell> cells;
   {
     ProfilerSuppression quiet;
+    // One commit thread per pool thread; none starts before the first miss.
+    // Leaving this scope, by return or by throw, drains the stage.
+    std::optional<CommitStage> commits;
+    if (cache != nullptr) commits.emplace(*cache, std::min(threads, grid.job_count()));
     try {
       cells = run_ordered<PipelineCell>(grid.job_count(), threads, [&](std::size_t i) {
         PipelineCell cell;
@@ -344,8 +482,10 @@ std::vector<JobResult> run_pipeline(const ExperimentGrid& grid, const RunOptions
             bytes = run_cell_payload(grid, i, opts, capture_prof, prof_domain);
           }
           // Commit per cell, not per sweep: a killed run keeps every
-          // finished cell, which is what makes crashed sweeps incremental.
-          if (cache != nullptr) cache->store(key, *bytes);
+          // committed cell, which is what makes crashed sweeps incremental.
+          // The entry is encoded here; the commit stage writes, fsyncs and
+          // renames it while this thread runs the next cell.
+          if (commits.has_value()) commits->push(cache->prepare(key, *bytes));
         }
         try {
           cell.payload = decode_worker_payload(*bytes);

@@ -66,14 +66,21 @@ std::optional<std::string> read_file(const std::string& path) {
   return out;
 }
 
-bool write_file_durable(const fs::path& path, std::string_view bytes) {
-  std::FILE* f = std::fopen(path.string().c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  ok = ok && std::fflush(f) == 0;
+/// Plain syscalls, no stdio buffer: a commit allocates nothing.
+bool write_file_durable(const std::string& path, std::string_view bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  bool ok = true;
+  std::size_t put = 0;
+  while (ok && put < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) put += static_cast<std::size_t>(n);
+  }
   // The rename must never expose a page-cache-only entry as committed.
-  ok = ok && ::fsync(::fileno(f)) == 0;
-  ok = std::fclose(f) == 0 && ok;
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
   return ok;
 }
 
@@ -168,13 +175,14 @@ std::filesystem::path ResultCache::entry_path(std::string_view key) const {
   return entry_file(key);
 }
 
-std::filesystem::path ResultCache::tmp_path(std::string_view key) {
+std::string ResultCache::tmp_path(std::string_view key) {
   // pid + per-process sequence keeps concurrent sweeps sharing one cache
   // directory from ever colliding on an in-flight name.
   const std::uint64_t seq = tmp_seq_.fetch_add(1, std::memory_order_relaxed);
-  return dir_ / "tmp" /
-         (std::string(key.substr(0, 16)) + "." + std::to_string(::getpid()) + "." +
-          std::to_string(seq));
+  return (dir_ / "tmp" /
+          (std::string(key.substr(0, 16)) + "." + std::to_string(::getpid()) + "." +
+           std::to_string(seq)))
+      .native();
 }
 
 std::string ResultCache::encode_entry(std::string_view key, std::string_view payload) const {
@@ -265,25 +273,36 @@ std::optional<std::string> ResultCache::load(std::string_view key) {
 }
 
 bool ResultCache::store(std::string_view key, std::string_view payload) {
-  const std::string entry = encode_entry(key, payload);
-  const fs::path dest = entry_path(key);
-  const fs::path tmp = tmp_path(key);
+  return commit(prepare(key, payload));
+}
+
+ResultCache::Pending ResultCache::prepare(std::string_view key, std::string_view payload) {
+  Pending p;
+  p.dest = entry_file(key);
+  p.tmp = tmp_path(key);
+  p.entry = encode_entry(key, payload);
+  // The shard directory is made here, so commit() needs no path of its own;
+  // if this fails, commit's rename reports it.
   std::error_code ec;
-  fs::create_directories(dest.parent_path(), ec);
-  if (ec || !write_file_durable(tmp, entry)) {
-    STOB_WARN("cache") << "cannot write " << tmp.string() << "; entry dropped";
-    fs::remove(tmp, ec);
+  fs::create_directories(fs::path(p.dest).parent_path(), ec);
+  return p;
+}
+
+bool ResultCache::commit(const Pending& p) {
+  if (!write_file_durable(p.tmp, p.entry)) {
+    STOB_WARN("cache") << "cannot write " << p.tmp << "; entry dropped";
+    ::unlink(p.tmp.c_str());
     return false;
   }
   if (commit_hook_for_testing) commit_hook_for_testing();
-  fs::rename(tmp, dest, ec);
-  if (ec) {
-    STOB_WARN("cache") << "cannot commit " << dest.string() << ": " << ec.message();
-    fs::remove(tmp, ec);
+  if (::rename(p.tmp.c_str(), p.dest.c_str()) != 0) {
+    const std::error_code ec(errno, std::generic_category());
+    STOB_WARN("cache") << "cannot commit " << p.dest << ": " << ec.message();
+    ::unlink(p.tmp.c_str());
     return false;
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
-  bytes_written_.fetch_add(entry.size(), std::memory_order_relaxed);
+  bytes_written_.fetch_add(p.entry.size(), std::memory_order_relaxed);
   return true;
 }
 

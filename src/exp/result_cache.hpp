@@ -19,6 +19,10 @@
 // into objects/ (atomic on POSIX: readers see the old entry or the complete
 // new one, never a torn write). rename(2) keeps the tmp write's mtime, so
 // an entry's mtime is its commit time, and gc() evicts in that order.
+// store() runs all three steps on the caller. run_grid prepares each miss's
+// entry on the pool thread that ran it and leaves the durable half
+// (commit()) to its commit threads, so fsync never stalls a simulation; a
+// SIGKILL then loses at most the entries not yet renamed in, never tears one.
 //
 // Read path: open, read into one buffer sized from fstat, validate (magic,
 // format version, key echo, codec rev, length, payload SHA-256 — on every
@@ -100,7 +104,23 @@ class ResultCache {
   /// Commit `payload` under `key` (atomic rename-in; see the commit
   /// protocol above). Best-effort: an I/O failure warns and returns false —
   /// a broken cache must never kill the sweep. Safe from any thread.
+  /// Exactly commit(prepare(key, payload)).
   bool store(std::string_view key, std::string_view payload);
+
+  /// An encoded entry and the paths its commit writes, so that commit()
+  /// itself allocates nothing.
+  struct Pending {
+    std::string entry;  ///< encode_entry(key, payload)
+    std::string tmp;    ///< unique in-flight path under tmp/
+    std::string dest;   ///< entry_path(key)
+  };
+  /// The first half of store: encode the entry (SHA-256 included), name its
+  /// paths and make its shard directory. Safe from any thread.
+  Pending prepare(std::string_view key, std::string_view payload);
+  /// The durable half of store: write + fsync the entry to its tmp file and
+  /// rename(2) it into objects/. Same best-effort contract and counters as
+  /// store. Safe from any thread; on success it allocates nothing.
+  bool commit(const Pending& entry);
 
   /// Evict oldest-first (entry mtime, ties broken by key) until the
   /// objects/ tree holds at most `max_total_bytes`, and remove tmp/ and
@@ -123,8 +143,6 @@ class ResultCache {
   /// payload is returned in the buffer passed in, not copied.
   std::optional<std::string> decode_entry(std::string bytes, std::string_view key,
                                           std::string* why = nullptr) const;
-  /// Unique in-flight path for a commit of `key` (step 1 of the protocol).
-  std::filesystem::path tmp_path(std::string_view key);
   /// Test hook: invoked between the tmp write and the rename — the
   /// SIGKILL-mid-commit crash-consistency test raises its signal here.
   std::function<void()> commit_hook_for_testing;
@@ -132,6 +150,8 @@ class ResultCache {
  private:
   /// entry_path as a plain string: the read path opens it directly.
   std::string entry_file(std::string_view key) const;
+  /// Unique in-flight path for a commit of `key`.
+  std::string tmp_path(std::string_view key);
   void quarantine(const std::filesystem::path& path);
 
   std::filesystem::path dir_;

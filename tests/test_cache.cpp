@@ -3,8 +3,10 @@
 // surface (cell digest, profiler capture, config salt, STOB_CACHE_SALT),
 // quarantine of corrupted/truncated/skewed entries, the headline
 // differential guarantee — cold, warm and cache-free runs are
-// byte-identical at any --jobs / --proc-workers — plus resuming failed or
-// killed proc-mode sweeps from the cache, eviction (gc), SIGKILL-mid-commit
+// byte-identical at any --jobs / --proc-workers — the commit stage (every
+// finished cell committed when run_grid returns or throws, failing commits
+// never touching results), plus resuming failed or killed proc-mode sweeps
+// from the cache, eviction (gc), SIGKILL-mid-commit
 // crash consistency, and a concurrent mixed hit/miss stress kept honest by
 // TSan. Proc-mode workers are the grid_worker helper
 // (tests/helpers/grid_worker.cpp).
@@ -599,6 +601,107 @@ TEST(RunGridCached, ProfiledWarmRunProducesIdenticalManifest) {
   EXPECT_EQ(cache.stats().hits, cache.stats().stores);
 }
 
+// ----------------------------------------------------- the commit stage
+//
+// Misses are committed by commit threads while the pool runs on; run_grid
+// drains them before it returns or throws. These pin that contract.
+
+/// Every cell of `t` is committed under `dir`: as many stores as misses, an
+/// entry file per cell, and no in-flight file left in tmp/.
+void expect_every_cell_committed(const CacheGrid& t, const ResultCache& cache,
+                                 const fs::path& dir, const std::string& label) {
+  const ResultCache::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, t.grid.job_count()) << label;
+  EXPECT_EQ(s.stores, s.misses) << label;
+  for (std::size_t i = 0; i < t.grid.job_count(); ++i) {
+    EXPECT_TRUE(fs::is_regular_file(cache.entry_path(t.key(i)))) << label << " job " << i;
+  }
+  EXPECT_EQ(count_files(dir / "tmp"), 0u) << label;
+}
+
+TEST(CommitStage, ColdRunReturnsWithEveryCellCommittedAtAnyJobs) {
+  CacheGrid t;
+  for (std::size_t jobs : {1u, 2u, 4u}) {
+    TempDir dir("cold" + std::to_string(jobs));
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    RunOptions run = t.opts;
+    run.jobs = jobs;
+    run.cache = &cache;
+    run_grid(t.grid, run);
+    expect_every_cell_committed(t, cache, dir.path, "jobs " + std::to_string(jobs));
+  }
+}
+
+TEST(CommitStage, FailingCommitsDropEntriesButNeverResults) {
+  CacheGrid t;
+  const std::vector<JobResult> baseline = run_grid(t.grid, t.opts);
+  for (std::size_t jobs : {1u, 4u}) {
+    TempDir dir("nocommit" + std::to_string(jobs));
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    // tmp/ becomes a regular file, so every commit's tmp write fails.
+    fs::remove_all(dir.path / "tmp");
+    { std::ofstream(dir.path / "tmp") << "not a directory"; }
+    RunOptions run = t.opts;
+    run.jobs = jobs;
+    run.cache = &cache;
+    const std::vector<JobResult> results = run_grid(t.grid, run);
+    ASSERT_EQ(results.size(), baseline.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_TRUE(results_identical(baseline[i], results[i])) << "jobs " << jobs << " job " << i;
+    }
+    EXPECT_EQ(cache.stats().misses, t.grid.job_count()) << "jobs " << jobs;
+    EXPECT_EQ(cache.stats().stores, 0u) << "jobs " << jobs;
+    EXPECT_EQ(count_files(dir.path / "objects"), 0u) << "jobs " << jobs;
+  }
+}
+
+TEST(CommitStage, ThrowingJobKeepsItsErrorAndTheCellsCommittedBeforeIt) {
+  // The split cells of the failing grid throw; job 2 is the first of them.
+  CacheGrid t;
+  tiny::TinyGrid failing = tiny::make_grid("cache", /*fail_split=*/true);
+  ASSERT_EQ(failing.grid.job(2).defense, 1u);
+  const auto error_of = [&](const RunOptions& run) {
+    try {
+      run_grid(failing.grid, run);
+    } catch (const JobError& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "the failing grid did not throw";
+    return std::string();
+  };
+  const std::string expected = error_of(failing.opts);
+  ASSERT_NE(expected.find("exp: job 2 failed: transient failure"), std::string::npos) << expected;
+
+  for (std::size_t jobs : {1u, 4u}) {
+    const std::string label = "jobs " + std::to_string(jobs);
+    TempDir dir("throw" + std::to_string(jobs));
+    std::uint64_t committed = 0;
+    {
+      ResultCache cache(dir.path, kWorkerPayloadVersion);
+      RunOptions run = failing.opts;
+      run.jobs = jobs;
+      run.cache = &cache;
+      EXPECT_EQ(error_of(run), expected) << label;
+      committed = cache.stats().stores;
+      // One job runs at a time: cells 0 and 1 finished before job 2 threw.
+      if (jobs == 1) {
+        EXPECT_EQ(committed, 2u);
+      }
+      EXPECT_GT(committed, 0u) << label;
+      EXPECT_EQ(count_files(dir.path / "objects"), committed) << label;
+      EXPECT_EQ(count_files(dir.path / "tmp"), 0u) << label;
+    }
+    // A rerun of the mended grid serves every committed cell.
+    ResultCache cache(dir.path, kWorkerPayloadVersion);
+    RunOptions run = t.opts;
+    run.jobs = jobs;
+    run.cache = &cache;
+    run_grid(t.grid, run);
+    EXPECT_EQ(cache.stats().hits, committed) << label;
+    EXPECT_EQ(cache.stats().stores, t.grid.job_count() - committed) << label;
+  }
+}
+
 // ------------------------------------------------- proc-mode executor
 
 TEST(RunGridProcCache, ColdStoresWarmHitsByteIdentically) {
@@ -618,8 +721,8 @@ TEST(RunGridProcCache, ColdStoresWarmHitsByteIdentically) {
       EXPECT_TRUE(results_identical(baseline[i], cold_results[i])) << "cold job " << i;
     }
     EXPECT_EQ(cold.ran, t.grid.job_count());
-    EXPECT_EQ(cache.stats().stores, t.grid.job_count());
     EXPECT_EQ(cache.stats().hits, 0u);
+    expect_every_cell_committed(t, cache, dir.path, "proc workers 2");
   }
 
   // Warm at a different worker count: no worker is ever spawned.

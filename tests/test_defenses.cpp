@@ -181,7 +181,9 @@ TEST(FrontPolicy, SubstantialBandwidthOverhead) {
   Rng rng(10);
   wf::Dataset data;
   for (int i = 0; i < 10; ++i) data.add(web_like_trace(20 + i), 0);
-  const Overhead o = measure_overhead(data, d, rng);
+  const wf::Dataset defended =
+      data.transformed([&](const wf::Trace& t) { return run_policy(d, t, rng); });
+  const Overhead o = measure_overhead(data, defended);
   EXPECT_GT(o.bandwidth, 0.2);
 }
 
@@ -247,12 +249,41 @@ TEST(SlotSchedulePolicy, NonFiniteTimeIsRefused) {
   }
 }
 
+TEST(SlotSchedulePolicy, UnboundedScheduleIsRefused) {
+  // One slot per interval up to the last arrival: 1e12 s would be ~8e13
+  // slots. Both directions are checked before either schedule is emitted.
+  for (const char* name : {"BuFLO", "Tamaraw"}) {
+    for (const int dir : {+1, -1}) {
+      wf::Trace t;
+      t.add(0.0, dir, 100);
+      t.add(1e12, dir, 100);
+      Rng rng(1);
+      try {
+        run_policy(policy_info(name), t, rng);
+        ADD_FAILURE() << name << " scheduled an arrival at 1e12 s, direction " << dir;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("direction " + std::to_string(dir) + " "), std::string::npos) << what;
+        EXPECT_NE(what.find("1000000000000"), std::string::npos) << what;
+      }
+    }
+    // A long but bounded load is still scheduled.
+    wf::Trace ok;
+    ok.add(0.0, -1, 100);
+    ok.add(600.0, -1, 100);
+    Rng rng(1);
+    EXPECT_FALSE(run_policy(policy_info(name), ok, rng).empty()) << name;
+  }
+}
+
 TEST(PadToConstant, SizesQuantised) {
   PadToConstantPolicy d;
   Rng rng(17);
   const wf::Trace defended = run_policy(d, web_like_trace(), rng);
   for (const auto& p : defended.packets()) {
-    if (p.direction < 0) EXPECT_EQ(p.size % 512, 0);
+    if (p.direction < 0) {
+      EXPECT_EQ(p.size % 512, 0);
+    }
   }
 }
 
@@ -302,6 +333,18 @@ TEST(AllDefenses, ApplyCleanlyAndReportMetadata) {
       ASSERT_GE(defended.packets()[i].time, defended.packets()[i - 1].time) << d.name;
     }
   }
+}
+
+TEST(Overhead, DatasetPairsMustMatchInSize) {
+  wf::Dataset original, defended;
+  original.add(web_like_trace(1), 0);
+  original.add(web_like_trace(2), 1);
+  defended.add(web_like_trace(1), 0);
+  EXPECT_THROW(measure_overhead(original, defended), std::invalid_argument);
+  defended.add(web_like_trace(2), 1);
+  const Overhead same = measure_overhead(original, defended);
+  EXPECT_EQ(same.bandwidth, 0.0);
+  EXPECT_EQ(same.latency, 0.0);
 }
 
 TEST(Overhead, MeasuresRelativeCosts) {
@@ -365,7 +408,9 @@ TEST(RegulatorPolicy, PadsEveryDownloadToConstantSize) {
   Rng rng(5);
   const wf::Trace out = run_policy(policy, web_like_trace(), rng);
   for (const auto& p : out.packets()) {
-    if (p.direction < 0) EXPECT_EQ(p.size, 1514);
+    if (p.direction < 0) {
+      EXPECT_EQ(p.size, 1514);
+    }
   }
 }
 

@@ -104,7 +104,9 @@ TEST_P(DefenseInvariants, WellFormedOutput) {
     const auto& p = defended.packets()[i];
     EXPECT_GT(p.size, 0) << defense.name;
     EXPECT_TRUE(p.direction == 1 || p.direction == -1) << defense.name;
-    if (i > 0) EXPECT_GE(p.time, defended.packets()[i - 1].time) << defense.name;
+    if (i > 0) {
+      EXPECT_GE(p.time, defended.packets()[i - 1].time) << defense.name;
+    }
   }
   // Defenses never destroy payload: total bytes never shrink.
   EXPECT_GE(defended.total_bytes(), original.total_bytes()) << defense.name;

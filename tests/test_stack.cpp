@@ -321,7 +321,7 @@ TEST(Nic, TsoSplitsSuperSegment) {
   NicFixture f;
   auto p = make_packet(10 * 1448);
   p.tso_mss = 1448;
-  p.l4 = net::TcpHeader{.seq = 5000, .ack = 0, .flags = net::kTcpAck, .rwnd = 65535};
+  p.l4 = net::TcpHeader{.seq = 5000, .ack = 0, .flags = net::kTcpAck, .rwnd = 65535, .sack = {}};
   f.nic.transmit(std::move(p));
   f.sim.run();
   ASSERT_EQ(f.delivered.size(), 10u);
