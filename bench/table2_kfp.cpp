@@ -16,10 +16,8 @@
 // Flags: --jobs N (default hardware concurrency), --check-determinism,
 // --manifest PATH (run_manifest.json), --trace-events PATH (Chrome
 // trace_event JSON; either output flag turns the span profiler on),
-// --corpus DIR (collection cache: reuse DIR/table2_traces.crp when present
-// and valid, otherwise collect through the stack and write it — the binary
-// corpus round-trips traces exactly, so cached and live runs print the
-// same table).
+// --cache DIR (result cache: a rerun with the same DIR serves every
+// collection cell from disk, SHA-verified, and prints the same table).
 // --check-determinism additionally re-runs the attack stage under fresh
 // profilers at two worker counts and asserts the run manifests are
 // identical minus timing (deterministic_json).
@@ -27,7 +25,6 @@
 // STOB_TREES (default 100), STOB_SEED, STOB_JOBS.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,7 +34,6 @@
 #include "exp/worker_pool.hpp"
 #include "obs/manifest.hpp"
 #include "obs/prof.hpp"
-#include "wf/corpus.hpp"
 #include "wf/features.hpp"
 #include "wf/kfp.hpp"
 #include "workload/page_load.hpp"
@@ -64,12 +60,8 @@ int main(int argc, char** argv) {
   const auto folds = static_cast<std::size_t>(env_int("STOB_FOLDS", 5));
   const auto trees = static_cast<std::size_t>(env_int("STOB_TREES", 100));
   const auto seed = static_cast<std::uint64_t>(env_int("STOB_SEED", 20251117));
-  const exp::Cli cli = exp::parse_cli(argc, argv, {{"--corpus", true}});
+  const exp::Cli cli = exp::parse_cli(argc, argv);
   const std::size_t jobs = cli.jobs == 0 ? exp::default_jobs() : cli.jobs;
-  const std::string corpus_dir = cli.get("--corpus");
-  const std::filesystem::path corpus_file =
-      corpus_dir.empty() ? std::filesystem::path{}
-                         : std::filesystem::path(corpus_dir) / "table2_traces.crp";
 
   obs::Profiler prof;
   std::optional<obs::ScopedProfiler> prof_guard;
@@ -105,39 +97,11 @@ int main(int argc, char** argv) {
   const exp::CacheSession cache = exp::CacheSession::from_cli(cli);
   run.cache = cache.cache();
   std::fflush(stdout);
-  // Collection cache: a valid --corpus file short-circuits the simulator
-  // entirely (the binary format round-trips traces exactly, so the table is
-  // identical either way); a corrupt one is quarantined by the reader and
-  // we fall through to a live collection that rewrites it.
-  bool collected_live = true;
   const wf::Dataset raw = [&] {
-    if (!corpus_dir.empty() && std::filesystem::exists(corpus_file)) {
-      try {
-        obs::ProfSpan span("collect");
-        wf::Dataset d = wf::load_corpus(corpus_file);
-        collected_live = false;
-        std::fprintf(stderr, "table2_kfp: loaded corpus %s\n", corpus_file.c_str());
-        return d;
-      } catch (const wf::CorpusError& e) {
-        std::fprintf(stderr, "table2_kfp: corpus rejected (%s): %s — recollecting\n",
-                     wf::corpus_error_name(e.code()), e.what());
-      }
-    }
     obs::ProfSpan span("collect");
-    wf::Dataset d = exp::to_dataset(exp::run_grid(grid, run));
-    if (!corpus_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(corpus_dir, ec);
-      wf::CorpusWriter writer(corpus_file);
-      for (std::size_t i = 0; i < d.size(); ++i) writer.add(d.trace(i), d.label(i));
-      writer.finish();
-      std::fprintf(stderr, "table2_kfp: wrote corpus %s\n", corpus_file.c_str());
-    }
-    return d;
+    return exp::to_dataset(exp::run_grid(grid, run));
   }();
-  if (collected_live && run.proc.workers > 0) {
-    exp::print_proc_summary("table2_kfp", proc_report);
-  }
+  if (run.proc.workers > 0) exp::print_proc_summary("table2_kfp", proc_report);
   cache.finish("table2_kfp");
   std::printf("collected %zu traces\n", raw.size());
 

@@ -1,11 +1,11 @@
 // SHA-256 (FIPS 180-4): the integrity check behind every on-disk artifact.
 //
-// Every result-cache entry (exp/result_cache) and every STOBCRP1/STOBFST1
-// corpus or feature-store payload (wf/corpus) is verified against its
-// SHA-256 on every load, and the golden-trace regression corpus
-// (tests/golden/) pins one digest per canonical simulation instead of
-// megabytes of JSONL. Not a security boundary — a stable fingerprint that
-// catches torn writes, bit rot and behavioural drift.
+// Every result-cache entry (exp/result_cache), the repo's only on-disk
+// store, is verified against its SHA-256 on every load, and the
+// golden-trace regression corpus (tests/golden/) pins one digest per
+// canonical simulation instead of megabytes of JSONL. Not a security
+// boundary — a stable fingerprint that catches torn writes, bit rot and
+// behavioural drift.
 //
 // Because the warm-cache read path hashes every payload it serves, the
 // block function is dispatched like the attack kernels (DESIGN.md §17):

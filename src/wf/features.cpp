@@ -112,9 +112,9 @@ class FeatureBuilder {
   std::vector<std::string>* names_ = nullptr;
 };
 
-/// Per-thread extraction scratch. A million-trace streaming run calls
-/// build() once per trace; reusing these buffers (capacity survives
-/// resize()) removes ~16 heap allocations per trace from the hot path.
+/// Per-thread extraction scratch. A feature pass calls build() once per
+/// trace; reusing these buffers (capacity survives resize()) removes ~16
+/// heap allocations per trace from the hot path.
 struct Scratch {
   std::vector<double> dir01;  // 1.0 for outgoing, 0.0 otherwise
   std::vector<double> all_times, in_times, out_times;

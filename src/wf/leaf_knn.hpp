@@ -2,12 +2,11 @@
 //
 // k-FP measures similarity between two samples as the number of trees in
 // which they fall into the same leaf (a Hamming-style distance over the
-// uint32 leaf-id vectors produced by RandomForest::leaf_batch). Both the
-// closed-world k-NN mode and the open-world classifier spend most of their
-// time in this all-pairs count, so it lives here as a tiled train x query
-// kernel: a block of training fingerprints stays cache-resident while a
-// block of queries streams over it. Counts are exact integers, so results
-// are identical to the naive per-pair loop.
+// uint32 leaf-id vectors produced by RandomForest::leaf_batch). The k-NN
+// mode spends most of its time in this all-pairs count, so it lives here
+// as a tiled train x query kernel: a block of training fingerprints stays
+// cache-resident while a block of queries streams over it. Counts are
+// exact integers, so results are identical to the naive per-pair loop.
 #pragma once
 
 #include <cstdint>

@@ -61,13 +61,6 @@ class RandomForest {
   /// Batched leaf vectors, row-major rows x tree_count(), tree-local ids.
   std::vector<std::uint32_t> leaf_batch(const FeatureMatrix& x) const;
 
-  /// Raw-storage leaf_batch over `rows` samples at x + r*stride (stride in
-  /// doubles). Lets FeatureStore consumers fingerprint mmap'd blocks
-  /// without copying them into a FeatureMatrix first. `out` must hold
-  /// rows x tree_count() entries.
-  void leaf_batch(const double* x, std::size_t stride, std::size_t rows,
-                  std::uint32_t* out) const;
-
   std::size_t tree_count() const { return trees_.size(); }
   int num_classes() const { return num_classes_; }
   bool trained() const { return !trees_.empty(); }
@@ -88,6 +81,10 @@ class RandomForest {
 
   void flatten();
   std::uint32_t descend_flat(std::uint32_t root, const double* x) const;
+  /// leaf_batch over `rows` samples at x + r*stride (stride in doubles);
+  /// `out` must hold rows x tree_count() entries.
+  void leaf_batch(const double* x, std::size_t stride, std::size_t rows,
+                  std::uint32_t* out) const;
 
   Config cfg_;
   int num_classes_ = 0;

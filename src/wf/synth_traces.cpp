@@ -53,12 +53,4 @@ Trace synth_site_trace(std::uint64_t seed, int site, std::uint64_t instance) {
   return make_trace(profile, noise);
 }
 
-Trace synth_background_trace(std::uint64_t seed, std::uint64_t index) {
-  // Profile and noise both keyed by the index: each background page is a
-  // fresh shape, never repeated.
-  Rng profile(mix(seed, 0xBAC6ull, index));
-  Rng noise(mix(seed, 0xBAC7ull, index));
-  return make_trace(profile, noise);
-}
-
 }  // namespace stob::wf

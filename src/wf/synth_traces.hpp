@@ -1,13 +1,12 @@
-// Deterministic synthetic trace generator for corpus-scale experiments.
+// Deterministic synthetic k-FP traces for the feature-extraction golden.
 //
-// Million-trace open-world evaluation needs labeled traffic far beyond what
-// the simulator collects in reasonable time, so bench/openworld_scale
-// generates traces directly: each monitored "site" gets a stable burst
-// profile derived from its id, and every background page gets its own
-// random profile derived from its index. Each trace is a pure function of
-// (seed, identity) — generation order and parallelism cannot change a
-// single byte of a generated corpus, which is what lets the scalar and
-// SIMD CI legs diff whole store files.
+// KfpFeatureGolden (tests/test_wf_parity.cpp) pins the SHA-256 of the k-FP
+// features of a fixed corpus built here, so the generator must stay
+// byte-identical: a changed trace re-records that golden. Each monitored
+// "site" gets a stable burst profile derived from its id, and each instance
+// adds its own noise; every trace is a pure function of (seed, site,
+// instance). Experiments never read these traces: every trace they
+// evaluate comes from a simulated page load.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +18,5 @@ namespace stob::wf {
 /// Instance `instance` of monitored site `site`: the site's burst profile
 /// plus per-instance noise.
 Trace synth_site_trace(std::uint64_t seed, int site, std::uint64_t instance);
-
-/// Background page `index`: a one-off profile per index (the open world is
-/// heavy-tailed — every unmonitored page looks different).
-Trace synth_background_trace(std::uint64_t seed, std::uint64_t index);
 
 }  // namespace stob::wf

@@ -1,9 +1,11 @@
 #include "wf/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "util/csv.hpp"
 #include "util/stats.hpp"
@@ -13,6 +15,13 @@ namespace stob::wf {
 namespace {
 
 bool time_less(const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; }
+
+/// Shortest decimal that parses back to exactly `v` (std::to_string would
+/// print %f, six decimals, and lose every sub-microsecond part of a time).
+std::string round_trip_string(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 /// Orders a[first..) into the already ordered prefix a[0..first), where
 /// `first` is the first descent. Insertion moves a record only past
@@ -160,7 +169,7 @@ void Dataset::save_csv(const std::filesystem::path& path) const {
   rows.push_back({"trace_id", "label", "time", "direction", "size"});
   for (std::size_t i = 0; i < traces_.size(); ++i) {
     for (const PacketRecord& p : traces_[i].packets()) {
-      rows.push_back({std::to_string(i), std::to_string(labels_[i]), std::to_string(p.time),
+      rows.push_back({std::to_string(i), std::to_string(labels_[i]), round_trip_string(p.time),
                       std::to_string(p.direction), std::to_string(p.size)});
     }
   }
@@ -177,6 +186,10 @@ Dataset Dataset::load_csv(const std::filesystem::path& path) {
     const auto& row = rows[r];
     if (row.size() != 5) throw std::runtime_error("dataset csv: malformed row");
     const std::int64_t id = std::stoll(row[0]);
+    if (id < 0) {
+      throw std::invalid_argument("dataset csv: negative trace_id " + row[0] + " in data row " +
+                                  std::to_string(r));
+    }
     if (id != current_id) {
       if (current_id >= 0) out.add(std::move(current), current_label);
       current = Trace{};

@@ -92,6 +92,9 @@ class Dataset {
   }
 
   /// CSV round trip. Format: trace_id,label,time,direction,size per packet.
+  /// Times are written as shortest round-trip decimals, so every field
+  /// loads back exactly. load_csv refuses a negative trace_id with
+  /// std::invalid_argument. A trace with no packets writes no rows.
   void save_csv(const std::filesystem::path& path) const;
   static Dataset load_csv(const std::filesystem::path& path);
 

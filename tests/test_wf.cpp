@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -288,15 +289,47 @@ TEST(Dataset, CsvRoundTrip) {
   Dataset d;
   d.add(simple_trace(), 3);
   d.add(simple_trace().truncated(2), 7);
+  // Times that six decimals cannot hold: sub-microsecond parts, a tiny
+  // value, and a simulated clock reading with full double precision.
+  Trace fine;
+  fine.add(0.0, +1, 600);
+  fine.add(1e-7, -1, 1514);
+  fine.add(0.1234567891, -1, 1514);
+  fine.add(2.0 / 3.0, +1, 66);
+  fine.add(12345.000000123, -1, 900);
+  d.add(fine, 1);
   const auto path = std::filesystem::temp_directory_path() / "stob_ds_test.csv";
   d.save_csv(path);
   const Dataset back = Dataset::load_csv(path);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.label(0), 3);
-  EXPECT_EQ(back.label(1), 7);
-  EXPECT_EQ(back.trace(0).size(), 6u);
-  EXPECT_EQ(back.trace(1).size(), 2u);
-  EXPECT_EQ(back.trace(0).packets()[1].size, 1514);
+  std::filesystem::remove(path);
+  ASSERT_EQ(back.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_EQ(back.label(i), d.label(i)) << "trace " << i;
+    const auto& want = d.trace(i).packets();
+    const auto& got = back.trace(i).packets();
+    ASSERT_EQ(got.size(), want.size()) << "trace " << i;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got[j].time, want[j].time) << "trace " << i << " packet " << j;
+      EXPECT_EQ(got[j].direction, want[j].direction) << "trace " << i << " packet " << j;
+      EXPECT_EQ(got[j].size, want[j].size) << "trace " << i << " packet " << j;
+    }
+  }
+}
+
+TEST(Dataset, CsvRefusesNegativeTraceId) {
+  const auto path = std::filesystem::temp_directory_path() / "stob_ds_negative_id.csv";
+  {
+    std::ofstream out(path);
+    out << "trace_id,label,time,direction,size\n"
+        << "0,2,0,1,600\n"
+        << "-1,3,0.5,-1,1514\n";
+  }
+  try {
+    (void)Dataset::load_csv(path);
+    ADD_FAILURE() << "a negative trace_id was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("data row 2"), std::string::npos) << e.what();
+  }
   std::filesystem::remove(path);
 }
 
