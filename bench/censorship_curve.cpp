@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto trees = static_cast<std::size_t>(env_int("STOB_TREES", 80));
   const auto folds = static_cast<std::size_t>(env_int("STOB_FOLDS", 5));
   const auto seed = static_cast<std::uint64_t>(env_int("STOB_SEED", 20251117));
-  const exp::Cli cli = exp::parse_cli(argc, argv);
+  const exp::Cli cli = exp::parse_cli_or_exit("censorship_curve", argc, argv);
   const std::size_t jobs = cli.jobs == 0 ? exp::default_jobs() : cli.jobs;
 
   std::printf("=== Censorship curve: k-FP accuracy vs observed prefix length ===\n");

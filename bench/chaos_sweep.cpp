@@ -64,7 +64,8 @@ struct ScenarioRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::Cli cli = exp::parse_cli(argc, argv, {{"--smoke", false}});
+  const exp::Cli cli =
+      exp::parse_cli_or_exit("chaos_sweep", argc, argv, {{"--smoke", false}});
   const bool smoke = cli.has("--smoke");
   const auto sites = smoke ? 1 : static_cast<std::size_t>(env_int("STOB_SITES", 2));
   const auto samples = smoke ? 1 : static_cast<std::size_t>(env_int("STOB_SAMPLES", 2));

@@ -314,8 +314,8 @@ int main(int argc, char** argv) {
   const auto trees = static_cast<std::size_t>(env_int("STOB_TREES", 60));
   const auto folds = static_cast<std::size_t>(env_int("STOB_FOLDS", 3));
   const auto seed = static_cast<std::uint64_t>(env_int("STOB_SEED", 20251117));
-  const exp::Cli cli =
-      exp::parse_cli(argc, argv, {{"--pareto", true}, {"--smoke", false}});
+  const exp::Cli cli = exp::parse_cli_or_exit("table1_defenses", argc, argv,
+                                              {{"--pareto", true}, {"--smoke", false}});
   const std::size_t jobs = cli.jobs == 0 ? exp::default_jobs() : cli.jobs;
 
   if (cli.has("--pareto")) return run_pareto(cli, samples, trees, folds, seed, jobs);

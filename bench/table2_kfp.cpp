@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const auto folds = static_cast<std::size_t>(env_int("STOB_FOLDS", 5));
   const auto trees = static_cast<std::size_t>(env_int("STOB_TREES", 100));
   const auto seed = static_cast<std::uint64_t>(env_int("STOB_SEED", 20251117));
-  const exp::Cli cli = exp::parse_cli(argc, argv);
+  const exp::Cli cli = exp::parse_cli_or_exit("table2_kfp", argc, argv);
   const std::size_t jobs = cli.jobs == 0 ? exp::default_jobs() : cli.jobs;
 
   obs::Profiler prof;

@@ -791,6 +791,16 @@ Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
   return cli;
 }
 
+Cli parse_cli_or_exit(const char* tool, int argc, char** argv,
+                      const std::vector<FlagSpec>& extra_flags) {
+  try {
+    return parse_cli(argc, argv, extra_flags);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    std::exit(2);
+  }
+}
+
 ProcOptions proc_options_from_cli(const Cli& cli) {
   ProcOptions proc;
   proc.workers = cli.proc_workers;

@@ -253,6 +253,12 @@ struct FlagSpec {
 /// Both "--flag value" and "--flag=value" spellings are accepted.
 Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags = {});
 
+/// parse_cli for a bench program's main(): a flag parse_cli refuses is a
+/// usage error, printed as "<tool>: <message>" on stderr, and the process
+/// exits with status 2 instead of letting the exception escape main.
+Cli parse_cli_or_exit(const char* tool, int argc, char** argv,
+                      const std::vector<FlagSpec>& extra_flags = {});
+
 /// Map the CLI's out-of-process flags onto executor options. Sets
 /// worker_argv to the CLI's argv with argv[0] resolved to this executable
 /// (/proc/self/exe: the driver re-execs itself) and

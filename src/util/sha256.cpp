@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/simd.hpp"
-
-#if !defined(STOB_SIMD_DISABLED) && (defined(__x86_64__) || defined(__i386__))
+#if defined(__x86_64__) || defined(__i386__)
 #define STOB_SHA256_HW 1
 #include <cpuid.h>
 #include <immintrin.h>
@@ -143,7 +141,7 @@ bool cpu_has_sha() {
 detail::Sha256Blocks kernel() {
   static const detail::Sha256Blocks chosen = [] {
     const detail::Sha256Blocks hw = detail::sha256_blocks_hw();
-    return hw != nullptr && !simd::scalar_forced() ? hw : &detail::sha256_blocks_scalar;
+    return hw != nullptr ? hw : &detail::sha256_blocks_scalar;
   }();
   return chosen;
 }

@@ -8,11 +8,11 @@
 // behavioural drift.
 //
 // Because the warm-cache read path hashes every payload it serves, the
-// block function is dispatched like the attack kernels (DESIGN.md §17):
-// an x86 SHA-extensions kernel (sha256rnds2/msg1/msg2) when CPUID reports
-// SHA, the portable scalar rounds otherwise, under the -DSTOB_SIMD=OFF kill
-// switch, or with STOB_SIMD=off in the environment. Both kernels compute
-// the same function, so digests never depend on the machine or the mode.
+// block function is chosen once per process by CPUID (DESIGN.md §17): an
+// x86 SHA-extensions kernel (sha256rnds2/msg1/msg2) when the CPU reports
+// SHA, the portable scalar rounds otherwise. The scalar rounds are the
+// reference both kernels are tested against, and they compute the same
+// function, so digests never depend on the machine.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +59,6 @@ void sha256_blocks_scalar(std::uint32_t state[8], const std::uint8_t* data,
                           std::size_t blocks);
 
 /// The SHA-extensions kernel, or nullptr when this build or CPU lacks it.
-/// Ignores STOB_SIMD, so tests can compare both kernels in any mode.
 Sha256Blocks sha256_blocks_hw();
 
 }  // namespace detail

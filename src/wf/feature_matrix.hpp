@@ -7,10 +7,10 @@
 // the storage layout.
 //
 // Storage is 64-byte over-aligned with a padded row stride (cols rounded
-// up to 8 doubles), so every row starts on its own cache line / full AVX2
-// vector boundary — a plain std::vector<double> only guarantees 8-byte
-// alignment, which silently forces unaligned SIMD loads. Padding lanes are
-// always zero, so equality and hashing over raw storage stay deterministic.
+// up to 8 doubles), so every row starts on its own cache line — a plain
+// std::vector<double> only guarantees 8-byte alignment, so a row could
+// straddle two lines. Padding lanes are always zero, so equality and
+// hashing over raw storage stay deterministic.
 // row(r) spans exactly cols() entries; batch kernels that walk raw storage
 // use row_stride() as the row-to-row distance.
 #pragma once

@@ -11,7 +11,6 @@
 
 #include "exp/worker_pool.hpp"
 #include "util/stats.hpp"
-#include "wf/simd_kernels.hpp"
 
 namespace stob::wf {
 
@@ -125,11 +124,17 @@ struct Scratch {
   std::vector<double> sorted_times, pps;
 };
 
-/// gaps of ts into g via the pair-difference kernel (independent
-/// subtractions — bit-identical to the sequential loop).
+/// Gaps of ts into g: g[i] = ts[i+1] - ts[i].
 void fill_gaps(const std::vector<double>& ts, std::vector<double>& g) {
   g.resize(ts.size() > 1 ? ts.size() - 1 : 0);
-  kernels::pair_diffs(ts.data(), ts.size(), g.data());
+  for (std::size_t i = 1; i < ts.size(); ++i) g[i - 1] = ts[i] - ts[i - 1];
+}
+
+/// Sum of n integer-valued doubles (0/1 direction indicators) in order.
+double sum_ints(const double* xs, std::size_t n) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < n; ++i) s += xs[i];
+  return s;
 }
 
 /// What the classification pass totals besides its lists.
@@ -215,10 +220,7 @@ PassTotals classify(const std::vector<PacketRecord>& pkts, Scratch& s) {
   return tot;
 }
 
-/// The single implementation walked both for names and values. The
-/// vectorizable pieces (directional counts, chunk sums, burst thresholds,
-/// size bands, inter-arrival gaps) go through kernels::*, all of which are
-/// exact, so values are bit-identical to the pre-SIMD scalar loops.
+/// The single implementation walked both for names and values.
 void build(const Trace& trace, FeatureBuilder& fb) {
   thread_local Scratch s;
   const auto& pkts = trace.packets();
@@ -234,11 +236,11 @@ void build(const Trace& trace, FeatureBuilder& fb) {
 
   // ---- 2. First/last 30 packet composition (0/1 sums: exact).
   const std::size_t head = std::min<std::size_t>(30, pkts.size());
-  const double head_out = kernels::sum_ints(s.dir01.data(), head);
+  const double head_out = sum_ints(s.dir01.data(), head);
   fb.add("first30_in", static_cast<double>(head) - head_out);
   fb.add("first30_out", head_out);
   const std::size_t tail = std::min<std::size_t>(30, pkts.size());
-  const double tail_out = kernels::sum_ints(s.dir01.data() + (pkts.size() - tail), tail);
+  const double tail_out = sum_ints(s.dir01.data() + (pkts.size() - tail), tail);
   fb.add("last30_in", static_cast<double>(tail) - tail_out);
   fb.add("last30_out", tail_out);
 
@@ -267,7 +269,7 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   s.conc.clear();
   for (std::size_t base = 0; base < pkts.size(); base += 20) {
     const std::size_t len = std::min<std::size_t>(20, pkts.size() - base);
-    s.conc.push_back(kernels::sum_ints(s.dir01.data() + base, len));
+    s.conc.push_back(sum_ints(s.dir01.data() + base, len));
   }
   fb.add("conc20_out_sum", fb.add_stats("conc20_out", s.conc));
 
@@ -276,14 +278,16 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   s.conc30_alt.clear();
   for (std::size_t base = 0; base < pkts.size(); base += 60) {
     const std::size_t len = std::min<std::size_t>(30, pkts.size() - base);
-    s.conc30_alt.push_back(kernels::sum_ints(s.dir01.data() + base, len));
+    s.conc30_alt.push_back(sum_ints(s.dir01.data() + base, len));
   }
   fb.add_stats("conc30alt_out", s.conc30_alt);
 
   // ---- 5. Bursts: maximal runs of consecutive outgoing packets, counted
   // past each threshold before add_stats reorders them.
   const auto bursts_over = [](double thr) {
-    return static_cast<double>(kernels::count_gt(s.bursts.data(), s.bursts.size(), thr));
+    std::size_t c = 0;
+    for (double b : s.bursts) c += b > thr;
+    return static_cast<double>(c);
   };
   const double gt5 = bursts_over(5.0), gt10 = bursts_over(10.0), gt15 = bursts_over(15.0);
   fb.add("burst_count", static_cast<double>(s.bursts.size()));
@@ -368,8 +372,15 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   // ---- 9. Volume (sizes are visible to the adversary even under TLS). The
   // size bands are counted before add_stats reorders the incoming sizes.
   double in_small = 0, in_mid = 0, in_full = 0;
-  kernels::band_counts(s.in_sizes.data(), s.in_sizes.size(), 600.0, 1400.0, &in_small, &in_mid,
-                       &in_full);
+  for (double size : s.in_sizes) {
+    if (size < 600.0) {
+      in_small += 1;
+    } else if (size < 1400.0) {
+      in_mid += 1;
+    } else {
+      in_full += 1;
+    }
+  }
   const double in_n = std::max<double>(1.0, static_cast<double>(s.in_sizes.size()));
   fb.add("bytes_total", static_cast<double>(tot.bytes_total));
   fb.add("bytes_in", static_cast<double>(tot.bytes_in));

@@ -1,6 +1,6 @@
-// Packed node layout of the flattened random forest, shared between
-// RandomForest (which builds the pool) and the descent kernel in
-// simd_kernels.cpp (which walks it).
+// Packed node layout of the flattened random forest, and the blocked
+// descent kernel that walks it (defined in random_forest.cpp; declared
+// here so tests can check it against a naive walk).
 //
 // One node is 24 bytes, so a descent step reads a single cache line.
 // Internal nodes (feature >= 0) use kid as absolute left/right child
@@ -8,6 +8,7 @@
 // offset, majority class}.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace stob::wf {
@@ -19,5 +20,12 @@ struct FlatNode {
 };
 
 static_assert(sizeof(FlatNode) == 24, "descent assumes 24-byte packed nodes");
+
+/// Walk one tree (rooted at nodes[root]) for m samples stored row-major at
+/// x + r*stride, leaving the absolute leaf index of sample r in leaves[r].
+/// Four lanes are in flight so their dependent node loads overlap; a NaN
+/// feature descends to kid[1] (`!(x <= thr)`).
+void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
+                   std::size_t stride, std::size_t m, std::uint32_t* leaves);
 
 }  // namespace stob::wf

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "exp/worker_pool.hpp"
-#include "wf/simd_kernels.hpp"
 
 namespace stob::wf {
 
@@ -71,14 +70,60 @@ void RandomForest::flatten() {
   flat_.tree_base.push_back(static_cast<std::uint32_t>(flat_.nodes.size()));
 }
 
-std::uint32_t RandomForest::descend_flat(std::uint32_t root, const double* x) const {
-  const FlatNode* nodes = flat_.nodes.data();
+namespace {
+
+std::uint32_t descend_one(const FlatNode* nodes, std::uint32_t root, const double* x) {
   std::uint32_t cur = root;
   while (nodes[cur].feature >= 0) {
     const FlatNode& nd = nodes[cur];
     cur = nd.kid[!(x[static_cast<std::size_t>(nd.feature)] <= nd.threshold)];
   }
   return cur;
+}
+
+}  // namespace
+
+void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
+                   std::size_t stride, std::size_t m, std::uint32_t* leaves) {
+  // One branch-free level step for one lane; a lane already at its leaf
+  // (feature < 0) re-selects the leaf via conditional moves.
+  const auto step = [nodes](std::uint32_t c, std::int32_t f, const double* row) {
+    const FlatNode& nd = nodes[c];
+    const std::size_t i = f < 0 ? 0 : static_cast<std::size_t>(f);
+    const std::uint32_t next = nd.kid[!(row[i] <= nd.threshold)];
+    return f < 0 ? c : next;
+  };
+  // Four lanes in flight: their dependent node loads overlap instead of
+  // serializing, and the group exits once all four reached a leaf (max of
+  // four path lengths, not tree depth).
+  std::size_t r = 0;
+  for (; r + 4 <= m; r += 4) {
+    std::uint32_t c0 = root, c1 = root, c2 = root, c3 = root;
+    const double* x0 = x + r * stride;
+    const double* x1 = x0 + stride;
+    const double* x2 = x1 + stride;
+    const double* x3 = x2 + stride;
+    while (true) {
+      const std::int32_t f0 = nodes[c0].feature;
+      const std::int32_t f1 = nodes[c1].feature;
+      const std::int32_t f2 = nodes[c2].feature;
+      const std::int32_t f3 = nodes[c3].feature;
+      if ((f0 & f1 & f2 & f3) < 0) break;  // all four at leaves
+      c0 = step(c0, f0, x0);
+      c1 = step(c1, f1, x1);
+      c2 = step(c2, f2, x2);
+      c3 = step(c3, f3, x3);
+    }
+    leaves[r] = c0;
+    leaves[r + 1] = c1;
+    leaves[r + 2] = c2;
+    leaves[r + 3] = c3;
+  }
+  for (; r < m; ++r) leaves[r] = descend_one(nodes, root, x + r * stride);
+}
+
+std::uint32_t RandomForest::descend_flat(std::uint32_t root, const double* x) const {
+  return descend_one(flat_.nodes.data(), root, x);
 }
 
 int RandomForest::predict(std::span<const double> x) const {
@@ -131,7 +176,7 @@ std::vector<int> RandomForest::predict_batch(const FeatureMatrix& x) const {
     const double* base = x.data() + lo * stride;
     std::fill(votes.begin(), votes.begin() + static_cast<std::ptrdiff_t>(m * classes), 0);
     for (std::size_t t = 0; t < num_trees; ++t) {
-      kernels::descend_block(flat_.nodes.data(), flat_.tree_base[t], base, stride, m, leaves);
+      descend_block(flat_.nodes.data(), flat_.tree_base[t], base, stride, m, leaves);
       for (std::size_t r = 0; r < m; ++r) votes[r * classes + flat_.nodes[leaves[r]].kid[1]] += 1;
     }
     for (std::size_t r = 0; r < m; ++r) {
@@ -159,7 +204,7 @@ std::vector<double> RandomForest::predict_proba_batch(const FeatureMatrix& x) co
     const std::size_t m = std::min(rows - lo, kBlock);
     const double* base = x.data() + lo * stride;
     for (std::size_t t = 0; t < num_trees; ++t) {
-      kernels::descend_block(flat_.nodes.data(), flat_.tree_base[t], base, stride, m, leaves);
+      descend_block(flat_.nodes.data(), flat_.tree_base[t], base, stride, m, leaves);
       for (std::size_t r = 0; r < m; ++r) {
         const double* dist = flat_.dists.data() + flat_.nodes[leaves[r]].kid[0];
         double* acc = out.data() + (lo + r) * classes;
@@ -180,7 +225,7 @@ void RandomForest::leaf_batch(const double* x, std::size_t stride, std::size_t r
     const double* base = x + lo * stride;
     for (std::size_t t = 0; t < num_trees; ++t) {
       const std::uint32_t root = flat_.tree_base[t];
-      kernels::descend_block(flat_.nodes.data(), root, base, stride, m, leaves);
+      descend_block(flat_.nodes.data(), root, base, stride, m, leaves);
       for (std::size_t r = 0; r < m; ++r) out[(lo + r) * num_trees + t] = leaves[r] - root;
     }
   }

@@ -9,8 +9,8 @@
 // in forest_layout.hpp), which the batch kernels (predict_batch /
 // predict_proba_batch / leaf_batch) walk over blocks of samples: tree
 // nodes stay cache-hot across a block instead of being re-fetched per
-// sample. Descent itself goes through kernels::descend_block, the 4-lane
-// scalar kernel of simd_kernels.cpp.
+// sample. Descent itself goes through descend_block (forest_layout.hpp),
+// which keeps four samples in flight.
 #pragma once
 
 #include <cstdint>

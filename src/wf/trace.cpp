@@ -168,6 +168,10 @@ void Dataset::save_csv(const std::filesystem::path& path) const {
   std::vector<csv::Row> rows;
   rows.push_back({"trace_id", "label", "time", "direction", "size"});
   for (std::size_t i = 0; i < traces_.size(); ++i) {
+    if (traces_[i].empty()) {
+      throw std::invalid_argument("dataset csv: trace " + std::to_string(i) +
+                                  " has no packets and would write no rows");
+    }
     for (const PacketRecord& p : traces_[i].packets()) {
       rows.push_back({std::to_string(i), std::to_string(labels_[i]), round_trip_string(p.time),
                       std::to_string(p.direction), std::to_string(p.size)});
@@ -191,6 +195,11 @@ Dataset Dataset::load_csv(const std::filesystem::path& path) {
                                   std::to_string(r));
     }
     if (id != current_id) {
+      if (id != current_id + 1) {
+        throw std::invalid_argument("dataset csv: trace_id " + row[0] + " in data row " +
+                                    std::to_string(r) + " breaks the sequence 0, 1, 2, ... " +
+                                    "(expected " + std::to_string(current_id + 1) + ")");
+      }
       if (current_id >= 0) out.add(std::move(current), current_label);
       current = Trace{};
       current_id = id;

@@ -93,8 +93,11 @@ class Dataset {
 
   /// CSV round trip. Format: trace_id,label,time,direction,size per packet.
   /// Times are written as shortest round-trip decimals, so every field
-  /// loads back exactly. load_csv refuses a negative trace_id with
-  /// std::invalid_argument. A trace with no packets writes no rows.
+  /// loads back exactly. Only what round-trips is accepted, each refusal a
+  /// std::invalid_argument: save_csv refuses a trace with no packets (it
+  /// would write no rows, shifting every later index), naming the trace;
+  /// load_csv refuses trace ids that do not run 0, 1, 2, ... contiguously
+  /// (a negative id included), naming the data row.
   void save_csv(const std::filesystem::path& path) const;
   static Dataset load_csv(const std::filesystem::path& path);
 

@@ -1,8 +1,9 @@
 // Worker (and stand-alone supervisor) for the proc-mode tests: builds the
-// tiny grid named by --grid through parse_cli + run_grid, exactly as a
-// bench driver does. Run by the proc executor with --worker-job N appended,
-// run_grid computes that one cell and exits. Without it, the program runs
-// the whole sweep (honouring --proc-workers and --cache) and exits 0.
+// tiny grid named by --grid through parse_cli_or_exit + run_grid, exactly
+// as a bench program does (a flag it does not know exits 2). Run by the
+// proc executor with --worker-job N appended, run_grid computes that one
+// cell and exits. Without it, the program runs the whole sweep (honouring
+// --proc-workers and --cache) and exits 0.
 //
 //   grid_worker --grid NAME [--fail-split] [shared exp::parse_cli flags]
 //
@@ -17,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace stob;
   try {
-    const exp::Cli cli = exp::parse_cli(argc, argv, {{"--grid", true}, {"--fail-split", false}});
+    const exp::Cli cli = exp::parse_cli_or_exit("grid_worker", argc, argv,
+                                                {{"--grid", true}, {"--fail-split", false}});
     exp::tiny::TinyGrid t = exp::tiny::make_grid(cli.get("--grid"), cli.has("--fail-split"));
     t.opts.proc = exp::proc_options_from_cli(cli);
     const exp::CacheSession cache = exp::CacheSession::from_cli(cli);

@@ -608,6 +608,21 @@ TEST(ProcCli, WorkerFlagsSelectWorkerMode) {
   EXPECT_THROW(parse_cli(3, const_cast<char**>(old_flag)), std::invalid_argument);
 }
 
+TEST(ProcCli, UnknownFlagExitsWithUsageError) {
+  // A bench program's main() goes through parse_cli_or_exit: an unknown
+  // flag is a usage error (exit 2, "<tool>: <message>" on stderr), not an
+  // escaped exception that aborts the process.
+  util::Subprocess child =
+      util::Subprocess::spawn({STOB_GRID_WORKER, "--grid", "split", "--corpus", "x"});
+  const util::ExitStatus st = child.wait();
+  EXPECT_FALSE(st.signaled) << "signal " << st.term_signal;
+  EXPECT_TRUE(st.exited);
+  EXPECT_EQ(st.exit_code, 2);
+  const std::string err = drain_to_eof(child.stderr_fd());
+  EXPECT_EQ(err.rfind("grid_worker: ", 0), 0u) << err;
+  EXPECT_NE(err.find("--corpus"), std::string::npos) << err;
+}
+
 TEST(ProcCli, MalformedFaultSpecIsHardError) {
   const char* argv[] = {"tool", "--inject-worker-fault", "explode:often"};
   EXPECT_THROW(parse_cli(3, const_cast<char**>(argv)), std::invalid_argument);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -329,6 +330,46 @@ TEST(Dataset, CsvRefusesNegativeTraceId) {
     ADD_FAILURE() << "a negative trace_id was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("data row 2"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Dataset, CsvRefusesTraceIdsOutOfSequence) {
+  // Rows of trace 0 split by trace 1, and a gap: neither can be the file
+  // save_csv wrote, so neither loads.
+  const auto path = std::filesystem::temp_directory_path() / "stob_ds_id_sequence.csv";
+  for (const auto& [rows, want_row] :
+       {std::pair<const char*, const char*>{"0,2,0,1,600\n1,3,0,1,600\n0,2,0.5,-1,1514\n",
+                                            "data row 3"},
+        std::pair<const char*, const char*>{"0,2,0,1,600\n2,3,0,1,600\n", "data row 2"},
+        std::pair<const char*, const char*>{"1,2,0,1,600\n", "data row 1"}}) {
+    {
+      std::ofstream out(path);
+      out << "trace_id,label,time,direction,size\n" << rows;
+    }
+    try {
+      (void)Dataset::load_csv(path);
+      ADD_FAILURE() << "ids out of sequence were accepted: " << rows;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want_row), std::string::npos) << e.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Dataset, CsvRefusesToSaveAnEmptyTrace) {
+  // An empty trace writes no rows, so every later trace would load one
+  // index early; save_csv refuses it and names the trace.
+  Dataset d;
+  d.add(simple_trace(), 0);
+  d.add(Trace{}, 1);
+  d.add(simple_trace(), 2);
+  const auto path = std::filesystem::temp_directory_path() / "stob_ds_empty_trace.csv";
+  try {
+    d.save_csv(path);
+    ADD_FAILURE() << "a trace with no packets was saved";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trace 1 "), std::string::npos) << e.what();
   }
   std::filesystem::remove(path);
 }

@@ -6,13 +6,17 @@
 // every flat/batched entry point is compared against the recursive
 // DecisionTree walk it replaced, across seeds, class counts, and the
 // degenerate shapes (single class, constant features, zero feature rows)
-// where tie-breaking bugs hide.
+// where tie-breaking bugs hide. The blocked descent kernel is checked
+// against a naive recursive walk over hand-built node pools, and the
+// FeatureMatrix layout (64-byte row starts, zeroed padding) is pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -26,6 +30,7 @@
 #include "util/stats.hpp"
 #include "wf/feature_matrix.hpp"
 #include "wf/features.hpp"
+#include "wf/forest_layout.hpp"
 #include "wf/kfp.hpp"
 #include "wf/leaf_knn.hpp"
 #include "wf/random_forest.hpp"
@@ -192,6 +197,120 @@ TEST(LeafKnnKernel, MatchesNaiveCounts) {
       EXPECT_EQ(tiled[q * n_train + i], naive);
       EXPECT_EQ(single[i], naive);
     }
+  }
+}
+
+// ------------------------------------------------------ blocked descent
+
+/// Append a random complete tree of `depth` to `pool`, returning its root
+/// index. Kid indices are absolute (pool-wide), matching the real flattened
+/// forest layout.
+std::uint32_t build_tree(std::vector<FlatNode>& pool, Rng& rng, int depth, int features) {
+  const auto idx = static_cast<std::uint32_t>(pool.size());
+  pool.push_back({});
+  if (depth == 0) {
+    pool[idx].feature = -1;
+    pool[idx].kid[0] = idx;      // distribution offset (unused by descent)
+    pool[idx].kid[1] = idx % 7;  // majority class (unused by descent)
+    return idx;
+  }
+  pool[idx].feature = static_cast<std::int32_t>(rng.next() % features);
+  pool[idx].threshold = rng.normal(0.0, 1.0);
+  const std::uint32_t left = build_tree(pool, rng, depth - 1, features);
+  const std::uint32_t right = build_tree(pool, rng, depth - 1, features);
+  pool[idx].kid[0] = left;
+  pool[idx].kid[1] = right;
+  return idx;
+}
+
+/// Naive recursive descent: the reference the blocked kernel must match.
+/// `x <= thr` is false for a NaN feature, which therefore goes to kid[1].
+std::uint32_t descend_reference(const std::vector<FlatNode>& pool, std::uint32_t node,
+                                const double* row) {
+  const FlatNode& nd = pool[node];
+  if (nd.feature < 0) return node;
+  return descend_reference(pool, row[nd.feature] <= nd.threshold ? nd.kid[0] : nd.kid[1], row);
+}
+
+TEST(FlatDescent, BlockMatchesRecursiveWalk) {
+  Rng rng(0xDE5CEull);
+  const int features = 17;
+  std::vector<FlatNode> pool;
+  std::vector<std::uint32_t> roots;
+  for (int depth : {0, 1, 3, 6}) roots.push_back(build_tree(pool, rng, depth, features));
+
+  // Block sizes around the 4-lane width, including ragged tails.
+  for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
+                        std::size_t{9}, std::size_t{16}, std::size_t{23}}) {
+    const std::size_t stride = 24;  // padded: stride > features
+    std::vector<double> x(m * stride, 0.0);
+    for (double& v : x) v = rng.normal(0.0, 1.0);
+    // NaN features must descend identically (to kid[1]) in both walks.
+    if (m > 2) x[1 * stride + 3] = std::numeric_limits<double>::quiet_NaN();
+    for (std::uint32_t root : roots) {
+      std::vector<std::uint32_t> got(m, 1);
+      descend_block(pool.data(), root, x.data(), stride, m, got.data());
+      for (std::size_t r = 0; r < m; ++r) {
+        const std::uint32_t ref = descend_reference(pool, root, x.data() + r * stride);
+        EXPECT_EQ(ref, got[r]) << "m=" << m << " root=" << root << " row=" << r;
+        EXPECT_EQ(pool[ref].feature, -1) << "descent must end on a leaf";
+      }
+    }
+  }
+}
+
+TEST(FlatDescent, ThresholdTieAndNanTakeTheirBranch) {
+  // x == threshold takes the `<=` branch (kid[0]); a NaN compares false
+  // and goes to kid[1], in a 4-lane group and in the tail alike.
+  std::vector<FlatNode> pool(3);
+  pool[0].feature = 0;
+  pool[0].threshold = 1.25;  // exactly representable
+  pool[0].kid[0] = 1;
+  pool[0].kid[1] = 2;
+  pool[1].feature = -1;
+  pool[2].feature = -1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double xs[] = {1.25, std::nextafter(1.25, 2.0), std::nextafter(1.25, 0.0), nan, nan};
+  const std::uint32_t want[] = {1, 2, 1, 2, 2};
+  std::uint32_t got[5] = {7, 7, 7, 7, 7};
+  descend_block(pool.data(), 0, xs, 1, 5, got);
+  for (std::size_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(got[r], want[r]) << "x=" << xs[r];
+    EXPECT_EQ(descend_reference(pool, 0, &xs[r]), want[r]) << "x=" << xs[r];
+  }
+}
+
+// ------------------------------------------------ FeatureMatrix alignment
+
+TEST(FeatureMatrixAlignment, RowsStartOnCacheLines) {
+  for (std::size_t cols : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{150},
+                           std::size_t{175}}) {
+    FeatureMatrix x(5, cols);
+    EXPECT_EQ(x.row_stride() % 8, 0u) << "stride must be a whole cache line of doubles";
+    EXPECT_GE(x.row_stride(), cols);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      const auto addr = reinterpret_cast<std::uintptr_t>(x.row(r).data());
+      EXPECT_EQ(addr % FeatureMatrix::kRowAlign, 0u) << "cols=" << cols << " row=" << r;
+    }
+    // Padding lanes stay zero so raw-storage hashing is deterministic.
+    if (x.row_stride() > cols) {
+      const double* raw = x.data();
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = cols; c < x.row_stride(); ++c) {
+          EXPECT_EQ(raw[r * x.row_stride() + c], 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(FeatureMatrixAlignment, AppendGrowsKeepAlignment) {
+  FeatureMatrix x;
+  std::vector<double> row(11, 1.5);
+  for (int i = 0; i < 100; ++i) x.append_row(row);
+  EXPECT_EQ(x.rows(), 100u);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(x.row(r).data()) % FeatureMatrix::kRowAlign, 0u);
   }
 }
 
