@@ -23,6 +23,10 @@ disagrees with itself, and so what a real difference has to exceed.
 Each run's output_digest and simulator event counts are compared too. In
 --aa mode a mismatch (or any failed run) makes the exit status 1; in A/B mode
 a mismatch is reported, since a change may alter outputs on purpose.
+
+Each side's operations are reported as attempted/failed per run. In A/B mode
+the exit status is 1 when NEW's failed share (failed over attempted, summed
+over its runs) is larger than OLD's.
 """
 import argparse
 import json
@@ -117,6 +121,11 @@ def compare(old_runs, new_runs, better):
     return rows
 
 
+def failed_share(runs):
+    attempted = sum(r["attempted"] or 0 for r in runs)
+    return sum(r["failed"] or 0 for r in runs) / attempted if attempted else 0.0
+
+
 def fmt(stats):
     med, q1, q3 = stats
     return f"{med:.4g} [{q1:.4g}-{q3:.4g}]"
@@ -163,8 +172,12 @@ def main():
                   f"{wins:>3}/{count:<2}  {verdict}")
 
         every = runs["old"] + runs["new"]
-        failed = sorted({(r["attempted"], r["failed"]) for r in every})
-        print(f"attempted/failed: {', '.join(f'{a}/{f}' for a, f in failed)}")
+        for label in ("old", "new"):
+            counts = sorted({(r["attempted"], r["failed"]) for r in runs[label]})
+            print(f"attempted/failed {label}: {', '.join(f'{a}/{f}' for a, f in counts)}")
+        if not args.aa and failed_share(runs["new"]) > failed_share(runs["old"]):
+            print("FAILED: new fails a larger share of its operations than old")
+            status = 1
         if not all(r["correct"] for r in every):
             print("FAILED: a run reported correct=false")
             status = 1

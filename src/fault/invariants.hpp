@@ -33,9 +33,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "obs/trace_recorder.hpp"
 #include "util/units.hpp"
@@ -109,7 +109,7 @@ class StackInvariantChecker final : public obs::StackListener {
   void report(const char* invariant, const std::string& detail);
 
   Config cfg_;
-  std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> flows_;
+  net::FlowTable<FlowState> flows_;  // looked up by key only, never iterated
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
   std::vector<std::string> reports_;

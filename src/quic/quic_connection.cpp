@@ -452,17 +452,15 @@ std::int64_t QuicConnection::emit_packet(bool force_padding_to_initial) {
 // --------------------------------------------------------------------- PTO
 
 void QuicConnection::arm_pto() {
-  if (pto_armed_) {
-    sim_.cancel(pto_timer_);
-    pto_armed_ = false;
-  }
   Duration pto = rtt_.has_sample()
                      ? rtt_.srtt() + std::max(Duration::millis(1), rtt_.rttvar() * 4) +
                            cfg_.ack_delay
                      : Duration::seconds(1);
   pto = pto * (std::int64_t{1} << std::min(pto_backoff_, 10));
+  const TimePoint when = sim_.now() + pto;
+  if (pto_armed_ && sim_.reschedule(pto_timer_, when)) return;  // re-armed in place
   pto_armed_ = true;
-  pto_timer_ = sim_.schedule_after(pto, [this] {
+  pto_timer_ = sim_.schedule_at(when, [this] {
     pto_armed_ = false;
     on_pto_fire();
   });

@@ -26,6 +26,11 @@
 // event fires where a plain schedule at reservation time would have put
 // it. net::Pipe uses this to keep only the head of each FIFO of packets in
 // propagation in the heap (DESIGN.md §11).
+//
+// A timer that is re-armed before it fires (the NIC's pacing wakeup, TCP's
+// RTO, QUIC's PTO) is moved with reschedule(): the slot is re-keyed and
+// sifted where it stands, with the key a cancel and a fresh schedule would
+// have given it, so the callback is neither destroyed nor rebuilt.
 #pragma once
 
 #include <cassert>
@@ -137,6 +142,14 @@ class Simulator {
   /// disarm them).
   void cancel(EventId id);
 
+  /// Move a pending event to `when` (clamped to now) in place: it takes the
+  /// next sequence number, as schedule_at would, so it fires exactly where
+  /// cancel(id) followed by a schedule_at(when, ...) of the same callback
+  /// would have put it, and `id` stays valid. Counts one cancel, like that
+  /// pair. Returns false, and does nothing, when `id` is not pending
+  /// (fired, cancelled, stale, or the event now running).
+  bool reschedule(EventId id, TimePoint when);
+
   /// Run until the queue drains or `until`, whichever first.
   /// Returns the number of events executed.
   /// Defined inline so the dispatch loop (pop, node recycle, callback
@@ -187,7 +200,7 @@ class Simulator {
 
   /// Total events cancelled since construction (cancellation churn — mostly
   /// transport timers rearmed before firing). Counts only events that were
-  /// actually pending when cancelled.
+  /// actually pending when cancelled; a reschedule() counts as one.
   std::uint64_t cancelled() const { return cancelled_total_; }
 
   /// Largest number of simultaneously pending events ever reached — the
@@ -311,6 +324,14 @@ class Simulator {
     }
     place(pos, slot);
   }
+
+  /// The heap position of `id`'s event, or kNoPos when it is not pending
+  /// (invalid, fired, cancelled, or stale for a recycled node).
+  std::uint32_t pending_pos(EventId id) const;
+
+  /// Put `slot` at `pos` and sift it whichever way its new neighbourhood
+  /// needs.
+  void reseat(std::size_t pos, const Slot& slot);
 
   void remove_at(std::size_t pos);
 

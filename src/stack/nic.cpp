@@ -42,30 +42,31 @@ Bytes Nic::flow_unsent(const net::FlowKey& flow) const {
 void Nic::pump() {
   if (egress_ == nullptr) return;
   const TimePoint now = sim_.now();
-  while (ring_bytes_ < cfg_.tx_ring) {
+  // Dequeue only while some head is eligible. A dequeue with every head
+  // paced into the future returns nothing, and its DRR rotation is the
+  // identity, so skipping it changes nothing.
+  TimePoint next = qdisc_->next_ready(now);
+  while (ring_bytes_ < cfg_.tx_ring && next <= now) {
     std::optional<net::Packet> p = qdisc_->dequeue(now);
     if (!p) break;
     push_to_wire(std::move(*p));
+    next = qdisc_->next_ready(now);
   }
-  // Arm (or rearm) a wakeup for the next paced packet. The ring-space guard
-  // is load-bearing in both directions:
+  // Re-arm the wakeup for the next paced packet in place, or drop it. The
+  // ring-space guard is load-bearing in both directions:
   //  * without it, a full ring + an already-eligible head (next_ready ==
   //    now) would self-schedule at the current timestamp forever;
-  //  * with it, skipping the rearm (after cancelling above) is safe only
-  //    because a full ring implies ring_bytes_ > 0, i.e. packets are in
-  //    flight in the egress pipe, and every serialisation completion calls
-  //    on_wire_complete -> pump(), which re-evaluates the qdisc and rearms
-  //    once space exists. Paced packets parked in the qdisc behind a full
-  //    ring therefore always have a live drain path (regression-tested by
+  //  * with it, dropping the wakeup is safe only because a full ring
+  //    implies ring_bytes_ > 0, i.e. packets are in flight in the egress
+  //    pipe, and every serialisation completion calls on_wire_complete ->
+  //    pump(), which re-evaluates the qdisc and re-arms once space exists.
+  //    Paced packets parked in the qdisc behind a full ring therefore
+  //    always have a live drain path (regression-tested by
   //    Nic.PacedPacketSurvivesFullRing).
-  sim_.cancel(wakeup_);
-  wakeup_ = sim::EventId();
-  const TimePoint next = qdisc_->next_ready(now);
-  if (next != TimePoint::max() && ring_bytes_ < cfg_.tx_ring) {
-    wakeup_ = sim_.schedule_at(next, [this] {
-      wakeup_ = sim::EventId();
-      pump();
-    });
+  if (next == TimePoint::max() || ring_bytes_ >= cfg_.tx_ring) {
+    sim_.cancel(wakeup_);
+  } else if (!sim_.reschedule(wakeup_, next)) {
+    wakeup_ = sim_.schedule_at(next, [this] { pump(); });
   }
 }
 

@@ -49,7 +49,9 @@ class Nic {
 
  private:
   /// Move eligible packets from the qdisc into the pipe while ring space
-  /// remains; arms a wakeup timer when the head packet is paced out.
+  /// remains, never dequeuing while every head is paced out; then keep
+  /// exactly one wakeup pending, at the earliest head's time, or none when
+  /// the qdisc is empty or the ring is full.
   void pump();
   void push_to_wire(net::Packet&& p);
   void on_wire_complete(const net::Packet& p);
@@ -60,7 +62,7 @@ class Nic {
   net::Pipe* egress_ = nullptr;
 
   Bytes ring_bytes_;  // bytes posted to the pipe, not yet serialised
-  sim::EventId wakeup_;
+  sim::EventId wakeup_;  // re-armed in place; stale once it has fired
   net::FlowTable<FlowEndpoint*> completions_;
   net::FlowTable<std::int64_t> ring_per_flow_;  // wire bytes posted, per flow
   std::uint64_t tso_segments_split_ = 0;

@@ -721,9 +721,10 @@ void TcpConnection::check_done() {
 // ----------------------------------------------------------------- timers
 
 void TcpConnection::arm_rto() {
-  disarm_rto();
+  const TimePoint when = sim_.now() + rtt_.rto();
+  if (rto_armed_ && sim_.reschedule(rto_timer_, when)) return;  // re-armed in place
   rto_armed_ = true;
-  rto_timer_ = sim_.schedule_after(rtt_.rto(), [this] {
+  rto_timer_ = sim_.schedule_at(when, [this] {
     rto_armed_ = false;
     on_rto_fire();
   });

@@ -19,11 +19,11 @@
 // decode. The next two run the Table 1 collection grid cold (3 sites x 4
 // samples x {reno, cubic, bbr}), once on a clean path and once under the
 // adverse-mix fault profile, and pin its events, completed loads, deepest
-// heap and cancels; the event total must not move at 2 jobs. The last
-// replays synthetic traces through the combined policy and gates the
-// allocations exactly: the chain's stages share one emission buffer and
-// one record buffer, which becomes the defended trace, so a per-stage
-// trace or buffer shows here.
+// heap, cancels and one SHA-256 over every cell's trace; the event total
+// must not move at 2 jobs. The last replays synthetic traces through the
+// combined policy and gates the allocations exactly: the chain's stages
+// share one emission buffer and one record buffer, which becomes the
+// defended trace, so a per-stage trace or buffer shows here.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -46,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 #include "wf/trace.hpp"
 #include "workload/page_load.hpp"
 #include "workload/website.hpp"
@@ -164,7 +166,26 @@ struct GridCount {
   std::uint64_t allocations = 0;
   std::uint64_t heap_high_water = 0;  ///< the deepest heap of any cell
   std::uint64_t cancelled = 0;        ///< summed over the cells
+  std::string trace_digest;           ///< SHA-256 over every cell's trace, in cell order
 };
+
+/// SHA-256 over the traces in order: each trace's packet count, then per
+/// packet the bits of its time, its direction and its size.
+std::string traces_digest(const std::vector<exp::JobResult>& results) {
+  util::Sha256 sha;
+  for (const exp::JobResult& r : results) {
+    const std::uint64_t n = r.trace.size();
+    sha.update(&n, sizeof n);
+    for (const wf::PacketRecord& p : r.trace.packets()) {
+      std::uint64_t time_bits = 0;
+      static_assert(sizeof time_bits == sizeof p.time);
+      std::memcpy(&time_bits, &p.time, sizeof time_bits);
+      const std::int64_t fields[3] = {static_cast<std::int64_t>(time_bits), p.direction, p.size};
+      sha.update(fields, sizeof fields);
+    }
+  }
+  return sha.hex_digest();
+}
 
 /// The Table 1 collection grid: the first three catalogue sites x 4 samples
 /// x {reno, cubic, bbr}, TLS records on, with an optional fault axis.
@@ -189,6 +210,7 @@ GridCount grid_counts(const char* name, std::vector<fault::PathProfile> faults) 
     c.events += r.sim_events;
     c.completed += r.completed ? 1 : 0;
   }
+  c.trace_digest = traces_digest(results);
 
   opts.jobs = 2;
   std::uint64_t parallel_events = 0;
@@ -213,18 +235,20 @@ GridCount grid_counts(const char* name, std::vector<fault::PathProfile> faults) 
 
   std::printf(
       "%s grid: %zu cells, %llu events, %zu completed, %llu allocations (%.1f per cell), heap "
-      "high water %llu, %llu cancelled\n",
+      "high water %llu, %llu cancelled, traces %s\n",
       name, c.cells, static_cast<unsigned long long>(c.events), c.completed,
       static_cast<unsigned long long>(c.allocations),
       static_cast<double>(c.allocations) / static_cast<double>(c.cells),
       static_cast<unsigned long long>(c.heap_high_water),
-      static_cast<unsigned long long>(c.cancelled));
+      static_cast<unsigned long long>(c.cancelled), c.trace_digest.c_str());
   return c;
 }
 
 // Allocations are capped at the counts measured with libstdc++ 12: 10,085
 // (280.1 per cell) cold and 32,895 (913.8 per cell) under the fault
-// profile. Every load completes on both grids.
+// profile. Every load completes on both grids. The trace digests pin every
+// packet of every cell, so a same-tick reorder that keeps the counts (a
+// retransmission under loss leaving in another order) still fails.
 TEST(AllocGate, ColdGridCountsAreExact) {
   const GridCount c = grid_counts("cold", {});
   ASSERT_EQ(c.cells, 36u);
@@ -233,6 +257,7 @@ TEST(AllocGate, ColdGridCountsAreExact) {
   EXPECT_LE(c.allocations, 10085u);
   EXPECT_EQ(c.heap_high_water, 24u);
   EXPECT_EQ(c.cancelled, 87654u);
+  EXPECT_EQ(c.trace_digest, "53ea3336fe7b4a651243819dbeb435a7ab1015158985e8f6a5a686de234fcf96");
 }
 
 TEST(AllocGate, ChaosGridCountsAreExact) {
@@ -243,6 +268,7 @@ TEST(AllocGate, ChaosGridCountsAreExact) {
   EXPECT_LE(c.allocations, 32895u);
   EXPECT_EQ(c.heap_high_water, 49u);
   EXPECT_EQ(c.cancelled, 74101u);
+  EXPECT_EQ(c.trace_digest, "e2b4f1105ab4d1e2aad2b60856869e6b2b3e69fc893203405ee5f2d6c262ca28");
 }
 
 /// `n` packets in time order, about 70 % incoming (a third of those large

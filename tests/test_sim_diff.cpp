@@ -5,12 +5,15 @@
 // Both schedulers are driven through identical seeded op scripts (schedule,
 // schedule_after, past-time clamping, same-tick bursts, cancellation —
 // including cancel-after-fire and cancel/schedule from inside a firing
-// callback — and keys reserved now and scheduled later, also from inside a
-// firing callback) and must produce the identical firing log, clock, and
-// pending count at every step. Any event-loop replacement has to pass this before
-// the golden-trace corpus even gets a say.
+// callback — keys reserved now and scheduled later, also from inside a
+// firing callback, and re-arms in place, which the reference does as a
+// cancel plus a fresh schedule of the same callback) and must produce the
+// identical firing log, clock, pending count, cancel count and re-arm
+// results. Any event-loop replacement has to pass this before the
+// golden-trace corpus even gets a say.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -60,13 +63,21 @@ class ReferenceScheduler {
   }
 
   void cancel(Id id) {
-    if (id.seq == 0) return;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].seq == id.seq) {
-        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
+    const std::size_t i = find(id);
+    if (i == entries_.size()) return;
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+    ++cancelled_;
+  }
+
+  /// Cancel plus a fresh schedule of the same callback; `id` follows the
+  /// event to its new sequence number.
+  bool reschedule(Id& id, TimePoint when) {
+    const std::size_t i = find(id);
+    if (i == entries_.size()) return false;
+    std::function<void()> cb = std::move(entries_[i].cb);
+    cancel(id);
+    id = schedule_at(when, std::move(cb));
+    return true;
   }
 
   bool step(TimePoint until = TimePoint::max()) {
@@ -95,6 +106,7 @@ class ReferenceScheduler {
 
   std::size_t pending() const { return entries_.size(); }
   std::uint64_t executed() const { return executed_; }
+  std::uint64_t cancelled() const { return cancelled_; }
 
  private:
   struct Entry {
@@ -103,9 +115,18 @@ class ReferenceScheduler {
     std::function<void()> cb;
   };
 
+  /// The entry's index, or entries_.size() when `id` is not pending.
+  std::size_t find(Id id) const {
+    for (std::size_t i = 0; id.seq != 0 && i < entries_.size(); ++i) {
+      if (entries_[i].seq == id.seq) return i;
+    }
+    return entries_.size();
+  }
+
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::vector<Entry> entries_;
 };
 
@@ -114,8 +135,10 @@ class ReferenceScheduler {
 // One deterministic op script drives both schedulers. Every scheduled
 // event carries a token; firing appends (token, now) to the log, and the
 // token also decides nested in-callback actions (schedule a child, cancel
-// a tracked id, reserve a key, schedule a reserved key, or nothing) so
-// re-entrant behaviour is exercised from inside the dispatch path itself.
+// or re-arm a tracked id, reserve a key, schedule a reserved key, or
+// nothing) so re-entrant behaviour is exercised from inside the dispatch
+// path itself. A re-arm may pick the id of the event that is firing, which
+// is no longer pending and must be refused.
 //
 // Reserved keys wait in `tickets` until an op schedules one. A key whose
 // time the clock has passed can no longer be scheduled (the simulator
@@ -135,9 +158,10 @@ class Harness {
   std::vector<std::pair<std::uint64_t, std::int64_t>> log;  // (token, fire time)
   std::vector<std::int64_t> clock_probe;                    // now() after each op
   std::vector<std::size_t> pending_probe;                   // pending() after each op
+  std::vector<bool> rearm_log;                              // every reschedule()'s result
 
   void apply(std::uint64_t op_rand, std::uint64_t token) {
-    switch (op_rand % 13) {
+    switch (op_rand % 14) {
       case 0:  // absolute schedule, possibly into the past (clamped to now)
         track(sched.schedule_at(TimePoint(sched.now().ns() + delta(op_rand) - 300),
                                 make_cb(token)));
@@ -174,6 +198,9 @@ class Harness {
       case 11:  // reserve into the same tick the burst op uses: ties on `when`
         tickets.push_back(sched.reserve_at(TimePoint(sched.now().ns() + 97)));
         break;
+      case 12:  // re-arm a tracked id, earlier or later, possibly into the past
+        rearm(op_rand, TimePoint(sched.now().ns() + delta(op_rand) - 300));
+        break;
       default:  // schedule a reserved key, oldest first (an arrival lane)
         schedule_reserved(0, token);
         break;
@@ -194,6 +221,19 @@ class Harness {
 
   void track(Id id) { ids.push_back(id); }
 
+  /// Whether a callback may still add events. Token cycles can make nested
+  /// schedules branch, so both the log and the queue are bounded; the
+  /// reference's linear scan makes a deep queue slow.
+  bool room() const { return log.size() < 60000 && sched.pending() < 1000; }
+
+  /// Re-arm one of the last eight tracked ids (older ones have mostly
+  /// fired): it may be live, fired, cancelled, or the event now firing.
+  void rearm(std::uint64_t pick, TimePoint when) {
+    if (ids.empty()) return;
+    const std::size_t back = mix(pick) % std::min<std::size_t>(ids.size(), 8);
+    rearm_log.push_back(sched.reschedule(ids[ids.size() - 1 - back], when));
+  }
+
   /// Schedule the reserved key at `pick` (mod the count) after dropping
   /// the keys whose time has passed.
   void schedule_reserved(std::uint64_t pick, std::uint64_t token) {
@@ -211,22 +251,25 @@ class Harness {
       // Nested action decided by the token: exercises schedule-from-callback
       // and cancel-while-dispatching on both schedulers identically.
       const std::uint64_t h = mix(token);
-      if (h % 5 == 0 && log.size() < 60000) {
+      if (h % 5 == 0 && room()) {
         track(sched.schedule_after(Duration(static_cast<std::int64_t>(h % 700)),
                                    make_cb(token ^ 0xABCDull)));
       } else if (h % 5 == 1 && !ids.empty()) {
         sched.cancel(ids[h % ids.size()]);
-      } else if (h % 5 == 2 && log.size() < 60000) {
+      } else if (h % 5 == 2 && room()) {
         // Re-entrant same-tick schedule: must fire later in this same run,
         // after already-queued same-tick events (FIFO by seq).
         track(sched.schedule_at(sched.now(), make_cb(token ^ 0x5A5Aull)));
+      } else if (h % 5 == 3) {
+        // Re-entrant re-arm, often to this very tick.
+        rearm(h, TimePoint(sched.now().ns() + static_cast<std::int64_t>(h % 4) * 60));
       }
       // Independently: reserve a key from inside the dispatch (often for
       // this very tick), or schedule one reserved earlier.
       const std::uint64_t g = mix(h) % 7;
-      if (g == 0 && log.size() < 60000) {
+      if (g == 0 && room()) {
         tickets.push_back(sched.reserve_after(Duration(static_cast<std::int64_t>(h % 3) * 50)));
-      } else if (g == 1 && log.size() < 60000) {
+      } else if (g == 1 && room()) {
         schedule_reserved(h >> 7, token);
       }
     };
@@ -256,7 +299,9 @@ void run_differential(std::uint64_t seed, int ops) {
     ASSERT_EQ(fast.log[i], ref.log[i]) << "firing log diverged at entry " << i << " (seed "
                                        << seed << ")";
   }
+  EXPECT_EQ(fast.rearm_log, ref.rearm_log) << "seed " << seed;
   EXPECT_EQ(fast.sched.executed(), ref.sched.executed());
+  EXPECT_EQ(fast.sched.cancelled(), ref.sched.cancelled());
   EXPECT_EQ(fast.sched.now().ns(), ref.sched.now().ns());
 }
 
@@ -296,6 +341,72 @@ TEST(SimulatorDifferential, CancelWhileDispatchingSameTick) {
     ASSERT_EQ(fast_log, ref_log) << "victim " << victim;
     ASSERT_EQ(fast.pending(), ref.pending());
   }
+}
+
+// Directed scenario: a re-arm takes a fresh sequence number, so an event
+// moved onto a busy tick fires after the events already there; it may move
+// earlier or later, clamps a past time to now, keeps its id valid, and
+// counts one cancel each time.
+TEST(SimulatorReschedule, RearmOrdersAsCancelPlusScheduleAndCountsOneCancel) {
+  Simulator sim;
+  std::vector<char> log;
+  const EventId a = sim.schedule_at(TimePoint(100), [&] { log.push_back('a'); });
+  sim.schedule_at(TimePoint(100), [&] { log.push_back('b'); });
+  const EventId c = sim.schedule_at(TimePoint(50), [&] { log.push_back('c'); });
+  const EventId d = sim.schedule_at(TimePoint(60), [&] { log.push_back('d'); });
+  sim.run(TimePoint(20));
+
+  EXPECT_TRUE(sim.reschedule(a, TimePoint(100)));  // same time, behind b now
+  EXPECT_TRUE(sim.reschedule(c, TimePoint(200)));  // later: sifts down
+  EXPECT_TRUE(sim.reschedule(c, TimePoint(5)));    // in the past: clamped to now
+  EXPECT_EQ(sim.cancelled(), 3u);
+  EXPECT_EQ(sim.pending(), 4u);
+  sim.cancel(d);  // ids stay valid across re-arms of other events
+  EXPECT_TRUE(sim.reschedule(a, TimePoint(100)));  // and across their own
+  EXPECT_EQ(sim.cancelled(), 5u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<char>{'c', 'b', 'a'}));
+  EXPECT_EQ(sim.executed(), 3u);
+  EXPECT_EQ(sim.heap_high_water(), 4u);
+}
+
+// Directed scenario: an id that is not pending — default, fired, cancelled,
+// or stale for a node that now holds another event — is refused and
+// touches nothing: no cancel is counted and the new occupant keeps its
+// time.
+TEST(SimulatorReschedule, RefusesIdsThatAreNotPending) {
+  Simulator sim;
+  std::vector<std::int64_t> fired;
+  EXPECT_FALSE(sim.reschedule(EventId(), TimePoint(10)));
+  const EventId done = sim.schedule_at(TimePoint(10), [&] { fired.push_back(sim.now().ns()); });
+  sim.run();
+  const EventId dropped = sim.schedule_at(TimePoint(20), [&] { fired.push_back(-1); });
+  sim.cancel(dropped);
+  // The freelist hands the node of `done` and `dropped` to this event.
+  sim.schedule_at(TimePoint(30), [&] { fired.push_back(sim.now().ns()); });
+  const std::uint64_t cancelled = sim.cancelled();
+
+  EXPECT_FALSE(sim.reschedule(done, TimePoint(15)));
+  EXPECT_FALSE(sim.reschedule(dropped, TimePoint(15)));
+  EXPECT_EQ(sim.cancelled(), cancelled);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{10, 30}));
+}
+
+// Directed scenario: the event now running is no longer pending, so a
+// callback that re-arms its own id is refused (it must schedule anew, as
+// the NIC's wakeup and the transport timers do).
+TEST(SimulatorReschedule, CallbackCannotRearmItsOwnId) {
+  Simulator sim;
+  EventId self;
+  bool rearmed = true;
+  self = sim.schedule_at(TimePoint(5), [&] { rearmed = sim.reschedule(self, TimePoint(50)); });
+  sim.run();
+  EXPECT_FALSE(rearmed);
+  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.cancelled(), 0u);
 }
 
 // Directed scenario: a key reserved before plain same-tick schedules fires

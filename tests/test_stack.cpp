@@ -2,8 +2,11 @@
 // (TSO split, ring backpressure, completions), CPU model, host demux.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/path.hpp"
@@ -266,6 +269,51 @@ TEST(FqQdisc, ReturningFlowRestartsAtBackWithZeroDeficit) {
   EXPECT_EQ(order, "abbbbabb");
 }
 
+// A dequeue while every head is paced out returns nothing and rotates the
+// round once around, which is the identity: the NIC skips such dequeues,
+// and that must not change which flow is served next. `q` takes extra
+// paced-out dequeues that `twin` does not; both then drain in one order.
+TEST(FqQdisc, PacedOutDequeueLeavesRoundUnchanged) {
+  const net::FlowKey a{1, 2, 1000, 80, net::Proto::Tcp};
+  const net::FlowKey b{1, 2, 1001, 80, net::Proto::Tcp};
+  const net::FlowKey c{1, 2, 1002, 80, net::Proto::Tcp};
+  FqQdisc q;
+  FqQdisc twin;
+  for (FqQdisc* qd : {&q, &twin}) {
+    // One eligible packet per flow at t = 1000, the rest paced to 2000;
+    // unequal sizes leave the flows with different deficits.
+    qd->enqueue(make_packet(1400, a));
+    qd->enqueue(make_packet(200, b));
+    qd->enqueue(make_packet(800, c));
+    for (int i = 0; i < 3; ++i) {
+      qd->enqueue(make_packet(1400, a, TimePoint(2000)));
+      qd->enqueue(make_packet(200 + 400 * i, b, TimePoint(2000)));
+      qd->enqueue(make_packet(800, c, TimePoint(2000)));
+    }
+    std::string sent;
+    while (qd->next_ready(TimePoint(1000)) <= TimePoint(1000)) {
+      auto p = qd->dequeue(TimePoint(1000));
+      ASSERT_TRUE(p.has_value());
+      sent += p->flow == a ? 'a' : p->flow == b ? 'b' : 'c';
+    }
+    EXPECT_EQ(sent, "abc");
+  }
+  EXPECT_FALSE(q.dequeue(TimePoint(1000)).has_value());
+  EXPECT_FALSE(q.dequeue(TimePoint(1999)).has_value());
+  EXPECT_EQ(q.next_ready(TimePoint(1999)), TimePoint(2000));
+
+  auto drain = [&](FqQdisc& qd) {
+    std::string order;
+    while (auto p = qd.dequeue(TimePoint(2000))) {
+      order += p->flow == a ? 'a' : p->flow == b ? 'b' : 'c';
+    }
+    return order;
+  };
+  const std::string order = drain(q);
+  EXPECT_EQ(order, drain(twin));
+  EXPECT_EQ(order, "ccabbbcaa");
+}
+
 // ------------------------------------------------- capacity guard parity
 
 // Both qdiscs share admit-one-into-empty-queue capacity semantics: a packet
@@ -495,6 +543,64 @@ TEST(Nic, PacedPacketSurvivesFullRing) {
   // ...but completions re-pump, so the flow must not stall.
   EXPECT_EQ(delivered.size(), 4u);
   EXPECT_EQ(nic.qdisc().backlog().count(), 0);
+}
+
+/// fq that counts the dequeues which return nothing.
+struct CountingFq final : Qdisc {
+  FqQdisc inner;
+  std::size_t empty_dequeues = 0;
+
+  void enqueue(net::Packet&& p) override { inner.enqueue(std::move(p)); }
+  std::optional<net::Packet> dequeue(TimePoint now) override {
+    std::optional<net::Packet> p = inner.dequeue(now);
+    if (!p) ++empty_dequeues;
+    return p;
+  }
+  TimePoint next_ready(TimePoint now) const override { return inner.next_ready(now); }
+  bool empty() const override { return inner.empty(); }
+  Bytes backlog() const override { return inner.backlog(); }
+  std::uint64_t dropped() const override { return inner.dropped(); }
+  Bytes flow_backlog(const net::FlowKey& flow) const override { return inner.flow_backlog(flow); }
+};
+
+// After every pump exactly one wakeup is pending, at the earliest head's
+// time: a paced packet that goes ahead of the queued ones re-arms it in
+// place (one cancel each), and the NIC never dequeues while every head is
+// paced out.
+TEST(Nic, PumpKeepsOneWakeupAtTheEarliestHead) {
+  sim::Simulator sim;
+  net::Pipe pipe(sim, {DataRate::gbps(10), Duration::micros(1), Bytes(0), 0.0});
+  Nic nic(sim, std::make_unique<CountingFq>());
+  nic.attach_egress(pipe);
+  std::vector<std::pair<net::Port, std::int64_t>> sent;  // (source port, tx time)
+  pipe.set_tx_tap(
+      [&](const net::Packet& p, TimePoint t) { sent.emplace_back(p.flow.src_port, t.ns()); });
+  pipe.set_sink([](net::Packet) {});
+  auto flow = [](int i) {
+    return net::FlowKey{1, 2, static_cast<net::Port>(1000 + i), 80, net::Proto::Tcp};
+  };
+
+  const std::int64_t heads[] = {80'000, 30'000, 50'000, 30'000, 90'000};
+  std::int64_t earliest = heads[0];
+  for (int i = 0; i < 5; ++i) {
+    nic.transmit(make_packet(100, flow(i), TimePoint(heads[i])));
+    earliest = std::min(earliest, heads[i]);
+    EXPECT_EQ(sim.pending(), 1u) << "after packet " << i;
+  }
+  // Packet 1 moved the wakeup earlier; packets 2 to 4 re-armed it at the
+  // same time. Each re-arm counts one cancel.
+  EXPECT_EQ(sim.cancelled(), 4u);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now().ns(), earliest);
+  sim.run();
+
+  // 1003 leaves when 1001 has serialised, not when it was due.
+  const std::int64_t serialise =
+      DataRate::gbps(10).transmit_time(Bytes(100 + net::kEthIpTcpHeader)).ns();
+  const std::vector<std::pair<net::Port, std::int64_t>> want = {
+      {1001, 30'000}, {1003, 30'000 + serialise}, {1002, 50'000}, {1000, 80'000}, {1004, 90'000}};
+  EXPECT_EQ(sent, want);
+  EXPECT_EQ(static_cast<CountingFq&>(nic.qdisc()).empty_dequeues, 0u);
 }
 
 TEST(Nic, PacedFarFutureRearmsAfterRingDrains) {
